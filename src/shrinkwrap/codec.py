@@ -10,7 +10,7 @@ offending element.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from shrinkwrap.core import (
     DEFAULT_CODERS,

@@ -17,7 +17,7 @@ in where an operation is parameterised by the coders.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cmp_to_key
 from math import isqrt, lcm
 from typing import Callable, Iterable, Iterator, Optional, Union

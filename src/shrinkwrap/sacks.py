@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from shrinkwrap.core import Node
 
@@ -39,13 +39,15 @@ class HorizonPerfectTree:
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        nodes = frozenset(tuple(t) for t in self.nodes)
+        nodes = frozenset(map(tuple, self.nodes))
         if not nodes:
             raise ValueError("tree must contain the root")
-        lengths_ok = all(
-            len(t) <= self.horizon and all(b in (0, 1) for b in t) for t in nodes
-        )
-        if not lengths_ok:
+        # Every bit of a node is the last bit of one of its prefixes, so
+        # once the loop below has found every parent, testing last bits
+        # has tested them all.
+        if max(map(len, nodes)) > self.horizon or not {
+            t[-1] for t in nodes if t
+        } <= {0, 1}:
             raise ValueError("nodes must be binary words within the horizon")
         for t in nodes:
             if t and t[:-1] not in nodes:
@@ -72,15 +74,17 @@ class HorizonPerfectTree:
         return t + (0,) in self.nodes and t + (1,) in self.nodes
 
     def branching_nodes(self) -> frozenset[Node]:
-        return frozenset(t for t in self.nodes if self.is_branching(t))
+        nodes = self.nodes
+        return frozenset(t for t in nodes if t + (0,) in nodes and t + (1,) in nodes)
 
     def below(self, t: Node) -> "HorizonPerfectTree":
         """The subtree of nodes comparable with ``t``."""
         t = tuple(t)
         if t not in self.nodes:
             raise ValueError(f"{t!r} is not a node")
-        kept = frozenset(
-            u for u in self.nodes if u[: len(t)] == t or t[: len(u)] == u
+        n = len(t)
+        kept = frozenset(u for u in self.nodes if u[:n] == t).union(
+            t[:i] for i in range(n)
         )
         return HorizonPerfectTree(self.horizon, kept)
 
@@ -97,12 +101,12 @@ class HorizonPerfectTree:
         maximal nodes have no strict descendants at all.
         """
         reachable = set()
-        for t in sorted(self.nodes, key=len, reverse=True):
-            if (len(t) < self.horizon and self.is_branching(t)) or any(
-                t + (b,) in reachable for b in (0, 1)
-            ):
+        for t in self.branching_nodes():
+            # prefix closure; the root's parent is the root itself
+            while t not in reachable:
                 reachable.add(t)
-        bad = min(len(t) for t in self.nodes if t not in reachable)
+                t = t[:-1]
+        bad = min(map(len, self.nodes - reachable))
         return self.horizon + 1 - bad
 
 
@@ -125,14 +129,31 @@ def hpt_stem(p: HorizonPerfectTree) -> Node:
     return t
 
 
+def _splits_upto(p: HorizonPerfectTree, n: int) -> Iterator[tuple[Node, int]]:
+    """Branching nodes with at most n branching proper initial segments,
+    each with that count.
+
+    Walks down from the root and stops below a node's n-th split, so it
+    visits only the part of the tree above the splits it reports.
+    """
+    nodes = p.nodes
+    stack: list[tuple[Node, int]] = [((), 0)] if n >= 0 else []
+    while stack:
+        t, k = stack.pop()
+        t0, t1 = t + (0,), t + (1,)
+        if t0 in nodes and t1 in nodes:
+            yield t, k
+            if k < n:
+                stack += ((t0, k + 1), (t1, k + 1))
+        elif t0 in nodes:
+            stack.append((t0, k))
+        elif t1 in nodes:
+            stack.append((t1, k))
+
+
 def hpt_branching_nodes(p: HorizonPerfectTree, k: int) -> frozenset[Node]:
     """Branching nodes with exactly k branching proper initial segments."""
-    branching = p.branching_nodes()
-    return frozenset(
-        t
-        for t in branching
-        if sum(1 for i in range(len(t)) if t[:i] in branching) == k
-    )
+    return frozenset(t for t, order in _splits_upto(p, k) if order == k)
 
 
 def hpt_leq_n(q: HorizonPerfectTree, p: HorizonPerfectTree, n: int) -> bool:
@@ -141,11 +162,7 @@ def hpt_leq_n(q: HorizonPerfectTree, p: HorizonPerfectTree, n: int) -> bool:
         raise ValueError("trees live at different horizons")
     if not q.nodes <= p.nodes:
         return False
-    for k in range(n + 1):
-        for t in hpt_branching_nodes(p, k):
-            if not (t in q.nodes and q.is_branching(t)):
-                return False
-    return True
+    return all(q.is_branching(t) for t, _ in _splits_upto(p, n))
 
 
 @dataclass(frozen=True)

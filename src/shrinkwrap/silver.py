@@ -445,6 +445,38 @@ class BruteSummary:
 _BRUTE_CAP = 4_000_000
 
 
+def _clause_counts(
+    choices: list[tuple[frozenset[UPReal], ...]],
+    iso_sets: list[frozenset[UPReal]],
+    u: UPReal,
+) -> dict[str, int]:
+    """Verdicts of every (trees1, trees2, iso1, iso2) candidate, by clause.
+
+    A verdict reads an isolated set only through whether it holds u, so the
+    isolated sets fall into at most two classes (with u, without u); each
+    pair of classes is classified once, through its first members, and
+    weighted by the number of candidates in it.
+    """
+    classes: dict[bool, tuple[frozenset[UPReal], int]] = {}
+    for iso in iso_sets:
+        held = u in iso
+        first, size = classes.get(held, (iso, 0))
+        classes[held] = (first, size + 1)
+    counts: dict[str, int] = {}
+    for trees1 in choices:
+        t1 = next((c for c in trees1 if u in c), None)
+        for trees2 in choices:
+            t2 = next((c for c in trees2 if u in c), None)
+            for iso1, size1 in classes.values():
+                for iso2, size2 in classes.values():
+                    if t1 is None or t2 is None:
+                        clause = "condition2"
+                    else:
+                        clause, _, _ = _violated_clause(t1, t2, iso1, iso2, u)
+                    counts[clause] = counts.get(clause, 0) + size1 * size2
+    return counts
+
+
 def brute_obstruction(
     universe: GroundUniverse,
     silver_p: SilverTree,
@@ -488,19 +520,7 @@ def brute_obstruction(
         return BruteSummary(
             ctx.n, ctx.ntilde, ctx.u, 0, (), 0, True, s_uniform, max_branches
         )
-    u = ctx.u
-    counts: dict[str, int] = {}
-    for trees1 in choices:
-        t1 = next((c for c in trees1 if u in c), None)
-        for trees2 in choices:
-            t2 = next((c for c in trees2 if u in c), None)
-            for iso1 in iso_sets:
-                for iso2 in iso_sets:
-                    if t1 is None or t2 is None:
-                        clause = "condition2"
-                    else:
-                        clause, _, _ = _violated_clause(t1, t2, iso1, iso2, u)
-                    counts[clause] = counts.get(clause, 0) + 1
+    counts = _clause_counts(choices, iso_sets, ctx.u)
     histogram = tuple(sorted(counts.items()))
     survivors = total - sum(counts.values())
     assert survivors == 0

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from shrinkwrap.core import (
@@ -39,12 +39,8 @@ from shrinkwrap.core import (
     CoderConfig,
     Node,
     UPReal,
-    bt_intersect,
     bt_separation_level,
     up_canonical,
-    up_compare,
-    up_equal,
-    up_eval,
     up_first_diff,
     up_sort_key,
 )

@@ -119,3 +119,67 @@ def rand_silver(rng: random.Random, horizon: int, min_splits: int = 1) -> Silver
     levels = frozenset(rng.sample(range(horizon), count))
     fixed = {l: rng.randrange(2) for l in range(horizon) if l not in levels}
     return SilverTree(horizon, levels, fixed)
+
+
+def naive_branching(nodes) -> frozenset:
+    return frozenset(t for t in nodes if t + (0,) in nodes and t + (1,) in nodes)
+
+
+def naive_orders(p: HorizonPerfectTree) -> dict:
+    """Each branching node with its number of branching proper prefixes,
+    recounted over the whole tree."""
+    branching = naive_branching(p.nodes)
+    return {
+        t: sum(1 for i in range(len(t)) if t[:i] in branching) for t in branching
+    }
+
+
+def naive_branching_nodes(p: HorizonPerfectTree, k: int) -> frozenset:
+    return frozenset(t for t, order in naive_orders(p).items() if order == k)
+
+
+def naive_leq_n(q: HorizonPerfectTree, p: HorizonPerfectTree, n: int) -> bool:
+    """q is inside p and branches at every branching node of p of order
+    at most n."""
+    if not q.nodes <= p.nodes:
+        return False
+    q_branching = naive_branching(q.nodes)
+    return all(
+        t in q_branching for t, order in naive_orders(p).items() if order <= n
+    )
+
+
+def naive_gap(p: HorizonPerfectTree) -> int:
+    """Splitting slack by a bottom-up scan: a node is good when it branches
+    or has a good child; the shortest bad node sets the gap."""
+    branching = naive_branching(p.nodes)
+    good = set()
+    for t in sorted(p.nodes, key=len, reverse=True):
+        if t in branching or t + (0,) in good or t + (1,) in good:
+            good.add(t)
+    return p.horizon + 1 - min(len(t) for t in p.nodes if t not in good)
+
+
+def naive_clause(c1, c2, iso1, iso2, u) -> str:
+    """Clause a covering pair breaks on (u, zero), from the laws directly."""
+    if u not in c1 or u not in c2:
+        return "condition2"
+    if c1 != c2:
+        return "3c"
+    if c1 == {u} and u in iso1 and u in iso2:
+        return "3b"
+    return "3a"
+
+
+def naive_clause_counts(choices, iso_sets, u) -> dict:
+    """Clause histogram of the sweep, one verdict per candidate."""
+    counts = {}
+    for trees1 in choices:
+        for trees2 in choices:
+            cover1 = [c for c in trees1 if u in c] or [frozenset()]
+            cover2 = [c for c in trees2 if u in c] or [frozenset()]
+            for iso1 in iso_sets:
+                for iso2 in iso_sets:
+                    clause = naive_clause(cover1[0], cover2[0], iso1, iso2, u)
+                    counts[clause] = counts.get(clause, 0) + 1
+    return counts

@@ -7,7 +7,13 @@ import random
 
 import pytest
 
-from gen import rand_hpt, rand_rmap
+from gen import (
+    naive_branching_nodes,
+    naive_gap,
+    naive_leq_n,
+    rand_hpt,
+    rand_rmap,
+)
 from shrinkwrap.sacks import (
     FusionReport,
     HorizonPerfectTree,
@@ -49,6 +55,25 @@ class TestHorizonPerfectTree:
         # (1,) stops short of the horizon
         with pytest.raises(ValueError):
             HorizonPerfectTree(2, frozenset({(), (0,), (1,), (0, 0)}))
+
+    @pytest.mark.parametrize(
+        "horizon, nodes",
+        [
+            (2, set()),
+            (2, {(), (0,), (0, 0), (1, 1)}),
+            (2, {(), (0,), (1,), (0, 0), (0, 1)}),
+            (2, {(), (0,), (2,), (0, 0), (2, 0)}),
+            (1, {(), (0,), (1,), (1, 0)}),
+            (-1, {()}),
+        ],
+        ids=[
+            "empty", "missing-parent", "broken-promise", "non-binary",
+            "past-horizon", "negative-horizon",
+        ],
+    )
+    def test_malformed_trees_rejected(self, horizon, nodes):
+        with pytest.raises(ValueError):
+            HorizonPerfectTree(horizon, frozenset(nodes))
 
     def test_binary_words_required(self):
         with pytest.raises(ValueError):
@@ -149,6 +174,59 @@ class TestLeqN:
     def test_horizon_mismatch_rejected(self):
         with pytest.raises(ValueError):
             hpt_leq_n(HorizonPerfectTree.full(2), HorizonPerfectTree.full(3), 0)
+
+
+def single_random_path(rng, horizon):
+    return single_path(horizon, [rng.randrange(2) for _ in range(horizon)])
+
+
+def pruned(rng, p):
+    """A subtree of p keeping one child of some branching nodes."""
+    nodes = set()
+    stack = [()]
+    while stack:
+        t = stack.pop()
+        nodes.add(t)
+        kids = p.children(t)
+        if len(kids) == 2 and rng.random() < 0.3:
+            kids = (rng.choice(kids),)
+        stack.extend(kids)
+    return HorizonPerfectTree(p.horizon, frozenset(nodes))
+
+
+class TestAgainstWholeTreeRecounts:
+    """The bounded walks and the prefix-closure gap against the old
+    whole-tree recounts, kept in ``gen`` as oracles."""
+
+    def test_random_trees(self):
+        rng = random.Random(41)
+        for _ in range(1000):
+            horizon = rng.randrange(9)
+            shape = rng.randrange(4)
+            if shape == 0:
+                p = single_random_path(rng, horizon)
+            else:
+                p = rand_hpt(rng, horizon, skip_chance=rng.choice((0.0, 0.45, 0.9)))
+            if shape == 3:
+                p = p.below(rng.choice(sorted(p.nodes)))
+            assert p.gap() == naive_gap(p)
+            others = (
+                p,
+                p.below(rng.choice(sorted(p.nodes))),
+                pruned(rng, p),
+                single_random_path(rng, horizon),
+                rand_hpt(rng, horizon),
+            )
+            for n in range(-1, 6):
+                assert hpt_branching_nodes(p, n) == naive_branching_nodes(p, n)
+                for q in others:
+                    assert hpt_leq_n(q, p, n) == naive_leq_n(q, p, n)
+
+    def test_negative_orders_see_nothing(self):
+        p = HorizonPerfectTree.full(3)
+        assert hpt_branching_nodes(p, -1) == frozenset()
+        assert hpt_leq_n(p.below((0,)), p, -1)
+        assert not hpt_leq_n(p, p.below((0,)), -1)
 
 
 class TestRMap:
@@ -264,6 +342,27 @@ class TestLargestCommonSegmentClaim:
                     }
                     for t in hpt_branching_nodes(p_n, k):
                         assert t in meets
+
+
+def forged_tree(horizon, nodes):
+    """A tree object that skipped the constructor's checks."""
+    p = object.__new__(HorizonPerfectTree)
+    object.__setattr__(p, "horizon", horizon)
+    object.__setattr__(p, "nodes", frozenset(nodes))
+    return p
+
+
+class TestBrokenTreeInAMap:
+    def test_union_revalidates_every_tree(self):
+        full = HorizonPerfectTree.full(2)
+        # (1,) breaks the extendibility promise
+        broken = forged_tree(2, {(), (0,), (1,), (0, 0), (0, 1)})
+        rmap = RMap(1, {(): full, (0,): full.below((0,)), (1,): broken})
+        assert fusion_union(rmap, 0) == full
+        with pytest.raises(ValueError, match="extendibility"):
+            fusion_union(rmap, 1)
+        with pytest.raises(ValueError, match="extendibility"):
+            verify_fusion_helper(rmap)
 
 
 class TestFusionIntersect:

@@ -8,12 +8,13 @@ import random
 
 import pytest
 
-from gen import rand_hpt, rand_silver
+from gen import naive_clause_counts, rand_hpt, rand_silver
 from shrinkwrap.core import ZERO, UPReal, up_equal, up_eval, up_first_diff, up_sort_key
 from shrinkwrap.silver import (
     BruteSummary,
     GroundUniverse,
     SilverTree,
+    _clause_counts,
     _violated_clause,
     adversarial_pair,
     adversarial_sequence,
@@ -440,3 +441,38 @@ class TestBruteObstruction:
         g = GroundUniverse(G4.reals | {U6})
         with pytest.raises(ValueError, match="lies in the ground universe"):
             brute_obstruction(g, P6, max_branches=1)
+
+
+class TestClauseCounts:
+    """The class-weighted sweep against one verdict per candidate, on a
+    pool holding u, so that every clause shows up."""
+
+    POOL = (U6, ZERO, R([1]), R([0, 1]))
+
+    def sets(self, max_branches, smallest):
+        return [
+            frozenset(c)
+            for size in range(smallest, max_branches + 1)
+            for c in itertools.combinations(self.POOL, size)
+        ]
+
+    def test_uniform_families(self):
+        trees = self.sets(2, 1)
+        counts = _clause_counts([(c,) for c in trees], self.sets(2, 0), U6)
+        assert counts == naive_clause_counts([(c,) for c in trees], self.sets(2, 0), U6)
+        assert set(counts) == {"condition2", "3a", "3b", "3c"}
+        assert sum(counts.values()) == 10 * 10 * 11 * 11
+
+    def test_two_tree_families(self):
+        trees = self.sets(1, 1)
+        choices = [(d, s) for d in trees for s in trees]
+        counts = _clause_counts(choices, self.sets(1, 0), U6)
+        assert counts == naive_clause_counts(choices, self.sets(1, 0), U6)
+        assert set(counts) == {"condition2", "3a", "3b"}
+
+    def test_isolated_sets_without_u(self):
+        trees = self.sets(2, 1)
+        isolated = [c for c in self.sets(2, 0) if U6 not in c]
+        counts = _clause_counts([(c,) for c in trees], isolated, U6)
+        assert counts == naive_clause_counts([(c,) for c in trees], isolated, U6)
+        assert "3b" not in counts
