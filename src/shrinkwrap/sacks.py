@@ -270,6 +270,8 @@ def fusion_intersect(ps: Sequence[HorizonPerfectTree]) -> HorizonPerfectTree:
         raise ValueError(
             "intersection breaks the extendibility promise; widen the horizon"
         ) from exc
-    assert all(out.nodes <= p.nodes for p in ps)
-    assert out.gap() <= max(p.gap() for p in ps)
+    if not all(out.nodes <= p.nodes for p in ps):
+        raise AssertionError("intersection is not inside every tree of the chain")
+    if not out.gap() <= max(p.gap() for p in ps):
+        raise AssertionError("intersection widens the gap of the chain")
     return out

@@ -311,9 +311,11 @@ def _stage_obstruction(
     ntilde = coders.pair_index((2 * n, 2 * n + 1))
     r0 = sv_leftmost(silver_p, stem + (0,))
     r1 = sv_leftmost(silver_p, stem + (1,))
-    assert up_eval(r0, n) == 0 and up_eval(r1, n) == 1
+    if not (up_eval(r0, n) == 0 and up_eval(r1, n) == 1):
+        raise AssertionError("the staged branches do not split at the stem")
     u = flatten(r0, n)
-    assert u == flatten(r1, n)
+    if u != flatten(r1, n):
+        raise AssertionError("the staged branches flatten to different sequences")
     if u == ZERO:
         raise ValueError(
             "the flattened branch is the zero sequence; the tree's fixed part "
@@ -321,8 +323,10 @@ def _stage_obstruction(
         )
     if u in universe:
         raise ValueError("the flattened branch lies in the ground universe")
-    assert adversarial_sequence(r0, n + 1)[2 * n] == u
-    assert adversarial_sequence(r1, n + 1)[2 * n + 1] == u
+    if adversarial_sequence(r0, n + 1)[2 * n] != u:
+        raise AssertionError(f"adversarial index {2 * n} is not the flattened branch")
+    if adversarial_sequence(r1, n + 1)[2 * n + 1] != u:
+        raise AssertionError(f"adversarial index {2 * n + 1} is not the flattened branch")
     return _ObstructionContext(n, ntilde, r0, r1, u)
 
 
@@ -523,7 +527,8 @@ def brute_obstruction(
     counts = _clause_counts(choices, iso_sets, ctx.u)
     histogram = tuple(sorted(counts.items()))
     survivors = total - sum(counts.values())
-    assert survivors == 0
+    if survivors != 0:
+        raise AssertionError(f"{survivors} candidate assignments break no clause")
     return BruteSummary(
         ctx.n, ctx.ntilde, ctx.u, total, histogram, survivors, False,
         s_uniform, max_branches,

@@ -1,7 +1,10 @@
-"""Source hygiene: every module imports only names it uses.
+"""Source hygiene: every module imports only names it uses, and states its
+checks with explicit raises rather than ``assert``, which ``python -O``
+strips.
 
 Parsed with ``ast`` so the check needs nothing beyond the standard library.
-``__init__.py`` is skipped because its imports are the package's exports.
+``__init__.py`` is skipped by the import check because its imports are the
+package's exports.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "shrinkwrap"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -73,3 +77,24 @@ def test_detector_sees_unused_and_string_annotation_uses():
         "    return os.path.join('a')\n"
     )
     assert unused_imports(source) == ["Sequence (line 3)", "itertools (line 2)"]
+
+
+def assert_statements(source: str) -> list[int]:
+    """Lines of the ``assert`` statements in a module."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []
+
+
+def test_detector_sees_nested_asserts_but_not_raises():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        assert x > 0, 'positive'\n"
+        "    raise AssertionError('assert is a word here')\n"
+        "assert f\n"
+    )
+    assert sorted(assert_statements(source)) == [3, 5]
