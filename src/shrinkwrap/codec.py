@@ -10,6 +10,7 @@ offending element.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from shrinkwrap.core import (
@@ -96,7 +97,7 @@ def _as_str(obj: Any, path: str) -> str:
 # ---------------------------------------------------------------- encoding
 
 def _enc_word(s: Node) -> str:
-    return "".join(str(b) for b in s)
+    return "".join(map(str, s))
 
 
 def _enc_real(r: UPReal) -> dict:
@@ -109,13 +110,17 @@ def _enc_tree(t: BranchTree) -> dict:
 
 
 def _enc_wrapper(w: ShrinkWrapper) -> dict:
+    # One payload object per distinct tree: a padded family's filler tree
+    # fills almost every leaf, and _dumps renders a shared object once.
+    trees: dict[BranchTree, dict] = {}
     entries = []
     for (nt, n) in sorted(w.families):
         fam = w.families[(nt, n)]
         for prefix, tree in sorted(fam.leaves, key=lambda leaf: (len(leaf[0]), leaf[0])):
-            entries.append(
-                {"pair_index": nt, "n": n, "s": _enc_word(prefix), "tree": _enc_tree(tree)}
-            )
+            enc = trees.get(tree)
+            if enc is None:
+                enc = trees[tree] = _enc_tree(tree)
+            entries.append({"pair_index": nt, "n": n, "s": _enc_word(prefix), "tree": enc})
     return {
         "scope": {"N": w.scope.n_reals, "Ntilde": w.scope.n_pairs},
         "F": entries,
@@ -274,7 +279,66 @@ def encode(value, kind: Optional[str] = None) -> bytes:
     else:
         payload = _enc_report(value)
     document = {"kind": kind, "version": VERSION, "payload": payload}
-    return (json.dumps(document, indent=2) + "\n").encode("utf-8")
+    return (_dumps(document) + "\n").encode("utf-8")
+
+
+def _dumps(document) -> str:
+    """Exactly ``json.dumps(document, indent=2)`` for dicts with string
+    keys, lists, strings, ints, booleans and None.
+
+    The stdlib runs its C encoder only without ``indent``; this writer
+    renders each container once per call and reuses the text wherever the
+    same object recurs at the same depth.
+    """
+    out: list[str] = []
+    _write(document, 0, out, {})
+    return "".join(out)
+
+
+def _write(value, level: int, out: list[str], memo: dict[tuple[int, int], str]) -> None:
+    # The memo is keyed by id(), which is sound because the document holds
+    # every container alive until _dumps returns.
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, dict)):
+        key = (id(value), level)
+        text = memo.get(key)
+        if text is None:
+            if not value:
+                text = "[]" if isinstance(value, list) else "{}"
+            else:
+                start = len(out)
+                inner = "\n" + "  " * (level + 1)
+                if isinstance(value, list):
+                    out.append("[")
+                    for item in value:
+                        out.append(inner)
+                        _write(item, level + 1, out, memo)
+                        out.append(",")
+                    out[-1] = "\n" + "  " * level + "]"
+                else:
+                    out.append("{")
+                    for k, item in value.items():
+                        if not isinstance(k, str):
+                            raise TypeError(f"keys must be str, not {type(k).__name__}")
+                        out.append(inner + encode_basestring_ascii(k) + ": ")
+                        _write(item, level + 1, out, memo)
+                        out.append(",")
+                    out[-1] = "\n" + "  " * level + "}"
+                text = "".join(out[start:])
+                del out[start:]
+            memo[key] = text
+        out.append(text)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------- decoding

@@ -105,7 +105,7 @@ class TreeFamily:
         table = {}
         for prefix, tree in self.leaves:
             prefix = tuple(prefix)
-            if any(b not in (0, 1) for b in prefix) or len(prefix) > self.width:
+            if prefix.count(0) + prefix.count(1) != len(prefix) or len(prefix) > self.width:
                 raise ValueError(f"bad class prefix {prefix!r} for width {self.width}")
             if prefix in table:
                 raise ValueError(f"duplicate class prefix {prefix!r}")
@@ -180,11 +180,13 @@ def _split_in(table: dict[Node, BranchTree], word: Node) -> dict[Node, BranchTre
 
 
 def _check_partition(table: Mapping[Node, BranchTree], width: int) -> None:
+    # In lexicographic order every extension of a prefix follows it
+    # directly, so an overlap shows up between neighbours, and the first
+    # overlapping neighbours are the first overlapping pair overall.
     prefixes = sorted(table)
-    for i, p in enumerate(prefixes):
-        for q in prefixes[i + 1:]:
-            if p == q[: len(p)] or q == p[: len(q)]:
-                raise ValueError(f"overlapping class prefixes {p!r} and {q!r}")
+    for p, q in zip(prefixes, prefixes[1:]):
+        if p == q[: len(p)]:
+            raise ValueError(f"overlapping class prefixes {p!r} and {q!r}")
     total = sum(1 << (width - len(p)) for p in prefixes)
     if total != 1 << width:
         raise ValueError("class prefixes do not cover every word")

@@ -183,3 +183,45 @@ def naive_clause_counts(choices, iso_sets, u) -> dict:
                     clause = naive_clause(cover1[0], cover2[0], iso1, iso2, u)
                     counts[clause] = counts.get(clause, 0) + 1
     return counts
+
+
+def naive_check_partition(table, width: int) -> None:
+    """Prefix-partition check by comparing every pair of class prefixes."""
+    prefixes = sorted(table)
+    for i, p in enumerate(prefixes):
+        for q in prefixes[i + 1:]:
+            if p == q[: len(p)] or q == p[: len(q)]:
+                raise ValueError(f"overlapping class prefixes {p!r} and {q!r}")
+    total = sum(1 << (width - len(p)) for p in prefixes)
+    if total != 1 << width:
+        raise ValueError("class prefixes do not cover every word")
+
+
+def rand_prefix_table(rng: random.Random, width: int) -> dict:
+    """Random class-prefix table for a width, valid or broken.
+
+    Starts from a random prefix partition, then may drop a class (a gap),
+    add an extension or a proper prefix of a class (an overlap), or add a
+    random word.  The values are placeholders.
+    """
+    classes = [()]
+    for _ in range(rng.randrange(2 * width + 1)):
+        splittable = [p for p in classes if len(p) < width]
+        if not splittable:
+            break
+        p = rng.choice(splittable)
+        classes.remove(p)
+        classes += [p + (0,), p + (1,)]
+    table = dict.fromkeys(classes, 0)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        p = rng.choice(sorted(table) or [()])
+        move = rng.randrange(4)
+        if move == 0 and table:
+            del table[p]
+        elif move == 1 and len(p) < width:
+            table[p + tuple(rng.randrange(2) for _ in range(rng.randint(1, width - len(p))))] = 0
+        elif move == 2 and p:
+            table[p[: rng.randrange(len(p))]] = 0
+        else:
+            table[tuple(rng.randrange(2) for _ in range(rng.randint(0, width)))] = 0
+    return table

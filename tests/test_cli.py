@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gen import rand_rmap, rand_upreal
 from shrinkwrap import codec
@@ -70,6 +72,46 @@ class TestEncoding:
     def test_inference_rejects_unknown_values(self):
         with pytest.raises(CodecError, match="infer"):
             infer_kind(7)
+
+
+# Strings mixing ASCII, escapes, quotes and non-ASCII: a lone surrogate and
+# an astral character, which encodes as a surrogate pair.
+TEXT = st.text(st.sampled_from('az"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\u20ac\ud800\U0001f600'), max_size=6)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=-(2**80), max_value=2**80), TEXT
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(TEXT, inner, max_size=5),
+    max_leaves=25,
+)
+CONTAINERS = st.lists(JSON, min_size=1, max_size=2) | st.dictionaries(TEXT, JSON, min_size=1, max_size=2)
+
+
+class TestWriter:
+    """codec._dumps against its oracle, json.dumps(..., indent=2)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(JSON)
+    def test_matches_stdlib(self, doc):
+        assert codec._dumps(doc) == json.dumps(doc, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(CONTAINERS, TEXT)
+    def test_shared_container_at_two_depths(self, shared, key):
+        doc = {key: shared, "deep": [[shared, {"x": shared}]], "again": shared}
+        assert codec._dumps(doc) == json.dumps(doc, indent=2)
+
+    def test_scalars_and_empty_containers(self):
+        doc = [True, 1, False, 0, None, -1, 2**70, -(2**70), [], {}, [[]], {"": {}}, "é\u2028\"\\"]
+        assert codec._dumps(doc) == json.dumps(doc, indent=2)
+        for value in (True, False, None, 0, "", [], {}):
+            assert codec._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("bad", [{1, 2}, b"x", object(), 1.5, (1,), [1, {"a": frozenset()}]])
+    def test_rejects_values_outside_the_artifact_types(self, bad):
+        with pytest.raises(TypeError):
+            codec._dumps(bad)
 
 
 class TestRoundTrip:

@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from gen import naive_equal, naive_first_diff, rand_upreal
+from gen import naive_check_partition, naive_equal, naive_first_diff, rand_prefix_table, rand_upreal
 from shrinkwrap.core import ZERO, BranchTree, UPReal, up_canonical, up_first_diff
 from shrinkwrap.wrapper import (
     ShrinkWrapper,
     TreeFamily,
     WrapperScope,
+    _check_partition,
     build_padded_wrapper,
     build_wrapper,
     classify_pair,
@@ -71,6 +72,27 @@ class TestTreeFamily:
             TreeFamily(2, (((0,), T(ZERO)),))  # does not cover (1,*)
         with pytest.raises(ValueError):
             TreeFamily(2, (((), T(ZERO)), ((1,), T(ZERO))))  # overlap
+
+    def test_partition_check_matches_pairwise_oracle(self):
+        rng = random.Random(505)
+        outcomes = {"ok": 0, "overlapping": 0, "do not cover": 0}
+
+        def verdict(check, table, width):
+            try:
+                check(table, width)
+            except ValueError as e:
+                return str(e)
+            return None
+
+        for _ in range(3000):
+            width = rng.randrange(7)
+            table = rand_prefix_table(rng, width)
+            expected = verdict(naive_check_partition, table, width)
+            assert verdict(_check_partition, table, width) == expected, (width, sorted(table))
+            outcomes[next((k for k in outcomes if k in (expected or "ok")), "ok")] += 1
+        for width in range(4):
+            assert verdict(_check_partition, {}, width) == verdict(naive_check_partition, {}, width)
+        assert min(outcomes.values()) > 300, outcomes
 
     def test_distinct_trees_counts_words(self):
         special = T(R([1]))
