@@ -1,7 +1,7 @@
 """JSON artifact files for every value the package trades in.
 
-One value per file, wrapped as {"kind", "version", "payload"}.  Encoding
-canonicalizes sequences and emits collections in a fixed order, so equal
+One value per file, wrapped as {"kind", "version", "payload"}.  Sequences
+are canonical and collections are emitted in a fixed order, so equal
 values produce byte-identical documents and golden files stay stable.
 Decoding validates shape as it walks and reports the path to the first
 offending element.
@@ -18,7 +18,6 @@ from shrinkwrap.core import (
     BranchTree,
     Node,
     UPReal,
-    up_canonical,
     up_sort_key,
 )
 from shrinkwrap.domination import DominationReport, DominationRow
@@ -101,7 +100,6 @@ def _enc_word(s: Node) -> str:
 
 
 def _enc_real(r: UPReal) -> dict:
-    r = up_canonical(r)
     return {"prefix": list(r.prefix), "period": list(r.period)}
 
 
@@ -345,9 +343,9 @@ def _write(value, level: int, out: list[str], memo: dict[tuple[int, int], str]) 
 
 def _dec_word(obj: Any, path: str) -> Node:
     s = _as_str(obj, path)
-    if any(c not in "01" for c in s):
+    if not set(s) <= {"0", "1"}:
         _fail(path, f"expected a bit string, got {s!r}")
-    return tuple(int(c) for c in s)
+    return tuple(map(int, s))
 
 
 def _dec_real(obj: Any, path: str) -> UPReal:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key
-from math import isqrt, lcm
+from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 # A node is a finite word over the naturals.
@@ -34,24 +34,48 @@ def _check_word(values: Iterable[int], what: str) -> tuple[int, ...]:
     return out
 
 
+def _primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(word)
+    for d in range(1, n + 1):
+        if n % d == 0 and word == word[:d] * (n // d):
+            return word[:d]
+    return word
+
+
+def _reduce(prefix: Node, period: Node) -> tuple[Node, Node]:
+    # Replace the period by its primitive root, then roll the prefix back
+    # while its last value matches the value the rotated period would
+    # produce there.  Both steps preserve the denoted sequence.
+    period = _primitive_root(period)
+    p = len(period)
+    cut = len(prefix)
+    while cut and prefix[cut - 1] == period[(cut - 1 - len(prefix)) % p]:
+        cut -= 1
+    turn = p - (len(prefix) - cut) % p
+    return prefix[:cut], period[turn:] + period[:turn]
+
+
 @dataclass(frozen=True)
 class UPReal:
     """An ultimately periodic sequence: ``prefix`` then ``period`` forever.
 
-    The constructor stores the representation as given; it does not reduce
-    it.  Use :func:`up_canonical` for the unique minimal form (shortest
-    period, then shortest prefix).  Structural equality of canonical values
-    coincides with equality of the sequences they denote.
+    The constructor validates the representation and reduces it to the
+    unique minimal form: shortest period, then shortest prefix.  Every value
+    is therefore canonical, and ``==`` and ``hash`` agree with equality of
+    the sequences denoted.
     """
 
     prefix: tuple[int, ...]
     period: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", _check_word(self.prefix, "prefix"))
-        object.__setattr__(self, "period", _check_word(self.period, "period"))
-        if not self.period:
+        prefix = _check_word(self.prefix, "prefix")
+        period = _check_word(self.period, "period")
+        if not period:
             raise ValueError("period must be nonempty")
+        prefix, period = _reduce(prefix, period)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "period", period)
 
     @classmethod
     def constant(cls, value: int) -> "UPReal":
@@ -77,47 +101,29 @@ def up_eval(x: UPReal, i: int) -> int:
 
 
 def up_scan_bound(x: UPReal, y: UPReal) -> int:
-    """Positions below this bound decide whether ``x`` and ``y`` are equal."""
-    return max(len(x.prefix), len(y.prefix)) + lcm(len(x.period), len(y.period))
+    """Positions below this bound decide whether ``x`` and ``y`` are equal.
+
+    Past both prefixes the two sequences are periodic with periods ``p`` and
+    ``q``.  If they agree on ``p + q - gcd(p, q)`` positions there, the
+    agreeing word has both periods, hence period ``gcd(p, q)`` (Fine and
+    Wilf, 1965), and the sequences agree everywhere.
+    """
+    p, q = len(x.period), len(y.period)
+    return max(len(x.prefix), len(y.prefix)) + p + q - gcd(p, q)
 
 
 def up_first_diff(x: UPReal, y: UPReal) -> Optional[int]:
-    """Least position where the two sequences differ, or ``None`` if equal.
-
-    Scanning up to :func:`up_scan_bound` is exact: past both prefixes the
-    pointwise comparison is periodic with the lcm of the two period lengths.
-    """
+    """Least position where the two sequences differ, or ``None`` if equal."""
     for i in range(up_scan_bound(x, y)):
         if up_eval(x, i) != up_eval(y, i):
             return i
     return None
 
 
-def up_equal(x: UPReal, y: UPReal) -> bool:
-    return up_first_diff(x, y) is None
-
-
-def _primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return word[:d]
-    return word
-
-
 def up_canonical(x: UPReal) -> UPReal:
-    """Unique minimal representation: shortest period, then shortest prefix.
-
-    The period word is replaced by its primitive root, then the prefix is
-    rolled back while its last value matches the value the rotated period
-    would produce there.  Both steps preserve the denoted sequence.
-    """
-    period = list(_primitive_root(x.period))
-    prefix = list(x.prefix)
-    while prefix and prefix[-1] == period[-1]:
-        prefix.pop()
-        period = [period[-1]] + period[:-1]
-    return UPReal(tuple(prefix), tuple(period))
+    """Return ``x``: the :class:`UPReal` constructor already reduces every
+    value to its unique minimal form.  Kept as public API."""
+    return x
 
 
 def up_compare(x: UPReal, y: UPReal) -> int:
@@ -242,16 +248,16 @@ DEFAULT_CODERS = CoderConfig()
 class BranchTree:
     """A leafless subtree of the finite words, given by its branch set.
 
-    The branch set is a finite nonempty set of ultimately periodic reals,
-    canonicalised on construction; the node set of the tree is the set of
-    finite initial segments of the branches.  Prefix-closure and
-    leaflessness hold by construction.
+    The branch set is a finite nonempty set of ultimately periodic reals;
+    since every :class:`UPReal` is canonical, equal sequences are one
+    branch.  The node set of the tree is the set of finite initial segments
+    of the branches.  Prefix-closure and leaflessness hold by construction.
     """
 
     branches: frozenset[UPReal]
 
     def __post_init__(self):
-        branches = frozenset(up_canonical(x) for x in self.branches)
+        branches = frozenset(self.branches)
         if not branches:
             raise ValueError("branch set must be nonempty")
         object.__setattr__(self, "branches", branches)

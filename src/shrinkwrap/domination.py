@@ -29,7 +29,6 @@ from shrinkwrap.core import (
     CoderConfig,
     UPReal,
     bt_separation_level,
-    up_canonical,
     up_first_diff,
 )
 from shrinkwrap.wrapper import ShrinkWrapper
@@ -37,7 +36,6 @@ from shrinkwrap.wrapper import ShrinkWrapper
 
 def exit_level(tree: BranchTree, x: UPReal) -> int:
     """Least level whose initial segment of x is not a node; 0 for branches."""
-    x = up_canonical(x)
     if x in tree.branches:
         return 0
     return 1 + max(up_first_diff(x, b) for b in tree.branches)
@@ -47,8 +45,7 @@ def fx(reals: Sequence[UPReal], x: UPReal, n: int) -> int:
     """First difference of x against the n-th point; 0 when they are equal."""
     if not 0 <= n < len(reals):
         raise ValueError(f"index {n} out of range for {len(reals)} points")
-    x = up_canonical(x)
-    xn = up_canonical(reals[n])
+    xn = reals[n]
     if x == xn:
         return 0
     return up_first_diff(x, xn)
@@ -128,12 +125,11 @@ def check_hypotheses_simple(
     """
     if len(reals) != len(trees):
         raise ValueError("need exactly one tree per point")
-    xs = [up_canonical(x) for x in reals]
-    if any(x not in t.branches for x, t in zip(xs, trees)):
+    if any(x not in t.branches for x, t in zip(reals, trees)):
         return False
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            if xs[i] != xs[j] and trees[i].branches & trees[j].branches:
+    for i in range(len(reals)):
+        for j in range(i + 1, len(reals)):
+            if reals[i] != reals[j] and trees[i].branches & trees[j].branches:
                 return False
     return True
 
@@ -179,7 +175,7 @@ def check_domination(
     """
     if (wrapper is None) == (trees is None):
         raise ValueError("provide exactly one of wrapper or trees")
-    xs = tuple(up_canonical(x) for x in reals)
+    xs = tuple(reals)
     n_reals = len(xs)
     if wrapper is not None:
         if wrapper.scope.n_reals != n_reals:
@@ -202,7 +198,6 @@ def check_domination(
 
     rows = []
     for x in battery:
-        x = up_canonical(x)
         f_values = tuple(fx(xs, x, n) for n in range(n_reals))
         g_values = tuple(
             max(exit_level(covers[n], x), bounds[n], n) for n in range(n_reals)

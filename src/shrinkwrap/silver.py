@@ -29,7 +29,6 @@ from shrinkwrap.core import (
     CoderConfig,
     Node,
     UPReal,
-    up_canonical,
     up_eval,
     up_sort_key,
 )
@@ -108,8 +107,8 @@ def sv_leftmost(p: SilverTree, t: Node = ()) -> UPReal:
     """The branch extending t that takes 0 at every later free level.
 
     Free levels are the splitting levels and everything past the horizon,
-    so the result is zero from the horizon on and canonicalizes to an
-    ultimately periodic sequence with period 0.
+    so the result is zero from the horizon on: an ultimately periodic
+    sequence with period 0.
     """
     if not sv_validate(p):
         raise ValueError("not a valid silver representation")
@@ -126,7 +125,7 @@ def sv_leftmost(p: SilverTree, t: Node = ()) -> UPReal:
             values.append(b)
         else:
             values.append(fixed.get(l, 0))
-    return up_canonical(UPReal(tuple(values), (0,)))
+    return UPReal(tuple(values), (0,))
 
 
 def replace_below(p: frozenset[Node], t: Node, s: Node) -> frozenset[Node]:
@@ -208,7 +207,7 @@ def _require_binary(r: UPReal) -> None:
 
 
 def flatten(r: UPReal, n: int) -> UPReal:
-    """r with every position up to and including n zeroed, canonicalized."""
+    """r with every position up to and including n zeroed."""
     _require_binary(r)
     if n < 0:
         raise ValueError("position must be nonnegative")
@@ -216,7 +215,7 @@ def flatten(r: UPReal, n: int) -> UPReal:
     values = [0] * (n + 1) + [up_eval(r, i) for i in range(n + 1, length)]
     phase = (length - len(r.prefix)) % len(r.period)
     period = r.period[phase:] + r.period[:phase]
-    return up_canonical(UPReal(tuple(values), period))
+    return UPReal(tuple(values), period)
 
 
 def adversarial_pair(r: UPReal, n: int) -> tuple[UPReal, UPReal]:
@@ -242,7 +241,7 @@ def adversarial_sequence(r: UPReal, count: int) -> tuple[UPReal, ...]:
 
 @dataclass(frozen=True)
 class GroundUniverse:
-    """Finite set of canonical sequences standing in for the old world.
+    """Finite set of sequences standing in for the old world.
 
     Must contain the zero sequence; everything a candidate wrapper mentions
     is required to come from here.
@@ -251,13 +250,13 @@ class GroundUniverse:
     reals: frozenset[UPReal]
 
     def __post_init__(self):
-        reals = frozenset(up_canonical(x) for x in self.reals)
+        reals = frozenset(self.reals)
         if ZERO not in reals:
             raise ValueError("the ground universe must contain the zero sequence")
         object.__setattr__(self, "reals", reals)
 
     def __contains__(self, x: UPReal) -> bool:
-        return up_canonical(x) in self.reals
+        return x in self.reals
 
     def __iter__(self):
         return iter(sorted(self.reals, key=up_sort_key))

@@ -40,7 +40,6 @@ from shrinkwrap.core import (
     Node,
     UPReal,
     bt_separation_level,
-    up_canonical,
     up_first_diff,
     up_sort_key,
 )
@@ -231,9 +230,7 @@ class ShrinkWrapper:
                 raise ValueError(f"family key ({nt}, {n}) is outside the scope")
             if fam.width != nt:
                 raise ValueError(f"family at pair position {nt} has width {fam.width}")
-        iso = tuple(
-            frozenset(up_canonical(x) for x in part) for part in self.isolated
-        )
+        iso = tuple(frozenset(part) for part in self.isolated)
         if len(iso) != self.scope.n_reals:
             raise ValueError("need one isolated set per sequence index")
         object.__setattr__(self, "isolated", iso)
@@ -295,7 +292,7 @@ def _check_sequence(wrapper: ShrinkWrapper, reals: Sequence[UPReal]) -> tuple[UP
         raise ValueError(
             f"sequence length {len(reals)} does not match scope {wrapper.scope.n_reals}"
         )
-    return tuple(up_canonical(x) for x in reals)
+    return tuple(reals)
 
 
 def _classify_trees(
@@ -480,7 +477,7 @@ def build_wrapper(
 
     With the default scope every pair of sequence indices is covered.
     """
-    xs = tuple(up_canonical(x) for x in reals)
+    xs = tuple(reals)
     scope = scope or full_scope(len(xs), coders)
     families = {}
     for nt, a, b in scope.pairs(coders):
@@ -544,11 +541,9 @@ def build_padded_wrapper(
     points, the same stem separation the two-tree primitive performs.  With
     an empty decoy pool this is exactly :func:`build_wrapper`.
     """
-    xs = tuple(up_canonical(x) for x in reals)
+    xs = tuple(reals)
     scope = scope or full_scope(len(xs), coders)
-    pool = sorted(
-        {up_canonical(d) for d in decoys} - set(xs), key=up_sort_key
-    )
+    pool = sorted(set(decoys) - set(xs), key=up_sort_key)
     if not pool:
         return build_wrapper(xs, scope, coders)
     rng = random.Random(seed)

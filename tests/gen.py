@@ -3,7 +3,10 @@
 Oracles here deliberately avoid the library's internal shortcuts: sequences
 are unrolled into explicit lists, set relations are decided by pairwise
 scans, and verdicts are recomputed from the definitions in a different
-order of operations.
+order of operations.  The sequence oracles accept a :class:`UPReal` or a raw
+``(prefix, period)`` pair of tuples; the constructor reduces every
+``UPReal`` to canonical form, so raw pairs are the only way to hand them an
+unreduced representation.
 """
 
 from __future__ import annotations
@@ -12,29 +15,33 @@ import itertools
 import random
 from math import lcm
 
-from shrinkwrap.core import (
-    BranchTree,
-    UPReal,
-    up_canonical,
-    up_eval,
-)
+from shrinkwrap.core import BranchTree, UPReal
 from shrinkwrap.sacks import HorizonPerfectTree, RMap, stem_or_path
 from shrinkwrap.silver import SilverTree
 
 
-def unroll(x: UPReal, length: int) -> list[int]:
+def parts(x) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (prefix, period) words of a UPReal or of a raw pair."""
+    return (x.prefix, x.period) if isinstance(x, UPReal) else x
+
+
+def unroll(x, length: int) -> list[int]:
     """Explicit value list, built by extending with period copies."""
-    values = list(x.prefix)
+    prefix, period = parts(x)
+    values = list(prefix)
     while len(values) < length:
-        values.extend(x.period)
+        values.extend(period)
     return values[:length]
 
 
-def naive_bound(x: UPReal, y: UPReal) -> int:
-    return max(len(x.prefix), len(y.prefix)) + lcm(len(x.period), len(y.period))
+def naive_bound(x, y) -> int:
+    """Scan bound through the lcm of the period lengths, where the pointwise
+    comparison of the two periodic tails repeats."""
+    (xp, xd), (yp, yd) = parts(x), parts(y)
+    return max(len(xp), len(yp)) + lcm(len(xd), len(yd))
 
 
-def naive_first_diff(x: UPReal, y: UPReal):
+def naive_first_diff(x, y):
     """Scan-to-bound oracle for the first difference of two sequences."""
     bound = naive_bound(x, y)
     xs = unroll(x, bound)
@@ -45,23 +52,43 @@ def naive_first_diff(x: UPReal, y: UPReal):
     return None
 
 
-def naive_equal(x: UPReal, y: UPReal) -> bool:
+def naive_equal(x, y) -> bool:
     return naive_first_diff(x, y) is None
 
 
-def rand_raw_upreal(rng: random.Random, alphabet=4, max_prefix=6, max_period=6) -> UPReal:
-    """Random representation, not canonicalised."""
+def naive_canonical(prefix: tuple[int, ...], period: tuple[int, ...]):
+    """Minimal (prefix, period) pair for a raw representation.
+
+    The period is replaced by its shortest root (the shortest word whose
+    repetition gives the period), then the prefix is popped one value at a
+    time while its last value equals the last value of the period, rotating
+    the period right after each pop.
+    """
+    n = len(period)
+    root = next(
+        period[:d] for d in range(1, n + 1)
+        if n % d == 0 and period == period[:d] * (n // d)
+    )
+    prefix, root = list(prefix), list(root)
+    while prefix and prefix[-1] == root[-1]:
+        prefix.pop()
+        root = [root[-1]] + root[:-1]
+    return tuple(prefix), tuple(root)
+
+
+def rand_raw_upreal(rng: random.Random, alphabet=4, max_prefix=6, max_period=6):
+    """Random raw ``(prefix, period)`` pair, not reduced."""
     prefix = tuple(
         rng.randrange(alphabet) for _ in range(rng.randrange(max_prefix + 1))
     )
     period = tuple(
         rng.randrange(alphabet) for _ in range(rng.randrange(1, max_period + 1))
     )
-    return UPReal(prefix, period)
+    return prefix, period
 
 
 def rand_upreal(rng: random.Random, alphabet=4, max_prefix=6, max_period=6) -> UPReal:
-    return up_canonical(rand_raw_upreal(rng, alphabet, max_prefix, max_period))
+    return UPReal(*rand_raw_upreal(rng, alphabet, max_prefix, max_period))
 
 
 def rand_branch_tree(rng: random.Random, max_branches=3, alphabet=3, max_prefix=8, max_period=3) -> BranchTree:
@@ -80,7 +107,7 @@ def mutate_at_level(rng: random.Random, x: UPReal, level: int) -> UPReal:
     values[level] = values[level] + 1 + rng.randrange(3)
     phase = (length - len(x.prefix)) % len(x.period)
     period = x.period[phase:] + x.period[:phase]
-    return up_canonical(UPReal(tuple(values), period))
+    return UPReal(tuple(values), period)
 
 
 def rand_hpt(rng: random.Random, horizon: int, skip_chance=0.45) -> HorizonPerfectTree:

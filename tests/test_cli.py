@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +237,20 @@ class TestDecodeErrors:
                "payload": [{"prefix": [1], "period": [0]}]}
         self.check(json.dumps(doc), "zero")
 
+    def test_bad_bit_string(self):
+        doc = json.loads(encode(build_wrapper((ZERO, R([1])))))
+        doc["payload"]["F"][0]["s"] = "012"
+        self.check(json.dumps(doc), r"\$\.payload\.F\[0\]\.s: expected a bit string, got '012'")
+
+    def test_negative_prefix_entry(self):
+        # Checked before reduction, which would move the -1 into the period.
+        doc = {"kind": "reals", "version": 1, "payload": [{"prefix": [-1], "period": [-1]}]}
+        self.check(json.dumps(doc), r"\$\.payload\[0\]: prefix entries must be nonnegative")
+
+    def test_boolean_in_period(self):
+        doc = {"kind": "reals", "version": 1, "payload": [{"prefix": [], "period": [0, True]}]}
+        self.check(json.dumps(doc), r"\$\.payload\[0\]\.period\[1\]: expected an integer, got True")
+
     def test_unknown_report_type(self):
         doc = {"kind": "report", "version": 1, "payload": {"report_type": "nope"}}
         self.check(json.dumps(doc), "report_type")
@@ -317,6 +332,29 @@ class TestCli:
         assert code == 1
         assert "violating pairs" in capsys.readouterr().out
         assert not codec.load(report_path, "report").passed
+
+    def test_dominate_on_long_unreduced_periods_is_fast(self, tmp_path, capsys):
+        # Two zero sequences written with unreduced periods of coprime
+        # lengths 997 and 991, and two distinct sequences with coprime
+        # periods 9973 and 9967 that agree up to position 9966.
+        raw = [
+            {"prefix": [], "period": [0] * 997},
+            {"prefix": [0], "period": [0] * 991},
+            {"prefix": [], "period": [0] * 9972 + [1]},
+            {"prefix": [], "period": [0] * 9966 + [1]},
+        ]
+        reals = tmp_path / "xs.json"
+        reals.write_text(json.dumps({"kind": "reals", "version": 1, "payload": raw}))
+        trees = tmp_path / "trees.json"
+        trees.write_text(json.dumps(
+            {"kind": "trees", "version": 1, "payload": [{"branches": [x]} for x in raw]}
+        ))
+        start = time.perf_counter()
+        code = run(["dominate", "--reals", str(reals), "--trees", str(trees),
+                    "--battery", str(reals), "--out", str(tmp_path / "report.json")])
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1), capsys.readouterr().err
+        assert elapsed < 1.0, f"dominate took {elapsed:.2f}s"
 
     def test_fusion_pass(self, paths, capsys):
         tmp, save = paths

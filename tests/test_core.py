@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import naive_first_diff, rand_branch_tree, rand_raw_upreal, rand_upreal, unroll
+from gen import (
+    naive_canonical,
+    naive_equal,
+    naive_first_diff,
+    rand_branch_tree,
+    rand_raw_upreal,
+    rand_upreal,
+    unroll,
+)
 from shrinkwrap.core import (
     ZERO,
     BranchTree,
@@ -22,21 +30,33 @@ from shrinkwrap.core import (
     shape_code,
     up_canonical,
     up_compare,
-    up_equal,
     up_eval,
     up_first_diff,
+    up_scan_bound,
     word_code,
 )
+from shrinkwrap.silver import GroundUniverse
+from shrinkwrap.wrapper import ShrinkWrapper, WrapperScope
 
 
 def R(prefix, period):
     return UPReal(tuple(prefix), tuple(period))
 
 
-up_reprs = st.tuples(
-    st.lists(st.integers(0, 3), max_size=6),
-    st.lists(st.integers(0, 3), min_size=1, max_size=6),
-).map(lambda t: R(*t))
+# Raw (prefix, period) pairs, as written; UPReal reduces them on construction.
+raw_reprs = st.tuples(
+    st.lists(st.integers(0, 3), max_size=6).map(tuple),
+    st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple),
+)
+up_reprs = raw_reprs.map(lambda t: R(*t))
+
+
+def pump(raw, reps, extend):
+    """Another raw representation of the same sequence: the period repeated
+    ``reps`` times, and ``extend`` of its values pushed into the prefix."""
+    prefix, period = raw
+    k = extend % (len(period) + 1)
+    return prefix + period[:k], (period[k:] + period[:k]) * reps
 
 
 class TestUPReal:
@@ -53,6 +73,13 @@ class TestUPReal:
         with pytest.raises(ValueError):
             R([0], [])
 
+    def test_entries_checked_before_reduction(self):
+        # Reduction would roll the bad prefix entry into the period.
+        with pytest.raises(ValueError, match="prefix entries"):
+            R([-1], [-1])
+        with pytest.raises(ValueError, match="period entries"):
+            R([], [0, True])
+
     def test_first_diff_equal_sequences_none(self):
         # Different representations of 0,0,1,0,1,0,...
         x = R([0, 0], [1, 0])
@@ -62,60 +89,107 @@ class TestUPReal:
     def test_first_diff_pinned_value(self):
         assert up_first_diff(R([], [0]), R([0, 0, 1], [0])) == 2
 
-    @given(up_reprs, up_reprs)
+    @given(raw_reprs, raw_reprs)
     def test_first_diff_matches_naive_scan(self, x, y):
-        assert up_first_diff(x, y) == naive_first_diff(x, y)
+        assert up_first_diff(UPReal(*x), UPReal(*y)) == naive_first_diff(x, y)
 
     def test_first_diff_random_against_oracle(self):
         rng = random.Random(1301)
         for _ in range(2000):
             x = rand_raw_upreal(rng)
             y = rand_raw_upreal(rng)
-            assert up_first_diff(x, y) == naive_first_diff(x, y)
+            assert up_first_diff(UPReal(*x), UPReal(*y)) == naive_first_diff(x, y)
+
+    def test_scan_bound_is_fine_wilf(self):
+        # Periods 010 and 01001 agree on 0100101 except at position 6, one
+        # short of 3 + 5 - gcd(3, 5): the Fine-Wilf bound is attained.
+        x, y = R([], [0, 1, 0]), R([], [0, 1, 0, 0, 1])
+        assert up_scan_bound(x, y) == 7
+        assert up_first_diff(x, y) == 6
+        assert up_scan_bound(R([1], [0] * 3 + [1]), R([2, 2, 2], [1] * 5 + [0])) == 3 + 4 + 6 - 2
 
     def test_canonical_examples(self):
-        assert up_canonical(R([0], [0, 0])) == R([], [0])
-        assert up_canonical(R([], [1, 0, 1, 0])) == R([], [1, 0])
-        assert up_canonical(R([1], [0])) == R([1], [0])
+        assert R([0], [0, 0]).prefix == () and R([0], [0, 0]).period == (0,)
+        assert R([], [1, 0, 1, 0]).period == (1, 0)
+        assert R([1], [0]).prefix == (1,)
+        assert R([2, 1, 0], [1, 0]).prefix == (2,)
+        assert R([2, 1, 0], [1, 0]).period == (1, 0)
+        assert R([1, 0, 1], [0, 1]).prefix == ()
+        assert R([1, 0, 1], [0, 1]).period == (1, 0)
+
+    @given(raw_reprs)
+    def test_constructor_matches_oracle(self, raw):
+        x = UPReal(*raw)
+        assert (x.prefix, x.period) == naive_canonical(*raw)
+
+    @given(raw_reprs)
+    def test_canonical_preserves_values(self, raw):
+        c = UPReal(*raw)
+        bound = len(raw[0]) + len(raw[1]) + len(c.prefix) + len(c.period) + 4
+        assert unroll(raw, bound) == unroll(c, bound)
 
     @given(up_reprs)
-    def test_canonical_preserves_values(self, x):
-        c = up_canonical(x)
-        bound = len(x.prefix) + len(x.period) + len(c.prefix) + len(c.period) + 4
-        assert unroll(x, bound) == unroll(c, bound)
+    def test_canonical_idempotent(self, c):
+        again = UPReal(c.prefix, c.period)
+        assert (again.prefix, again.period) == (c.prefix, c.period)
+        assert up_canonical(c) is c
 
-    @given(up_reprs)
-    def test_canonical_idempotent(self, x):
-        c = up_canonical(x)
-        assert up_canonical(c) == c
-
-    @given(up_reprs, st.integers(1, 3), st.integers(0, 3))
-    def test_canonical_collapses_pumped_representations(self, x, reps, extend):
-        # Pump the representation: repeat the period and push it into the prefix.
-        pumped = UPReal(
-            x.prefix + x.period[:extend % (len(x.period) + 1)],
-            (x.period[extend % (len(x.period) + 1):] + x.period[:extend % (len(x.period) + 1)]) * reps,
+    @given(raw_reprs, st.integers(1, 3), st.integers(0, 3))
+    def test_canonical_collapses_pumped_representations(self, raw, reps, extend):
+        pumped = pump(raw, reps, extend)
+        assert (UPReal(*pumped).prefix, UPReal(*pumped).period) == (
+            UPReal(*raw).prefix, UPReal(*raw).period
         )
-        assert up_canonical(pumped) == up_canonical(x)
 
-    @given(up_reprs)
-    def test_canonical_is_minimal(self, x):
+    @given(raw_reprs)
+    def test_canonical_is_minimal(self, raw):
         # No representation with a shorter period, nor one with the same
         # period length and a shorter prefix, denotes the same sequence.
-        c = up_canonical(x)
+        c = UPReal(*raw)
         max_plen = len(c.prefix) + 2 * len(c.period) + 2
         values = unroll(c, max_plen + len(c.period))
         for dlen in range(1, len(c.period) + 1):
             for plen in range(max_plen + 1):
                 if dlen == len(c.period) and plen >= len(c.prefix):
                     continue
-                cand = UPReal(tuple(values[:plen]), tuple(values[plen:plen + dlen]))
-                assert not up_equal(cand, c)
+                cand = (tuple(values[:plen]), tuple(values[plen:plen + dlen]))
+                assert not naive_equal(cand, c)
 
     def test_compare_orders_by_first_difference(self):
         assert up_compare(ZERO, R([1], [0])) == -1
         assert up_compare(R([0, 2], [0]), R([0, 1], [0])) == 1
         assert up_compare(R([0], [0]), ZERO) == 0
+
+
+class TestEquality:
+    """Two representations of one sequence give one value everywhere."""
+
+    @given(raw_reprs, st.integers(1, 3), st.integers(0, 3))
+    def test_equal_sequences_equal_values_and_hashes(self, raw, reps, extend):
+        x, y = UPReal(*raw), UPReal(*pump(raw, reps, extend))
+        assert x == y
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
+
+    @given(raw_reprs, raw_reprs)
+    def test_equality_is_sequence_equality(self, a, b):
+        assert (UPReal(*a) == UPReal(*b)) == naive_equal(a, b)
+
+    @given(
+        st.lists(st.tuples(raw_reprs, st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=4)
+    )
+    def test_containers_ignore_the_representation(self, items):
+        reduced = [UPReal(*raw) for raw, _, _ in items]
+        unreduced = [UPReal(*pump(raw, reps, extend)) for raw, reps, extend in items]
+        assert BranchTree(frozenset(unreduced)) == BranchTree(frozenset(reduced))
+        universe = GroundUniverse(frozenset({ZERO, *unreduced}))
+        assert universe == GroundUniverse(frozenset({ZERO, *reduced}))
+        assert all(x in universe for x in reduced)
+        assert R([0, 0], [0, 0]) in universe
+        scope = WrapperScope(len(items), 0)
+        assert ShrinkWrapper(scope, {}, tuple(frozenset({x}) for x in unreduced)).isolated == (
+            ShrinkWrapper(scope, {}, tuple(frozenset({x}) for x in reduced)).isolated
+        )
 
 
 class TestCoders:

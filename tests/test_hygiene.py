@@ -1,10 +1,10 @@
-"""Source hygiene: every module imports only names it uses, and states its
+"""Source hygiene: every module imports only names it uses, states its
 checks with explicit raises rather than ``assert``, which ``python -O``
-strips.
+strips, and leaves canonical form to the ``UPReal`` constructor.
 
 Parsed with ``ast`` so the check needs nothing beyond the standard library.
-``__init__.py`` is skipped by the import check because its imports are the
-package's exports.
+``__init__.py`` is skipped by the import and ``up_canonical`` checks
+because its imports are the package's exports.
 """
 
 from __future__ import annotations
@@ -98,3 +98,37 @@ def test_detector_sees_nested_asserts_but_not_raises():
         "assert f\n"
     )
     assert sorted(assert_statements(source)) == [3, 5]
+
+
+def names_of(source: str, target: str) -> list[int]:
+    """Lines that name ``target``: a read, an attribute, or an import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == target:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == target:
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(target in (alias.name, alias.asname) for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name
+)
+def test_no_module_recanonicalises(path):
+    # Every UPReal is canonical from construction on; up_canonical is the
+    # identity and kept only as public API.
+    assert names_of(path.read_text(), "up_canonical") == []
+
+
+def test_detector_sees_imports_calls_and_attributes():
+    source = (
+        "from shrinkwrap.core import up_canonical as canon\n"
+        "import shrinkwrap.core as core\n"
+        "def f(x):\n"
+        "    return core.up_canonical(x), up_canonical(x)\n"
+        "up_canonical_note = 'up_canonical'\n"
+    )
+    assert sorted(names_of(source, "up_canonical")) == [1, 4, 4]

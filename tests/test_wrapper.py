@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from gen import naive_check_partition, naive_equal, naive_first_diff, rand_prefix_table, rand_upreal
-from shrinkwrap.core import ZERO, BranchTree, UPReal, up_canonical, up_first_diff
+from shrinkwrap.core import ZERO, BranchTree, UPReal, up_first_diff
 from shrinkwrap.wrapper import (
     ShrinkWrapper,
     TreeFamily,
