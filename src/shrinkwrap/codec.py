@@ -81,6 +81,14 @@ def _as_int(obj: Any, path: str) -> int:
     return obj
 
 
+def _as_ints(obj: Any, path: str) -> tuple[int, ...]:
+    items = _as_list(obj, path)
+    if not all(type(v) is int for v in items):
+        for i, v in enumerate(items):
+            _as_int(v, f"{path}[{i}]")
+    return tuple(items)
+
+
 def _as_bool(obj: Any, path: str) -> bool:
     if not isinstance(obj, bool):
         _fail(path, f"expected a boolean, got {obj!r}")
@@ -350,18 +358,12 @@ def _dec_word(obj: Any, path: str) -> Node:
 
 def _dec_real(obj: Any, path: str) -> UPReal:
     obj = _as_obj(obj, path)
-    prefix = [
-        _as_int(v, f"{path}.prefix[{i}]")
-        for i, v in enumerate(_as_list(_get(obj, "prefix", path), f"{path}.prefix"))
-    ]
-    period = [
-        _as_int(v, f"{path}.period[{i}]")
-        for i, v in enumerate(_as_list(_get(obj, "period", path), f"{path}.period"))
-    ]
+    prefix = _as_ints(_get(obj, "prefix", path), f"{path}.prefix")
+    period = _as_ints(_get(obj, "period", path), f"{path}.period")
     if not period:
         _fail(f"{path}.period", "period must be nonempty")
     try:
-        return UPReal(tuple(prefix), tuple(period))
+        return UPReal(prefix, period)
     except ValueError as e:
         _fail(path, str(e))
 
@@ -376,6 +378,14 @@ def _dec_tree(obj: Any, path: str) -> BranchTree:
     )
 
 
+def _dec_entry(entry: Any, epath: str) -> tuple[int, int, Node, Any]:
+    entry = _as_obj(entry, epath)
+    nt = _as_int(_get(entry, "pair_index", epath), f"{epath}.pair_index")
+    n = _as_int(_get(entry, "n", epath), f"{epath}.n")
+    prefix = _dec_word(_get(entry, "s", epath), f"{epath}.s")
+    return nt, n, prefix, _get(entry, "tree", epath)
+
+
 def _dec_wrapper(obj: Any, path: str) -> ShrinkWrapper:
     obj = _as_obj(obj, path)
     scope_obj = _as_obj(_get(obj, "scope", path), f"{path}.scope")
@@ -384,16 +394,31 @@ def _dec_wrapper(obj: Any, path: str) -> ShrinkWrapper:
         _as_int(_get(scope_obj, "Ntilde", f"{path}.scope"), f"{path}.scope.Ntilde"),
     )
     tables: dict[tuple[int, int], dict[Node, BranchTree]] = {}
+    # A padded family repeats one filler tree in almost every leaf, so each
+    # distinct tree object is decoded once.  repr() is an exact key for
+    # parsed JSON: 1, True and 1.0 print differently, although they compare
+    # and hash equal.  Only successes are kept, so a bad tree still fails
+    # at the first entry that holds it.
+    trees: dict[str, BranchTree] = {}
     for i, entry in enumerate(_as_list(_get(obj, "F", path), f"{path}.F")):
-        epath = f"{path}.F[{i}]"
-        entry = _as_obj(entry, epath)
-        nt = _as_int(_get(entry, "pair_index", epath), f"{epath}.pair_index")
-        n = _as_int(_get(entry, "n", epath), f"{epath}.n")
-        prefix = _dec_word(_get(entry, "s", epath), f"{epath}.s")
-        tree = _dec_tree(_get(entry, "tree", epath), f"{epath}.tree")
-        if prefix in tables.setdefault((nt, n), {}):
-            _fail(f"{epath}.s", f"duplicate leaf {_enc_word(prefix)!r}")
-        tables[(nt, n)][prefix] = tree
+        try:
+            nt, n, s, tree_obj = entry["pair_index"], entry["n"], entry["s"], entry["tree"]
+        except (TypeError, KeyError):
+            nt = None
+        # Path strings are built only for an entry that fails these checks;
+        # _dec_entry then reports the first failure in document order.
+        if type(nt) is int and type(n) is int and type(s) is str and not s.strip("01"):
+            prefix = tuple(map(int, s))
+        else:
+            nt, n, prefix, tree_obj = _dec_entry(entry, f"{path}.F[{i}]")
+        key = repr(tree_obj)
+        tree = trees.get(key)
+        if tree is None:
+            tree = trees[key] = _dec_tree(tree_obj, f"{path}.F[{i}].tree")
+        table = tables.setdefault((nt, n), {})
+        if prefix in table:
+            _fail(f"{path}.F[{i}].s", f"duplicate leaf {_enc_word(prefix)!r}")
+        table[prefix] = tree
     isolated = tuple(
         frozenset(
             _dec_real(x, f"{path}.I[{i}][{j}]") for j, x in enumerate(_as_list(part, f"{path}.I[{i}]"))
@@ -415,16 +440,12 @@ def _dec_wrapper(obj: Any, path: str) -> ShrinkWrapper:
 def _dec_silver(obj: Any, path: str) -> SilverTree:
     obj = _as_obj(obj, path)
     horizon = _as_int(_get(obj, "horizon", path), f"{path}.horizon")
-    levels = frozenset(
-        _as_int(l, f"{path}.split_levels[{i}]")
-        for i, l in enumerate(
-            _as_list(_get(obj, "split_levels", path), f"{path}.split_levels")
-        )
-    )
+    levels = frozenset(_as_ints(_get(obj, "split_levels", path), f"{path}.split_levels"))
     fixed = {}
     for key, bit in _as_obj(_get(obj, "fixed", path), f"{path}.fixed").items():
         kpath = f"{path}.fixed[{key!r}]"
-        if not key.lstrip("-").isdigit():
+        digits = key[1:] if key.startswith("-") else key
+        if not (digits.isascii() and digits.isdigit()):
             _fail(kpath, "level keys must be integers")
         fixed[int(key)] = _as_int(bit, kpath)
     return SilverTree(horizon, levels, fixed)
@@ -460,6 +481,13 @@ def _dec_rmap(obj: Any, path: str) -> RMap:
         _fail(path, str(e))
 
 
+def _dec_pair(obj: Any, path: str, first, second) -> tuple:
+    items = _as_list(obj, path)
+    if len(items) != 2:
+        _fail(path, f"expected 2 elements, got {len(items)}")
+    return first(items[0], f"{path}[0]"), second(items[1], f"{path}[1]")
+
+
 def _dec_opt(obj: Any, path: str, dec):
     return None if obj is None else dec(obj, path)
 
@@ -493,16 +521,10 @@ def _dec_report(obj: Any, path: str):
             row = _as_obj(row, rpath)
 
             def ints(key):
-                return tuple(
-                    _as_int(v, f"{rpath}.{key}[{j}]")
-                    for j, v in enumerate(_as_list(_get(row, key, rpath), f"{rpath}.{key}"))
-                )
+                return _as_ints(_get(row, key, rpath), f"{rpath}.{key}")
 
             pairs = tuple(
-                (
-                    _as_int(_as_list(p, f"{rpath}.violating_pairs[{j}]")[0], f"{rpath}.violating_pairs[{j}][0]"),
-                    _as_int(_as_list(p, f"{rpath}.violating_pairs[{j}]")[1], f"{rpath}.violating_pairs[{j}][1]"),
-                )
+                _dec_pair(p, f"{rpath}.violating_pairs[{j}]", _as_int, _as_int)
                 for j, p in enumerate(
                     _as_list(_get(row, "violating_pairs", rpath), f"{rpath}.violating_pairs")
                 )
@@ -557,10 +579,7 @@ def _dec_report(obj: Any, path: str):
         )
     if rtype == "brute":
         histogram = tuple(
-            (
-                _as_str(_as_list(h, f"{path}.histogram[{i}]")[0], f"{path}.histogram[{i}][0]"),
-                _as_int(_as_list(h, f"{path}.histogram[{i}]")[1], f"{path}.histogram[{i}][1]"),
-            )
+            _dec_pair(h, f"{path}.histogram[{i}]", _as_str, _as_int)
             for i, h in enumerate(_as_list(_get(obj, "histogram", path), f"{path}.histogram"))
         )
         return BruteSummary(

@@ -21,7 +21,7 @@ tree the sequence exits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from shrinkwrap.core import (
     DEFAULT_CODERS,
@@ -60,20 +60,7 @@ def big_t(
     it to some word's tree.  Kept as a branch set, so the result is pruned:
     nodes live only below surviving branches.
     """
-    unions = []
-    for nt, a, b in wrapper.scope.pairs(coders):
-        if n not in (a, b):
-            continue
-        union: set[UPReal] = set()
-        for tree in wrapper.family(nt, n).distinct_trees():
-            union |= tree.branches
-        unions.append(union)
-    if not unions:
-        raise ValueError(f"no in-scope pair position involves index {n}")
-    common = set.intersection(*unions)
-    if not common:
-        raise ValueError(f"covering branch sets at index {n} have empty intersection")
-    return BranchTree(frozenset(common))
+    return _cover(wrapper.scope.pairs(coders), n, _family_trees(wrapper))
 
 
 def sep_bound(
@@ -85,12 +72,42 @@ def sep_bound(
     word pairs selecting disjoint branch sets.  No such pair means no
     constraint, hence 0.
     """
+    return _sep_bound(wrapper.scope.pairs(coders), n2, _family_trees(wrapper))
+
+
+def _family_trees(wrapper: ShrinkWrapper) -> Callable[[int, int], dict[BranchTree, int]]:
+    # Each family's distinct trees, computed on first use and then reused.
+    seen: dict[tuple[int, int], dict[BranchTree, int]] = {}
+
+    def trees(nt: int, n: int) -> dict[BranchTree, int]:
+        if (nt, n) not in seen:
+            seen[(nt, n)] = wrapper.family(nt, n).distinct_trees()
+        return seen[(nt, n)]
+
+    return trees
+
+
+def _cover(pairs: Iterable[tuple[int, int, int]], n: int, trees) -> BranchTree:
+    unions = [
+        frozenset().union(*(tree.branches for tree in trees(nt, n)))
+        for nt, a, b in pairs
+        if n in (a, b)
+    ]
+    if not unions:
+        raise ValueError(f"no in-scope pair position involves index {n}")
+    common = frozenset.intersection(*unions)
+    if not common:
+        raise ValueError(f"covering branch sets at index {n} have empty intersection")
+    return BranchTree(common)
+
+
+def _sep_bound(pairs: Iterable[tuple[int, int, int]], n2: int, trees) -> int:
     bound = 0
-    for nt, a, b in wrapper.scope.pairs(coders):
+    for nt, a, b in pairs:
         if b != n2:
             continue
-        for t1 in wrapper.family(nt, a).distinct_trees():
-            for t2 in wrapper.family(nt, b).distinct_trees():
+        for t1 in trees(nt, a):
+            for t2 in trees(nt, b):
                 level = bt_separation_level(t1, t2)
                 if level is not None:
                     bound = max(bound, level)
@@ -182,9 +199,13 @@ def check_domination(
             raise ValueError(
                 f"sequence length {n_reals} does not match scope {wrapper.scope.n_reals}"
             )
-        covers = [big_t(wrapper, n, coders) for n in range(n_reals)]
-        bounds = [sep_bound(wrapper, n, coders) for n in range(n_reals)]
-        in_scope = {(a, b) for _, a, b in wrapper.scope.pairs(coders)}
+        # One list of pair positions and one distinct_trees() call per
+        # family serve every index.
+        pairs = list(wrapper.scope.pairs(coders))
+        family_trees = _family_trees(wrapper)
+        covers = [_cover(pairs, n, family_trees) for n in range(n_reals)]
+        bounds = [_sep_bound(pairs, n, family_trees) for n in range(n_reals)]
+        in_scope = {(a, b) for _, a, b in pairs}
         enforce_pointwise = wrapper.scope.covers_all_pairs(coders)
     else:
         if len(trees) != n_reals:
@@ -196,13 +217,24 @@ def check_domination(
         }
         enforce_pointwise = True
 
+    cover_sets = [cover.branches for cover in covers]
     rows = []
     for x in battery:
-        f_values = tuple(fx(xs, x, n) for n in range(n_reals))
+        # fx and exit_level, from one first difference per distinct
+        # sequence: the points and the branches of every cover x leaves.
+        in_tree = tuple(x in branches for branches in cover_sets)
+        others = set(xs).union(*(b for b, inside in zip(cover_sets, in_tree) if not inside))
+        others.discard(x)
+        diff = {y: up_first_diff(x, y) for y in others}
+        f_values = tuple(0 if y == x else diff[y] for y in xs)
         g_values = tuple(
-            max(exit_level(covers[n], x), bounds[n], n) for n in range(n_reals)
+            max(
+                0 if in_tree[n] else 1 + max(map(diff.__getitem__, cover_sets[n])),
+                bounds[n],
+                n,
+            )
+            for n in range(n_reals)
         )
-        in_tree = tuple(x in covers[n].branches for n in range(n_reals))
         failures = tuple(
             n for n in range(n_reals) if f_values[n] > g_values[n]
         )

@@ -15,9 +15,11 @@ import itertools
 import random
 from math import lcm
 
-from shrinkwrap.core import BranchTree, UPReal
+from shrinkwrap.codec import CodecError
+from shrinkwrap.core import DEFAULT_CODERS, BranchTree, UPReal
 from shrinkwrap.sacks import HorizonPerfectTree, RMap, stem_or_path
 from shrinkwrap.silver import SilverTree
+from shrinkwrap.wrapper import ShrinkWrapper, TreeFamily, WrapperScope
 
 
 def parts(x) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -252,3 +254,106 @@ def rand_prefix_table(rng: random.Random, width: int) -> dict:
         else:
             table[tuple(rng.randrange(2) for _ in range(rng.randint(0, width)))] = 0
     return table
+
+
+def _naive_fail(path: str, message: str):
+    raise CodecError(f"{path}: {message}")
+
+
+def _naive_get(obj: dict, key: str, path: str):
+    if key not in obj:
+        _naive_fail(path, f"missing key {key!r}")
+    return obj[key]
+
+
+def _naive_obj(obj, path: str) -> dict:
+    if not isinstance(obj, dict):
+        _naive_fail(path, f"expected an object, got {type(obj).__name__}")
+    return obj
+
+
+def _naive_list(obj, path: str) -> list:
+    if not isinstance(obj, list):
+        _naive_fail(path, f"expected a list, got {type(obj).__name__}")
+    return obj
+
+
+def _naive_int(obj, path: str) -> int:
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        _naive_fail(path, f"expected an integer, got {obj!r}")
+    return obj
+
+
+def _naive_word(obj, path: str) -> tuple[int, ...]:
+    if not isinstance(obj, str):
+        _naive_fail(path, f"expected a string, got {type(obj).__name__}")
+    if not set(obj) <= {"0", "1"}:
+        _naive_fail(path, f"expected a bit string, got {obj!r}")
+    return tuple(map(int, obj))
+
+
+def _naive_real(obj, path: str) -> UPReal:
+    obj = _naive_obj(obj, path)
+    prefix = [
+        _naive_int(v, f"{path}.prefix[{i}]")
+        for i, v in enumerate(_naive_list(_naive_get(obj, "prefix", path), f"{path}.prefix"))
+    ]
+    period = [
+        _naive_int(v, f"{path}.period[{i}]")
+        for i, v in enumerate(_naive_list(_naive_get(obj, "period", path), f"{path}.period"))
+    ]
+    if not period:
+        _naive_fail(f"{path}.period", "period must be nonempty")
+    try:
+        return UPReal(tuple(prefix), tuple(period))
+    except ValueError as e:
+        _naive_fail(path, str(e))
+
+
+def _naive_tree(obj, path: str) -> BranchTree:
+    obj = _naive_obj(obj, path)
+    branches = _naive_list(_naive_get(obj, "branches", path), f"{path}.branches")
+    if not branches:
+        _naive_fail(f"{path}.branches", "a tree needs at least one branch")
+    return BranchTree(
+        frozenset(_naive_real(b, f"{path}.branches[{i}]") for i, b in enumerate(branches))
+    )
+
+
+def naive_dec_wrapper(obj, path: str = "$.payload") -> ShrinkWrapper:
+    """Wrapper payload decoder that decodes and validates every entry's
+    tree anew, building every element's path as it goes."""
+    obj = _naive_obj(obj, path)
+    scope_obj = _naive_obj(_naive_get(obj, "scope", path), f"{path}.scope")
+    scope = WrapperScope(
+        _naive_int(_naive_get(scope_obj, "N", f"{path}.scope"), f"{path}.scope.N"),
+        _naive_int(_naive_get(scope_obj, "Ntilde", f"{path}.scope"), f"{path}.scope.Ntilde"),
+    )
+    tables = {}
+    for i, entry in enumerate(_naive_list(_naive_get(obj, "F", path), f"{path}.F")):
+        epath = f"{path}.F[{i}]"
+        entry = _naive_obj(entry, epath)
+        nt = _naive_int(_naive_get(entry, "pair_index", epath), f"{epath}.pair_index")
+        n = _naive_int(_naive_get(entry, "n", epath), f"{epath}.n")
+        prefix = _naive_word(_naive_get(entry, "s", epath), f"{epath}.s")
+        tree = _naive_tree(_naive_get(entry, "tree", epath), f"{epath}.tree")
+        if prefix in tables.setdefault((nt, n), {}):
+            _naive_fail(f"{epath}.s", f"duplicate leaf {''.join(map(str, prefix))!r}")
+        tables[(nt, n)][prefix] = tree
+    isolated = tuple(
+        frozenset(
+            _naive_real(x, f"{path}.I[{i}][{j}]")
+            for j, x in enumerate(_naive_list(part, f"{path}.I[{i}]"))
+        )
+        for i, part in enumerate(_naive_list(_naive_get(obj, "I", path), f"{path}.I"))
+    )
+    try:
+        families = {
+            (nt, n): TreeFamily(nt, tuple(sorted(table.items())))
+            for (nt, n), table in tables.items()
+        }
+        wrapper = ShrinkWrapper(scope, families, isolated)
+        wrapper.check_total(DEFAULT_CODERS)
+    except ValueError as e:
+        _naive_fail(path, str(e))
+    return wrapper

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
+import re
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import rand_rmap, rand_upreal
+from gen import naive_dec_wrapper, rand_rmap, rand_upreal
 from shrinkwrap import codec
 from shrinkwrap.cli import run
 from shrinkwrap.codec import CodecError, decode, encode, infer_kind
@@ -226,6 +228,30 @@ class TestDecodeErrors:
         doc["payload"]["fixed"]["a"] = 0
         self.check(json.dumps(doc), "level keys")
 
+    @pytest.mark.parametrize("key", ["--1", "\u00b2"])
+    def test_silver_level_keys_int_cannot_parse(self, key):
+        # Both pass a bare isdigit() test after stripping dashes.
+        doc = json.loads(encode(P6))
+        doc["payload"]["fixed"][key] = 0
+        self.check(json.dumps(doc), re.escape(f"$.payload.fixed[{key!r}]: level keys must be integers"))
+
+    @pytest.mark.parametrize("entry", [["condition2"], ["condition2", 1, 2]])
+    def test_histogram_entries_are_pairs(self, entry):
+        doc = json.loads(encode(brute_obstruction(G4, P6, max_branches=1)))
+        doc["payload"]["histogram"][0] = entry
+        self.check(json.dumps(doc), re.escape(
+            f"$.payload.histogram[0]: expected 2 elements, got {len(entry)}"
+        ))
+
+    @pytest.mark.parametrize("entry", [[1], [1, 2, 3]])
+    def test_violating_pairs_are_pairs(self, entry):
+        report = check_domination(XS, XS, wrapper=build_wrapper(XS))
+        doc = json.loads(encode(report))
+        doc["payload"]["rows"][1]["violating_pairs"] = [[0, 1], entry]
+        self.check(json.dumps(doc), re.escape(
+            f"$.payload.rows[1].violating_pairs[1]: expected 2 elements, got {len(entry)}"
+        ))
+
     def test_rmap_wraps_tree_errors(self):
         r = rand_rmap(random.Random(1), 1, 4)
         doc = json.loads(encode(r))
@@ -254,6 +280,102 @@ class TestDecodeErrors:
     def test_unknown_report_type(self):
         doc = {"kind": "report", "version": 1, "payload": {"report_type": "nope"}}
         self.check(json.dumps(doc), "report_type")
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_shared_tree_fails_at_the_bad_copy(self, value):
+        # F[0] and F[1] hold the same tree; only F[1]'s period is not an
+        # integer, although it compares and hashes equal to 1.
+        one = R([], (1,))
+        doc = json.loads(encode(build_wrapper((one, one))))
+        entries = doc["payload"]["F"]
+        assert entries[0]["tree"] == entries[1]["tree"]
+        entries[1]["tree"]["branches"][0]["period"][0] = value
+        self.check(json.dumps(doc), re.escape(
+            f"$.payload.F[1].tree.branches[0].period[0]: expected an integer, got {value!r}"
+        ))
+
+
+@functools.cache
+def padded_document(seed: int) -> bytes:
+    rng = random.Random(seed)
+    xs = [rand_upreal(rng, alphabet=3, max_prefix=3, max_period=2) for _ in range(3)]
+    if seed % 2:
+        xs[2] = xs[0]
+    decoys = [rand_upreal(rng, alphabet=3, max_prefix=3, max_period=2) for _ in range(4)]
+    return encode(build_padded_wrapper(xs, decoys=decoys, seed=seed))
+
+
+def locations(value):
+    """Every (container, key) pair inside a parsed JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield value, key
+        if isinstance(item, (dict, list)):
+            yield from locations(item)
+
+
+REPLACEMENTS = (True, False, 1.0, 0.0, -1, 0, 1, 2, 7, "1", "", "01", "012", "0a", None, [], {},
+                [1], [True], {"prefix": [], "period": [0]}, {"branches": []})
+
+
+def outcome(decoder):
+    try:
+        return "ok", decoder()
+    except Exception as e:
+        return type(e), str(e)
+
+
+class TestWrapperDecodeOracle:
+    """The per-tree memo against the decoder that decodes every entry anew."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 5),
+        st.integers(0, 2**32),
+        st.sampled_from(("replace", "retype", "delete", "duplicate")),
+        st.sampled_from(REPLACEMENTS),
+    )
+    def test_corrupted_documents(self, seed, where, how, value):
+        doc = json.loads(padded_document(seed))
+        spots = list(locations(doc["payload"]))
+        container, key = spots[where % len(spots)]
+        original = container[key]
+        if how == "retype" and type(original) is int:
+            # An equal value of another type: true for 1, 2.0 for 2.
+            container[key] = bool(original) if original in (0, 1) else float(original)
+        elif how == "delete":
+            del container[key]
+        elif how == "duplicate" and isinstance(container, list):
+            container.insert(key, json.loads(json.dumps(container[key])))
+        else:
+            container[key] = value
+        text = json.dumps(doc)
+        got = outcome(lambda: decode(text))
+        want = outcome(lambda: naive_dec_wrapper(json.loads(text)["payload"], "$.payload"))
+        assert got == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clean_documents(self, seed):
+        data = padded_document(seed)
+        assert decode(data) == naive_dec_wrapper(json.loads(data)["payload"], "$.payload")
+
+    def test_each_distinct_tree_is_built_once(self, monkeypatch):
+        rng = random.Random(12)
+        xs = [rand_upreal(rng) for _ in range(12)]
+        decoys = [rand_upreal(rng) for _ in range(40)]
+        data = encode(build_padded_wrapper(xs, decoys=decoys, seed=12))
+        entries = json.loads(data)["payload"]["F"]
+        distinct = {json.dumps(e["tree"]) for e in entries}
+        built = []
+        post_init = BranchTree.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(BranchTree, "__post_init__", counting)
+        decode(data)
+        assert len(built) == len(distinct) < len(entries)
 
 
 @pytest.fixture

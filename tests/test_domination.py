@@ -313,6 +313,54 @@ class TestCheckDomination:
         assert row.pointwise_failures == (0,)
         assert row.violating_pairs == ()
 
+    def test_rows_match_the_per_index_definitions(self):
+        rng = random.Random(44)
+        for trial in range(6):
+            xs = [rand_upreal(rng, alphabet=3) for _ in range(5)]
+            if trial % 2:
+                xs[3] = xs[1]
+            decoys = [rand_upreal(rng, alphabet=3) for _ in range(2 + trial)]
+            scope = WrapperScope(5, 10 if trial < 4 else 7)
+            w = build_padded_wrapper(xs, scope=scope, decoys=decoys, seed=trial)
+            report = check_domination(xs, battery_for(w, xs, rng), wrapper=w)
+            for row in report.rows:
+                x = row.x
+                assert row.f_values == tuple(fx(xs, x, n) for n in range(5))
+                assert row.g_values == tuple(g_full(w, x, n) for n in range(5))
+                assert row.in_tree == tuple(x in big_t(w, n).branches for n in range(5))
+
+    def test_each_family_is_scanned_once(self, monkeypatch):
+        rng = random.Random(45)
+        xs = [rand_upreal(rng) for _ in range(6)]
+        w = build_padded_wrapper(xs, decoys=[rand_upreal(rng) for _ in range(6)], seed=3)
+        scanned = []
+        distinct_trees = TreeFamily.distinct_trees
+
+        def counting(self):
+            scanned.append(self)
+            return distinct_trees(self)
+
+        monkeypatch.setattr(TreeFamily, "distinct_trees", counting)
+        check_domination(xs, xs, wrapper=w)
+        assert len(scanned) == len(w.families)
+
+    def test_missing_family_error_matches_big_t(self):
+        w = ShrinkWrapper(
+            WrapperScope(3, 3),
+            {
+                (0, 0): TreeFamily.constant(0, T(ZERO)),
+                (0, 1): TreeFamily.constant(0, T(R([1]))),
+                (2, 1): TreeFamily.constant(2, T(R([1]))),
+                (2, 2): TreeFamily.constant(2, T(R([2]))),
+            },
+            (frozenset(),) * 3,
+        )
+        with pytest.raises(ValueError) as direct:
+            big_t(w, 0)
+        with pytest.raises(ValueError) as batch:
+            check_domination([ZERO, R([1]), R([2])], [ZERO], wrapper=w)
+        assert str(batch.value) == str(direct.value)
+
     def test_provider_arguments_validated(self):
         xs = [ZERO, R([1])]
         w = build_wrapper(xs)
