@@ -388,11 +388,13 @@ def _dec_entry(entry: Any, epath: str) -> tuple[int, int, Node, Any]:
 
 def _dec_wrapper(obj: Any, path: str) -> ShrinkWrapper:
     obj = _as_obj(obj, path)
-    scope_obj = _as_obj(_get(obj, "scope", path), f"{path}.scope")
-    scope = WrapperScope(
-        _as_int(_get(scope_obj, "N", f"{path}.scope"), f"{path}.scope.N"),
-        _as_int(_get(scope_obj, "Ntilde", f"{path}.scope"), f"{path}.scope.Ntilde"),
-    )
+    spath = f"{path}.scope"
+    scope_obj = _as_obj(_get(obj, "scope", path), spath)
+    bounds = [_as_int(_get(scope_obj, key, spath), f"{spath}.{key}") for key in ("N", "Ntilde")]
+    try:
+        scope = WrapperScope(*bounds)
+    except ValueError as e:
+        _fail(spath, str(e))
     tables: dict[tuple[int, int], dict[Node, BranchTree]] = {}
     # A padded family repeats one filler tree in almost every leaf, so each
     # distinct tree object is decoded once.  repr() is an exact key for
@@ -447,6 +449,8 @@ def _dec_silver(obj: Any, path: str) -> SilverTree:
         digits = key[1:] if key.startswith("-") else key
         if not (digits.isascii() and digits.isdigit()):
             _fail(kpath, "level keys must be integers")
+        if int(key) in fixed:
+            _fail(kpath, f"level {int(key)} is fixed twice")
         fixed[int(key)] = _as_int(bit, kpath)
     return SilverTree(horizon, levels, fixed)
 

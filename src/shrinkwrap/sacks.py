@@ -19,150 +19,167 @@ chains is its last element.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from dataclasses import InitVar, dataclass
+from functools import cached_property, reduce
+from operator import and_, or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from shrinkwrap.core import Node
+
+
+def _index(t: Node) -> int:
+    """A word's bit in its level mask: the word read least significant first."""
+    i = 0
+    for b in reversed(t):
+        i += i + b
+    return int(i)  # a float when a bit is given as 1.0
+
+
+def _words(length: int, mask: int) -> Iterator[Node]:
+    """The words of one length whose bits are set in mask, by index."""
+    bits, shifts = enumerate(bin(mask)[:1:-1]), range(length)
+    return (tuple([i >> k & 1 for k in shifts]) for i, c in bits if c == "1")
+
+
+def _halves(mask: int, l: int) -> tuple[int, int]:
+    """Of a level-(l + 1) mask: the nodes of length l with a 0 child, and with a 1 child."""
+    return mask & ((1 << (1 << l)) - 1), mask >> (1 << l)
 
 
 @dataclass(frozen=True)
 class HorizonPerfectTree:
     """Binary tree truncated at ``horizon`` with the extendibility promise.
 
-    ``nodes`` is prefix-closed; every node shorter than the horizon has at
-    least one child, so maximal nodes sit exactly at the horizon.
-    """
+    Bit ``i`` of ``levels[l]`` is set when the word ``w`` of length ``l`` with
+    ``i = sum(w[k] << k)`` is a node; node ``i``'s children are bits ``i`` and
+    ``i + 2**l`` of ``levels[l + 1]``.  Built from a node set or from masks and
+    checked either way: nodes are prefix-closed, maximal ones at the horizon."""
 
     horizon: int
-    nodes: frozenset[Node]
+    words: InitVar[Iterable[Node]] = ()
+    levels: tuple[int, ...] = ()
 
-    def __post_init__(self):
+    def __post_init__(self, words):
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        nodes = frozenset(map(tuple, self.nodes))
-        if not nodes:
-            raise ValueError("tree must contain the root")
-        # Every bit of a node is the last bit of one of its prefixes, so
-        # once the loop below has found every parent, testing last bits
-        # has tested them all.
-        if max(map(len, nodes)) > self.horizon or not {
-            t[-1] for t in nodes if t
-        } <= {0, 1}:
-            raise ValueError("nodes must be binary words within the horizon")
-        for t in nodes:
-            if t and t[:-1] not in nodes:
-                raise ValueError(f"node {t!r} is missing its parent")
-            if len(t) < self.horizon and not (
-                t + (0,) in nodes or t + (1,) in nodes
-            ):
+        levels = list(self.levels or (0,) * (self.horizon + 1))
+        if len(levels) != self.horizon + 1:
+            raise ValueError("need one level mask per length up to the horizon")
+        if not self.levels:
+            words = list(map(tuple, words))
+            if max(map(len, words), default=0) > self.horizon or not set().union(*words) <= {0, 1}:
+                raise ValueError("nodes must be binary words within the horizon")
+            for t in words:
+                levels[len(t)] |= 1 << _index(t)
+        # Shortest fault first, then lowest index: an orphan, or a short node without a child.
+        for l, mask in enumerate(levels):
+            up = levels[l - 1] if l else 1
+            orphans = mask & ~(up | up << (1 << l >> 1))
+            bad = orphans | mask & ~(or_(*_halves(levels[l + 1], l)) if l < self.horizon else mask)
+            if bad:
+                i = (bad & -bad).bit_length() - 1
+                t = next(_words(l, 1 << i))
+                if orphans >> i & 1:
+                    raise ValueError(f"node {t!r} is missing its parent")
                 raise ValueError(f"node {t!r} breaks the extendibility promise")
-        object.__setattr__(self, "nodes", nodes)
+        if not levels[0]:
+            raise ValueError("tree must contain the root")
+        object.__setattr__(self, "levels", tuple(levels))
 
     @classmethod
     def full(cls, horizon: int) -> "HorizonPerfectTree":
-        nodes = frozenset(
-            tuple(w)
-            for l in range(horizon + 1)
-            for w in itertools.product((0, 1), repeat=l)
-        )
-        return cls(horizon, nodes)
+        return cls(horizon, levels=tuple((1 << (1 << l)) - 1 for l in range(horizon + 1)))
+
+    @cached_property
+    def nodes(self) -> frozenset[Node]:
+        """The node set, built on first read."""
+        return frozenset(t for l, mask in enumerate(self.levels) for t in _words(l, mask))
+
+    def _has(self, t: Node) -> int:
+        return len(t) <= self.horizon and set(t) <= {0, 1} and self.levels[len(t)] >> _index(t) & 1
+
+    def _splits(self, l: int) -> int:
+        """Mask of the branching nodes of length l."""
+        return and_(*_halves(self.levels[l + 1], l)) if l < self.horizon else 0
 
     def children(self, t: Node) -> tuple[Node, ...]:
-        return tuple(t + (b,) for b in (0, 1) if t + (b,) in self.nodes)
+        return tuple(t + (b,) for b in (0, 1) if self._has(t + (b,)))
 
     def is_branching(self, t: Node) -> bool:
-        return t + (0,) in self.nodes and t + (1,) in self.nodes
+        return bool(self._has(t + (0,)) and self._has(t + (1,)))
 
     def branching_nodes(self) -> frozenset[Node]:
-        nodes = self.nodes
-        return frozenset(t for t in nodes if t + (0,) in nodes and t + (1,) in nodes)
+        return frozenset(t for l in range(self.horizon) for t in _words(l, self._splits(l)))
 
     def below(self, t: Node) -> "HorizonPerfectTree":
         """The subtree of nodes comparable with ``t``."""
         t = tuple(t)
-        if t not in self.nodes:
+        if not self._has(t):
             raise ValueError(f"{t!r} is not a node")
-        n = len(t)
-        kept = frozenset(u for u in self.nodes if u[:n] == t).union(
-            t[:i] for i in range(n)
-        )
-        return HorizonPerfectTree(self.horizon, kept)
+        i = _index(t)
+        # t's prefixes, then t and its extensions, widened level by level
+        keep = [1 << (i & ((1 << l) - 1)) for l in range(len(t) + 1)]
+        for l in range(len(t), self.horizon):
+            keep.append(keep[-1] | keep[-1] << (1 << l))
+        return HorizonPerfectTree(self.horizon, levels=tuple(map(and_, self.levels, keep)))
 
     def paths(self) -> frozenset[Node]:
         """Maximal nodes; each promises a continuation past the horizon."""
-        return frozenset(t for t in self.nodes if len(t) == self.horizon)
+        return frozenset(_words(self.horizon, self.levels[-1]))
 
     def gap(self) -> int:
-        """The tree's splitting slack.
-
-        Nodes at most ``horizon - gap()`` long always have a branching
-        descendant strictly shorter than the horizon; at least one node of
-        length ``horizon - gap() + 1`` does not.  Always at least 1, since
-        maximal nodes have no strict descendants at all.
-        """
-        reachable = set()
-        for t in self.branching_nodes():
-            # prefix closure; the root's parent is the root itself
-            while t not in reachable:
-                reachable.add(t)
-                t = t[:-1]
-        bad = min(map(len, self.nodes - reachable))
+        """The tree's splitting slack: nodes at most ``horizon - gap()`` long
+        always have a branching descendant strictly shorter than the horizon,
+        and some node of length ``horizon - gap() + 1`` does not.  Always at
+        least 1, since maximal nodes have no strict descendants at all."""
+        good = 0  # from the horizon up: nodes that branch or have a good child
+        for l in range(self.horizon, -1, -1):
+            good = self._splits(l) | or_(*_halves(good, l))
+            if self.levels[l] & ~good:
+                bad = l
         return self.horizon + 1 - bad
+
+
+def _subset(q: HorizonPerfectTree, p: HorizonPerfectTree) -> bool:
+    return not any(a & ~b for a, b in zip(q.levels, p.levels))
 
 
 def stem_or_path(p: HorizonPerfectTree) -> Node:
     """First branching node, or the maximal node of a branchless tree."""
-    t: Node = ()
-    while True:
-        kids = p.children(t)
-        if len(kids) != 1:
-            return t
-        t = kids[0]
+    i = l = 0
+    while l < p.horizon and not p._splits(l) >> i & 1:  # step to the only child
+        i, l = i + (0 if p.levels[l + 1] >> i & 1 else 1 << l), l + 1
+    return next(_words(l, 1 << i))
 
 
 def hpt_stem(p: HorizonPerfectTree) -> Node:
-    """Minimal branching node.  A tree may run out of splits before the
-    horizon; that is an error here, unlike :func:`stem_or_path`."""
-    t = stem_or_path(p)
-    if not p.is_branching(t):
+    """Minimal branching node; unlike :func:`stem_or_path`, an error if none."""
+    if not p.is_branching(t := stem_or_path(p)):
         raise ValueError("no branching node within the horizon")
     return t
 
 
-def _splits_upto(p: HorizonPerfectTree, n: int) -> Iterator[tuple[Node, int]]:
-    """Branching nodes with at most n branching proper initial segments,
-    each with that count.
-
-    Walks down from the root and stops below a node's n-th split, so it
-    visits only the part of the tree above the splits it reports.
-    """
-    nodes = p.nodes
-    stack: list[tuple[Node, int]] = [((), 0)] if n >= 0 else []
-    while stack:
-        t, k = stack.pop()
-        t0, t1 = t + (0,), t + (1,)
-        if t0 in nodes and t1 in nodes:
-            yield t, k
-            if k < n:
-                stack += ((t0, k + 1), (t1, k + 1))
-        elif t0 in nodes:
-            stack.append((t0, k))
-        elif t1 in nodes:
-            stack.append((t1, k))
+def _splits_upto(p: HorizonPerfectTree, n: int) -> Iterator[tuple[int, int, int]]:
+    """(length, k, mask) of the branching nodes with k <= n branching proper
+    initial segments, level by level; the walk stops below the n-th split."""
+    below = [1] + [0] * n if n >= 0 else []
+    for l in range(p.horizon):
+        splits = p._splits(l)
+        yield from ((l, k, m & splits) for k, m in enumerate(below))
+        nxt = [m & ~splits | (k and below[k - 1] & splits) for k, m in enumerate(below)]
+        below = [(m | m << (1 << l)) & p.levels[l + 1] for m in nxt]
 
 
 def hpt_branching_nodes(p: HorizonPerfectTree, k: int) -> frozenset[Node]:
     """Branching nodes with exactly k branching proper initial segments."""
-    return frozenset(t for t, order in _splits_upto(p, k) if order == k)
+    return frozenset(t for l, j, mask in _splits_upto(p, k) if j == k for t in _words(l, mask))
 
 
 def hpt_leq_n(q: HorizonPerfectTree, p: HorizonPerfectTree, n: int) -> bool:
     """Does q refine p while keeping p's k-th branching nodes for k <= n?"""
     if q.horizon != p.horizon:
         raise ValueError("trees live at different horizons")
-    if not q.nodes <= p.nodes:
-        return False
-    return all(q.is_branching(t) for t, _ in _splits_upto(p, n))
+    return _subset(q, p) and all(not m & ~q._splits(l) for l, _, m in _splits_upto(p, n))
 
 
 @dataclass(frozen=True)
@@ -171,8 +188,7 @@ class RMap:
 
     The refinement laws (shrinking along word extension, stem-splitting at
     the two successors) are checked by :func:`verify_fusion_helper`, not by
-    the constructor, so broken maps can be built and reported on.
-    """
+    the constructor, so broken maps can be built and reported on."""
 
     depth: int
     trees: Mapping[Node, HorizonPerfectTree]
@@ -181,21 +197,12 @@ class RMap:
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
         trees = {tuple(s): p for s, p in dict(self.trees).items()}
-        expected = {
-            tuple(w)
-            for l in range(self.depth + 1)
-            for w in itertools.product((0, 1), repeat=l)
-        }
+        expected = {w for l in range(self.depth + 1) for w in itertools.product((0, 1), repeat=l)}
         if set(trees) != expected:
             raise ValueError("need exactly one tree per word up to the depth")
-        horizons = {p.horizon for p in trees.values()}
-        if len(horizons) != 1:
+        if len({p.horizon for p in trees.values()}) != 1:
             raise ValueError("all trees must share one horizon")
         object.__setattr__(self, "trees", trees)
-
-    @property
-    def horizon(self) -> int:
-        return next(iter(self.trees.values())).horizon
 
     def at(self, s: Node) -> HorizonPerfectTree:
         try:
@@ -208,10 +215,9 @@ def fusion_union(rmap: RMap, n: int) -> HorizonPerfectTree:
     """Union of the trees at the level-n words."""
     if not 0 <= n <= rmap.depth:
         raise ValueError(f"level {n} outside [0, {rmap.depth}]")
-    nodes = frozenset().union(
-        *(rmap.at(s).nodes for s in itertools.product((0, 1), repeat=n))
-    )
-    return HorizonPerfectTree(rmap.horizon, nodes)
+    trees = [rmap.at(s).levels for s in itertools.product((0, 1), repeat=n)]
+    levels = tuple(reduce(or_, masks) for masks in zip(*trees))
+    return HorizonPerfectTree(rmap.at(()).horizon, levels=levels)
 
 
 @dataclass(frozen=True)
@@ -225,26 +231,22 @@ def verify_fusion_helper(rmap: RMap) -> FusionReport:
     """Check the refinement laws and the chain they are meant to produce.
 
     The level unions p_0 .. p_depth must satisfy p_0 superset p_1 and
-    p_n >=_{n-1} p_{n+1}; both are checked outright rather than trusted.
-    """
+    p_n >=_{n-1} p_{n+1}; both are checked outright rather than trusted."""
     failures: list[str] = []
     for s, p in sorted(rmap.trees.items()):
-        if s and not p.nodes <= rmap.at(s[:-1]).nodes:
+        if s and not _subset(p, rmap.at(s[:-1])):
             failures.append(f"not a refinement of its parent at word {s!r}")
     for l in range(rmap.depth):
         for s in itertools.product((0, 1), repeat=l):
             s0, s1 = stem_or_path(rmap.at(s + (0,))), stem_or_path(rmap.at(s + (1,)))
             if s0[: len(s1)] == s1 or s1[: len(s0)] == s0:
                 failures.append(f"successor stems comparable at word {s!r}")
-
     chain = tuple(fusion_union(rmap, n) for n in range(rmap.depth + 1))
-    if len(chain) >= 2 and not chain[1].nodes <= chain[0].nodes:
+    if len(chain) >= 2 and not _subset(chain[1], chain[0]):
         failures.append("level union 1 is not contained in level union 0")
     for n in range(1, rmap.depth):
         if not hpt_leq_n(chain[n + 1], chain[n], n - 1):
-            failures.append(
-                f"level union {n + 1} does not keep the early branching of {n}"
-            )
+            failures.append(f"level union {n + 1} does not keep the early branching of {n}")
     return FusionReport(not failures, tuple(failures), chain)
 
 
@@ -255,22 +257,20 @@ def fusion_intersect(ps: Sequence[HorizonPerfectTree]) -> HorizonPerfectTree:
     sets.  A finite chain of that shape is descending, so the intersection
     is its last element; the value of the operation is the validation and
     the guarantees checked on the way out: containment in every link and a
-    splitting gap no worse than the chain's worst.
-    """
+    splitting gap no worse than the chain's worst."""
     ps = tuple(ps)
     if not ps:
         raise ValueError("nothing to intersect")
     for i in range(len(ps) - 1):
         if not hpt_leq_n(ps[i + 1], ps[i], i):
             raise ValueError(f"link {i} of the chain is not an {i}-refinement")
-    common = frozenset.intersection(*(p.nodes for p in ps))
+    common = tuple(reduce(and_, m) for m in zip(*(p.levels for p in ps)))
     try:
-        out = HorizonPerfectTree(ps[0].horizon, common)
+        out = HorizonPerfectTree(ps[0].horizon, levels=common)
     except ValueError as exc:
-        raise ValueError(
-            "intersection breaks the extendibility promise; widen the horizon"
-        ) from exc
-    if not all(out.nodes <= p.nodes for p in ps):
+        msg = "intersection breaks the extendibility promise; widen the horizon"
+        raise ValueError(msg) from exc
+    if not all(_subset(out, p) for p in ps):
         raise AssertionError("intersection is not inside every tree of the chain")
     if not out.gap() <= max(p.gap() for p in ps):
         raise AssertionError("intersection widens the gap of the chain")

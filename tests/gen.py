@@ -150,6 +150,25 @@ def rand_silver(rng: random.Random, horizon: int, min_splits: int = 1) -> Silver
     return SilverTree(horizon, levels, fixed)
 
 
+def naive_hpt_check(horizon: int, nodes) -> None:
+    """The set-based checks of the horizon-tree constructor, which stores
+    level masks instead.  Raises ValueError with the constructor's message
+    for the first fault; nodes are visited shortest first, then by index
+    (the word read as a number, least significant bit first)."""
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    nodes = frozenset(map(tuple, nodes))
+    if not nodes:
+        raise ValueError("tree must contain the root")
+    if any(len(t) > horizon or any(b not in (0, 1) for b in t) for t in nodes):
+        raise ValueError("nodes must be binary words within the horizon")
+    for t in sorted(nodes, key=lambda t: (len(t), t[::-1])):
+        if t and t[:-1] not in nodes:
+            raise ValueError(f"node {t!r} is missing its parent")
+        if len(t) < horizon and not (t + (0,) in nodes or t + (1,) in nodes):
+            raise ValueError(f"node {t!r} breaks the extendibility promise")
+
+
 def naive_branching(nodes) -> frozenset:
     return frozenset(t for t in nodes if t + (0,) in nodes and t + (1,) in nodes)
 
@@ -325,10 +344,12 @@ def naive_dec_wrapper(obj, path: str = "$.payload") -> ShrinkWrapper:
     tree anew, building every element's path as it goes."""
     obj = _naive_obj(obj, path)
     scope_obj = _naive_obj(_naive_get(obj, "scope", path), f"{path}.scope")
-    scope = WrapperScope(
-        _naive_int(_naive_get(scope_obj, "N", f"{path}.scope"), f"{path}.scope.N"),
-        _naive_int(_naive_get(scope_obj, "Ntilde", f"{path}.scope"), f"{path}.scope.Ntilde"),
-    )
+    n = _naive_int(_naive_get(scope_obj, "N", f"{path}.scope"), f"{path}.scope.N")
+    ntilde = _naive_int(_naive_get(scope_obj, "Ntilde", f"{path}.scope"), f"{path}.scope.Ntilde")
+    try:
+        scope = WrapperScope(n, ntilde)
+    except ValueError as e:
+        _naive_fail(f"{path}.scope", str(e))
     tables = {}
     for i, entry in enumerate(_naive_list(_naive_get(obj, "F", path), f"{path}.F")):
         epath = f"{path}.F[{i}]"

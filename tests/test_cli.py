@@ -209,6 +209,15 @@ class TestDecodeErrors:
         doc["payload"]["scope"]["Ntilde"] = 2
         self.check(json.dumps(doc), r"\$\.payload")
 
+    @pytest.mark.parametrize("key", ["N", "Ntilde"])
+    def test_wrapper_negative_scope(self, key):
+        doc = json.loads(encode(build_wrapper((ZERO, R([1])))))
+        doc["payload"]["scope"][key] = -1
+        message = re.escape("$.payload.scope: scope bounds must be nonnegative")
+        self.check(json.dumps(doc), message)
+        with pytest.raises(CodecError, match=message):
+            naive_dec_wrapper(doc["payload"])
+
     def test_wrapper_missing_family(self):
         doc = json.loads(encode(build_wrapper((ZERO, R([1])))))
         doc["payload"]["F"] = doc["payload"]["F"][:1]
@@ -234,6 +243,16 @@ class TestDecodeErrors:
         doc = json.loads(encode(P6))
         doc["payload"]["fixed"][key] = 0
         self.check(json.dumps(doc), re.escape(f"$.payload.fixed[{key!r}]: level keys must be integers"))
+
+    @pytest.mark.parametrize("keys", [("2", "02"), ("0", "-0"), ("004", "4")])
+    def test_silver_level_named_twice(self, keys):
+        doc = json.loads(encode(P6))
+        fixed = {k: v for k, v in doc["payload"]["fixed"].items() if k not in keys}
+        doc["payload"]["fixed"] = {**fixed, keys[0]: 1, keys[1]: 0}
+        level = int(keys[0])
+        self.check(json.dumps(doc), re.escape(
+            f"$.payload.fixed[{keys[1]!r}]: level {level} is fixed twice"
+        ))
 
     @pytest.mark.parametrize("entry", [["condition2"], ["condition2", 1, 2]])
     def test_histogram_entries_are_pairs(self, entry):

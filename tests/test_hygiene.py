@@ -1,6 +1,7 @@
 """Source hygiene: every module imports only names it uses, states its
 checks with explicit raises rather than ``assert``, which ``python -O``
-strips, and leaves canonical form to the ``UPReal`` constructor.
+strips, and leaves canonical form to the ``UPReal`` constructor; and
+every entry point that the benchmark's tracer names still exists.
 
 Parsed with ``ast`` so the check needs nothing beyond the standard library.
 ``__init__.py`` is skipped by the import and ``up_canonical`` checks
@@ -10,6 +11,7 @@ because its imports are the package's exports.
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -132,3 +134,24 @@ def test_detector_sees_imports_calls_and_attributes():
         "up_canonical_note = 'up_canonical'\n"
     )
     assert sorted(names_of(source, "up_canonical")) == [1, 4, 4]
+
+
+def load_tracer():
+    """``perfbench/tracer.py`` imported from its file, as the benchmark runs it."""
+    path = SRC.parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_entry_points_exist():
+    # The tracer indexes its counters by qualified name; renaming or removing
+    # a traced function or constructor would otherwise fail only the traced
+    # benchmark run, with a KeyError.
+    tracer = load_tracer()
+    targets = {qual for qual, *_ in tracer._targets()}
+    named = {fn for fns in tracer.TIMED_GROUPS.values() for fn in fns}
+    named |= set(tracer.CALL_COUNTS.values()) | set(tracer.HOOKS)
+    assert sorted(named - targets) == []
+    assert "sacks.HorizonPerfectTree.__post_init__" in targets

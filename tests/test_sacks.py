@@ -8,8 +8,10 @@ import random
 import pytest
 
 from gen import (
+    naive_branching,
     naive_branching_nodes,
     naive_gap,
+    naive_hpt_check,
     naive_leq_n,
     rand_hpt,
     rand_rmap,
@@ -229,6 +231,124 @@ class TestAgainstWholeTreeRecounts:
         assert not hpt_leq_n(p, p.below((0,)), -1)
 
 
+def corrupted(rng, horizon, nodes):
+    """A valid node set, or one with a fault of a kind chosen at random."""
+    nodes = set(nodes)
+    kind = rng.randrange(7)
+    inner = sorted(t for t in nodes if len(t) < horizon)
+    if kind == 1 and len(nodes) > 1:  # a node's parent dropped
+        nodes.discard(rng.choice(sorted(t for t in nodes if t))[:-1])
+    elif kind == 2 and inner:  # both children of an inner node dropped
+        t = rng.choice(inner)
+        nodes -= {t + (0,), t + (1,)}
+    elif kind == 3:  # a word past the horizon
+        nodes.add(rng.choice(sorted(t for t in nodes if len(t) == horizon)) + (rng.randrange(2),))
+    elif kind == 4 and len(nodes) > 1:  # a bit 2 anywhere in one word
+        t = rng.choice(sorted(t for t in nodes if t))
+        nodes.remove(t)
+        i = rng.randrange(len(t))
+        nodes.add(t[:i] + (2,) + t[i + 1:])
+    elif kind == 5:
+        nodes = set()
+    elif kind == 6:  # bits written as bools or floats, which equal 0 and 1
+        nodes = {tuple(map(rng.choice((bool, float)), t)) for t in nodes}
+    return frozenset(nodes)
+
+
+def verdict(build):
+    try:
+        return build()
+    except ValueError as e:
+        return str(e)
+
+
+class TestConstructorAgainstOracle:
+    """The level-mask constructor and set operations against the set-based
+    checks kept in ``gen`` and plain frozenset operations."""
+
+    def test_node_sets_and_level_masks(self):
+        rng = random.Random(81)
+        accepted = rejected = 0
+        for _ in range(2400):
+            horizon = rng.randrange(7)
+            nodes = corrupted(rng, horizon, rand_hpt(rng, horizon, rng.random()).nodes)
+            expected = verdict(lambda: naive_hpt_check(horizon, nodes))
+            got = verdict(lambda: HorizonPerfectTree(horizon, nodes))
+            if expected is None:
+                assert isinstance(got, HorizonPerfectTree)
+                assert got.nodes == nodes
+                accepted += 1
+            else:
+                assert got == expected
+                rejected += 1
+            if all(len(t) <= horizon and set(t) <= {0, 1} for t in nodes):
+                # the same masks handed over directly get the same checks
+                got = verdict(lambda: HorizonPerfectTree(horizon, levels=level_masks(horizon, nodes)))
+                assert got == expected if expected else got.nodes == nodes
+        assert accepted > 500 and rejected > 1000
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            # (0, 1, 0) and (1, 0, 0) lack parents; indices 2 and 1
+            ({(), (0,), (0, 0), (0, 0, 0), (0, 1, 0), (1, 0, 0)},
+             "node (1, 0, 0) is missing its parent"),
+            # (0, 1) has no child (index 2), (1, 1) no parent (index 3)
+            ({(), (0,), (0, 0), (0, 0, 0), (0, 1), (1, 1), (1, 1, 0)},
+             "node (0, 1) breaks the extendibility promise"),
+            # (1, 0) has no parent (index 1), (0, 1) no child (index 2)
+            ({(), (0,), (0, 0), (0, 0, 0), (0, 1), (1, 0), (1, 0, 0)},
+             "node (1, 0) is missing its parent"),
+            ({(), (0,), (0, 0), (0, 2)}, "nodes must be binary words within the horizon"),
+        ],
+    )
+    def test_messages_name_the_shortest_then_lowest_fault(self, nodes, message):
+        with pytest.raises(ValueError) as err:
+            HorizonPerfectTree(3, nodes)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            naive_hpt_check(3, nodes)
+        assert str(err.value) == message
+
+    def test_operations_match_frozensets(self):
+        rng = random.Random(82)
+        for _ in range(300):
+            horizon = rng.randrange(8)
+            p = rand_hpt(rng, horizon, rng.random())
+            q = rng.choice((rand_hpt(rng, horizon), pruned(rng, p), p.below(rng.choice(sorted(p.nodes)))))
+            union = fusion_union(RMap(1, {(): p, (0,): p, (1,): q}), 1)
+            assert union.nodes == p.nodes | q.nodes
+            assert hpt_leq_n(q, p, -1) == (q.nodes <= p.nodes)
+            if naive_leq_n(q, p, 0):
+                assert fusion_intersect([p, q]).nodes == p.nodes & q.nodes
+            else:
+                with pytest.raises(ValueError, match="link 0"):
+                    fusion_intersect([p, q])
+            assert p.branching_nodes() == naive_branching(p.nodes)
+            assert p.gap() == naive_gap(p)
+            assert p.paths() == frozenset(t for t in p.nodes if len(t) == horizon)
+            t = rng.choice(sorted(p.nodes))
+            cone = frozenset(u for u in p.nodes if u[: len(t)] == t or t[: len(u)] == u)
+            assert p.below(t).nodes == cone
+            for u in (t, t + (0,), t + (1,), t + (2,)):
+                assert p.children(u) == tuple(v for v in (u + (0,), u + (1,)) if v in p.nodes)
+
+    @pytest.mark.parametrize(
+        "horizon, levels",
+        [(2, (1, 3)), (2, (1, 3, 15, 255)), (1, (1, 0b111)), (1, (1, -1)), (0, (0,))],
+        ids=["too-few", "too-many", "bit-past-the-level", "negative", "no-root"],
+    )
+    def test_malformed_masks_rejected(self, horizon, levels):
+        with pytest.raises(ValueError):
+            HorizonPerfectTree(horizon, levels=levels)
+
+    def test_nodes_is_read_only(self):
+        p = HorizonPerfectTree.full(2)
+        with pytest.raises(AttributeError):
+            p.nodes = frozenset({()})
+        assert p == HorizonPerfectTree(2, p.nodes) and hash(p) == hash(HorizonPerfectTree.full(2))
+
+
 class TestRMap:
     def test_needs_every_word(self):
         full = HorizonPerfectTree.full(4)
@@ -344,11 +464,20 @@ class TestLargestCommonSegmentClaim:
                         assert t in meets
 
 
+def level_masks(horizon, nodes):
+    """One mask per length: bit sum(w[k] << k) is set for each node w."""
+    levels = [0] * (horizon + 1)
+    for t in nodes:
+        levels[len(t)] |= 1 << sum(int(b) << k for k, b in enumerate(t))
+    return tuple(levels)
+
+
 def forged_tree(horizon, nodes):
-    """A tree object that skipped the constructor's checks."""
+    """A tree object that skipped the constructor's checks: its level
+    masks are set straight from the node set."""
     p = object.__new__(HorizonPerfectTree)
     object.__setattr__(p, "horizon", horizon)
-    object.__setattr__(p, "nodes", frozenset(nodes))
+    object.__setattr__(p, "levels", level_masks(horizon, nodes))
     return p
 
 
