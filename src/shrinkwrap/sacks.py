@@ -26,19 +26,31 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from shrinkwrap.core import Node
 
+#: Largest horizon a tree may have.  Level ``l`` takes ``2**l`` bits, so a
+#: tree at this horizon takes at most 256 KiB however few nodes it has.
+MAX_HORIZON = 20
 
-def _index(t: Node) -> int:
-    """A word's bit in its level mask: the word read least significant first."""
-    i = 0
-    for b in reversed(t):
-        i += i + b
-    return int(i)  # a float when a bit is given as 1.0
+# Letters 0 and 1 become the digits "0" and "1"; any other byte becomes
+# "2", which int(..., 2) rejects.
+_DIGITS = bytes([48, 49] + [50] * 254)
+
+
+def _position(t: Node) -> int:
+    """``2**len(t)`` plus the word read least significant bit first: the
+    word's bit in its level mask, tagged with its length.  ValueError
+    unless every letter is 0 or 1."""
+    try:
+        return int(b"1" + bytes(t[::-1]).translate(_DIGITS), 2)
+    except (TypeError, ValueError):  # a letter such as 2 or -1, or a bit given as 1.0
+        if not set(t) <= {0, 1}:
+            raise ValueError(f"{t!r} is not a binary word") from None
+        return _position(tuple(map(int, t)))
 
 
 def _words(length: int, mask: int) -> Iterator[Node]:
     """The words of one length whose bits are set in mask, by index."""
-    bits, shifts = enumerate(bin(mask)[:1:-1]), range(length)
-    return (tuple([i >> k & 1 for k in shifts]) for i, c in bits if c == "1")
+    digits = bin(mask)[:1:-1]  # digit i is bit i
+    return (tuple([i >> k & 1 for k in range(length)]) for i, c in enumerate(digits) if c == "1")
 
 
 def _halves(mask: int, l: int) -> tuple[int, int]:
@@ -53,7 +65,8 @@ class HorizonPerfectTree:
     Bit ``i`` of ``levels[l]`` is set when the word ``w`` of length ``l`` with
     ``i = sum(w[k] << k)`` is a node; node ``i``'s children are bits ``i`` and
     ``i + 2**l`` of ``levels[l + 1]``.  Built from a node set or from masks and
-    checked either way: nodes are prefix-closed, maximal ones at the horizon."""
+    checked either way: nodes are prefix-closed, maximal ones at the horizon.
+    """
 
     horizon: int
     words: InitVar[Iterable[Node]] = ()
@@ -62,20 +75,30 @@ class HorizonPerfectTree:
     def __post_init__(self, words):
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        levels = list(self.levels or (0,) * (self.horizon + 1))
+        if self.horizon > MAX_HORIZON:
+            raise ValueError(f"horizon {self.horizon} is above the supported {MAX_HORIZON}")
+        levels = self.levels
+        if not levels:
+            # "1" at each node's position; a word past the horizon falls off the end
+            seen = bytearray(b"0" * (2 << self.horizon))
+            try:
+                for t in map(tuple, words):
+                    seen[_position(t)] = 49
+            except (IndexError, ValueError):
+                raise ValueError("nodes must be binary words within the horizon") from None
+            ends = [1 << l for l in range(self.horizon + 2)]
+            levels = [int(seen[b - 1 : a - 1 : -1], 2) for a, b in zip(ends, ends[1:])]
         if len(levels) != self.horizon + 1:
             raise ValueError("need one level mask per length up to the horizon")
-        if not self.levels:
-            words = list(map(tuple, words))
-            if max(map(len, words), default=0) > self.horizon or not set().union(*words) <= {0, 1}:
-                raise ValueError("nodes must be binary words within the horizon")
-            for t in words:
-                levels[len(t)] |= 1 << _index(t)
+        for l, mask in enumerate(levels):
+            if mask < 0 or mask >> (1 << l):
+                raise ValueError(f"level {l} has bits past its {1 << l} words")
         # Shortest fault first, then lowest index: an orphan, or a short node without a child.
         for l, mask in enumerate(levels):
             up = levels[l - 1] if l else 1
             orphans = mask & ~(up | up << (1 << l >> 1))
-            bad = orphans | mask & ~(or_(*_halves(levels[l + 1], l)) if l < self.horizon else mask)
+            kids = or_(*_halves(levels[l + 1], l)) if l < self.horizon else mask
+            bad = orphans | mask & ~kids
             if bad:
                 i = (bad & -bad).bit_length() - 1
                 t = next(_words(l, 1 << i))
@@ -88,15 +111,19 @@ class HorizonPerfectTree:
 
     @classmethod
     def full(cls, horizon: int) -> "HorizonPerfectTree":
-        return cls(horizon, levels=tuple((1 << (1 << l)) - 1 for l in range(horizon + 1)))
+        # the constructor rejects a horizon past the cap before it reads the masks
+        lengths = range(min(horizon, MAX_HORIZON) + 1)
+        return cls(horizon, levels=tuple((1 << (1 << l)) - 1 for l in lengths))
 
     @cached_property
     def nodes(self) -> frozenset[Node]:
         """The node set, built on first read."""
         return frozenset(t for l, mask in enumerate(self.levels) for t in _words(l, mask))
 
-    def _has(self, t: Node) -> int:
-        return len(t) <= self.horizon and set(t) <= {0, 1} and self.levels[len(t)] >> _index(t) & 1
+    def _has(self, t: Node) -> bool:
+        if len(t) > self.horizon or not set(t) <= {0, 1}:
+            return False
+        return bool(self.levels[len(t)] >> (_position(t) ^ 1 << len(t)) & 1)
 
     def _splits(self, l: int) -> int:
         """Mask of the branching nodes of length l."""
@@ -116,7 +143,7 @@ class HorizonPerfectTree:
         t = tuple(t)
         if not self._has(t):
             raise ValueError(f"{t!r} is not a node")
-        i = _index(t)
+        i = _position(t) ^ 1 << len(t)
         # t's prefixes, then t and its extensions, widened level by level
         keep = [1 << (i & ((1 << l) - 1)) for l in range(len(t) + 1)]
         for l in range(len(t), self.horizon):
@@ -128,10 +155,13 @@ class HorizonPerfectTree:
         return frozenset(_words(self.horizon, self.levels[-1]))
 
     def gap(self) -> int:
-        """The tree's splitting slack: nodes at most ``horizon - gap()`` long
-        always have a branching descendant strictly shorter than the horizon,
-        and some node of length ``horizon - gap() + 1`` does not.  Always at
-        least 1, since maximal nodes have no strict descendants at all."""
+        """The tree's splitting slack.
+
+        Nodes at most ``horizon - gap()`` long always have a branching
+        descendant strictly shorter than the horizon; at least one node of
+        length ``horizon - gap() + 1`` does not.  Always at least 1, since
+        maximal nodes have no strict descendants at all.
+        """
         good = 0  # from the horizon up: nodes that branch or have a good child
         for l in range(self.horizon, -1, -1):
             good = self._splits(l) | or_(*_halves(good, l))
@@ -153,16 +183,22 @@ def stem_or_path(p: HorizonPerfectTree) -> Node:
 
 
 def hpt_stem(p: HorizonPerfectTree) -> Node:
-    """Minimal branching node; unlike :func:`stem_or_path`, an error if none."""
-    if not p.is_branching(t := stem_or_path(p)):
+    """Minimal branching node.  A tree may run out of splits before the
+    horizon; that is an error here, unlike :func:`stem_or_path`."""
+    t = stem_or_path(p)
+    if not p.is_branching(t):
         raise ValueError("no branching node within the horizon")
     return t
 
 
 def _splits_upto(p: HorizonPerfectTree, n: int) -> Iterator[tuple[int, int, int]]:
-    """(length, k, mask) of the branching nodes with k <= n branching proper
-    initial segments, level by level; the walk stops below the n-th split."""
-    below = [1] + [0] * n if n >= 0 else []
+    """Branching nodes with at most n branching proper initial segments,
+    as (length, that count, mask) level by level.
+
+    Carries masks down from the root and drops a node below its n-th
+    split, so only the part of the tree above the reported splits is kept.
+    """
+    below = [1] + [0] * n if n >= 0 else []  # below[k]: nodes under k splits
     for l in range(p.horizon):
         splits = p._splits(l)
         yield from ((l, k, m & splits) for k, m in enumerate(below))
@@ -172,14 +208,18 @@ def _splits_upto(p: HorizonPerfectTree, n: int) -> Iterator[tuple[int, int, int]
 
 def hpt_branching_nodes(p: HorizonPerfectTree, k: int) -> frozenset[Node]:
     """Branching nodes with exactly k branching proper initial segments."""
-    return frozenset(t for l, j, mask in _splits_upto(p, k) if j == k for t in _words(l, mask))
+    return frozenset(
+        t for l, order, mask in _splits_upto(p, k) if order == k for t in _words(l, mask)
+    )
 
 
 def hpt_leq_n(q: HorizonPerfectTree, p: HorizonPerfectTree, n: int) -> bool:
     """Does q refine p while keeping p's k-th branching nodes for k <= n?"""
     if q.horizon != p.horizon:
         raise ValueError("trees live at different horizons")
-    return _subset(q, p) and all(not m & ~q._splits(l) for l, _, m in _splits_upto(p, n))
+    if not _subset(q, p):
+        return False
+    return all(not mask & ~q._splits(l) for l, _, mask in _splits_upto(p, n))
 
 
 @dataclass(frozen=True)
@@ -188,7 +228,8 @@ class RMap:
 
     The refinement laws (shrinking along word extension, stem-splitting at
     the two successors) are checked by :func:`verify_fusion_helper`, not by
-    the constructor, so broken maps can be built and reported on."""
+    the constructor, so broken maps can be built and reported on.
+    """
 
     depth: int
     trees: Mapping[Node, HorizonPerfectTree]
@@ -197,12 +238,21 @@ class RMap:
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
         trees = {tuple(s): p for s, p in dict(self.trees).items()}
-        expected = {w for l in range(self.depth + 1) for w in itertools.product((0, 1), repeat=l)}
+        expected = {
+            tuple(w)
+            for l in range(self.depth + 1)
+            for w in itertools.product((0, 1), repeat=l)
+        }
         if set(trees) != expected:
             raise ValueError("need exactly one tree per word up to the depth")
-        if len({p.horizon for p in trees.values()}) != 1:
+        horizons = {p.horizon for p in trees.values()}
+        if len(horizons) != 1:
             raise ValueError("all trees must share one horizon")
         object.__setattr__(self, "trees", trees)
+
+    @property
+    def horizon(self) -> int:
+        return next(iter(self.trees.values())).horizon
 
     def at(self, s: Node) -> HorizonPerfectTree:
         try:
@@ -215,9 +265,9 @@ def fusion_union(rmap: RMap, n: int) -> HorizonPerfectTree:
     """Union of the trees at the level-n words."""
     if not 0 <= n <= rmap.depth:
         raise ValueError(f"level {n} outside [0, {rmap.depth}]")
-    trees = [rmap.at(s).levels for s in itertools.product((0, 1), repeat=n)]
+    trees = (rmap.at(s).levels for s in itertools.product((0, 1), repeat=n))
     levels = tuple(reduce(or_, masks) for masks in zip(*trees))
-    return HorizonPerfectTree(rmap.at(()).horizon, levels=levels)
+    return HorizonPerfectTree(rmap.horizon, levels=levels)
 
 
 @dataclass(frozen=True)
@@ -231,7 +281,8 @@ def verify_fusion_helper(rmap: RMap) -> FusionReport:
     """Check the refinement laws and the chain they are meant to produce.
 
     The level unions p_0 .. p_depth must satisfy p_0 superset p_1 and
-    p_n >=_{n-1} p_{n+1}; both are checked outright rather than trusted."""
+    p_n >=_{n-1} p_{n+1}; both are checked outright rather than trusted.
+    """
     failures: list[str] = []
     for s, p in sorted(rmap.trees.items()):
         if s and not _subset(p, rmap.at(s[:-1])):
@@ -241,12 +292,15 @@ def verify_fusion_helper(rmap: RMap) -> FusionReport:
             s0, s1 = stem_or_path(rmap.at(s + (0,))), stem_or_path(rmap.at(s + (1,)))
             if s0[: len(s1)] == s1 or s1[: len(s0)] == s0:
                 failures.append(f"successor stems comparable at word {s!r}")
+
     chain = tuple(fusion_union(rmap, n) for n in range(rmap.depth + 1))
     if len(chain) >= 2 and not _subset(chain[1], chain[0]):
         failures.append("level union 1 is not contained in level union 0")
     for n in range(1, rmap.depth):
         if not hpt_leq_n(chain[n + 1], chain[n], n - 1):
-            failures.append(f"level union {n + 1} does not keep the early branching of {n}")
+            failures.append(
+                f"level union {n + 1} does not keep the early branching of {n}"
+            )
     return FusionReport(not failures, tuple(failures), chain)
 
 
@@ -257,19 +311,21 @@ def fusion_intersect(ps: Sequence[HorizonPerfectTree]) -> HorizonPerfectTree:
     sets.  A finite chain of that shape is descending, so the intersection
     is its last element; the value of the operation is the validation and
     the guarantees checked on the way out: containment in every link and a
-    splitting gap no worse than the chain's worst."""
+    splitting gap no worse than the chain's worst.
+    """
     ps = tuple(ps)
     if not ps:
         raise ValueError("nothing to intersect")
     for i in range(len(ps) - 1):
         if not hpt_leq_n(ps[i + 1], ps[i], i):
             raise ValueError(f"link {i} of the chain is not an {i}-refinement")
-    common = tuple(reduce(and_, m) for m in zip(*(p.levels for p in ps)))
+    common = tuple(reduce(and_, masks) for masks in zip(*(p.levels for p in ps)))
     try:
         out = HorizonPerfectTree(ps[0].horizon, levels=common)
     except ValueError as exc:
-        msg = "intersection breaks the extendibility promise; widen the horizon"
-        raise ValueError(msg) from exc
+        raise ValueError(
+            "intersection breaks the extendibility promise; widen the horizon"
+        ) from exc
     if not all(_subset(out, p) for p in ps):
         raise AssertionError("intersection is not inside every tree of the chain")
     if not out.gap() <= max(p.gap() for p in ps):

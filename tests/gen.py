@@ -17,7 +17,7 @@ from math import lcm
 
 from shrinkwrap.codec import CodecError
 from shrinkwrap.core import DEFAULT_CODERS, BranchTree, UPReal
-from shrinkwrap.sacks import HorizonPerfectTree, RMap, stem_or_path
+from shrinkwrap.sacks import MAX_HORIZON, HorizonPerfectTree, RMap, stem_or_path
 from shrinkwrap.silver import SilverTree
 from shrinkwrap.wrapper import ShrinkWrapper, TreeFamily, WrapperScope
 
@@ -157,6 +157,8 @@ def naive_hpt_check(horizon: int, nodes) -> None:
     (the word read as a number, least significant bit first)."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon {horizon} is above the supported {MAX_HORIZON}")
     nodes = frozenset(map(tuple, nodes))
     if not nodes:
         raise ValueError("tree must contain the root")

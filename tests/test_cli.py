@@ -277,6 +277,18 @@ class TestDecodeErrors:
         doc["payload"]["trees"][0]["tree"]["nodes"] = ["01"]
         self.check(json.dumps(doc), r"\$\.payload\.trees\[0\]\.tree")
 
+    @pytest.mark.parametrize(
+        "horizon, nodes",
+        [(10**9, [""]), (40, ["0" * l for l in range(41)])],
+        ids=["huge-horizon", "deep-path"],
+    )
+    def test_rmap_tree_horizon_is_capped(self, horizon, nodes):
+        doc = {"kind": "rmap", "version": 1, "payload": {"depth": 0, "trees": [
+            {"s": "", "tree": {"horizon": horizon, "nodes": nodes}}]}}
+        self.check(json.dumps(doc), re.escape(
+            f"$.payload.trees[0].tree: horizon {horizon} is above the supported 20"
+        ))
+
     def test_universe_needs_zero(self):
         doc = {"kind": "ground-universe", "version": 1,
                "payload": [{"prefix": [1], "period": [0]}]}

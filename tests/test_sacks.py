@@ -17,6 +17,7 @@ from gen import (
     rand_rmap,
 )
 from shrinkwrap.sacks import (
+    MAX_HORIZON,
     FusionReport,
     HorizonPerfectTree,
     RMap,
@@ -67,15 +68,32 @@ class TestHorizonPerfectTree:
             (2, {(), (0,), (2,), (0, 0), (2, 0)}),
             (1, {(), (0,), (1,), (1, 0)}),
             (-1, {()}),
+            (MAX_HORIZON + 1, {()}),
         ],
         ids=[
             "empty", "missing-parent", "broken-promise", "non-binary",
-            "past-horizon", "negative-horizon",
+            "past-horizon", "negative-horizon", "horizon-past-the-cap",
         ],
     )
     def test_malformed_trees_rejected(self, horizon, nodes):
         with pytest.raises(ValueError):
             HorizonPerfectTree(horizon, frozenset(nodes))
+
+    def test_horizon_cap(self):
+        # Masks take 2**horizon bits, so a large horizon is refused before
+        # anything is allocated, however few nodes the tree has.
+        message = f"horizon {10**9} is above the supported {MAX_HORIZON}"
+        for build in (
+            lambda: HorizonPerfectTree(10**9, {()}),
+            lambda: HorizonPerfectTree(10**9, levels=(1,)),
+            lambda: HorizonPerfectTree.full(10**9),
+        ):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+        p = single_path(MAX_HORIZON, (1,))
+        assert p.gap() == MAX_HORIZON + 1 and len(p.nodes) == MAX_HORIZON + 1
+        assert stem_or_path(p) == (1,) + (0,) * (MAX_HORIZON - 1)
 
     def test_binary_words_required(self):
         with pytest.raises(ValueError):
@@ -283,7 +301,8 @@ class TestConstructorAgainstOracle:
                 rejected += 1
             if all(len(t) <= horizon and set(t) <= {0, 1} for t in nodes):
                 # the same masks handed over directly get the same checks
-                got = verdict(lambda: HorizonPerfectTree(horizon, levels=level_masks(horizon, nodes)))
+                masks = level_masks(horizon, nodes)
+                got = verdict(lambda: HorizonPerfectTree(horizon, levels=masks))
                 assert got == expected if expected else got.nodes == nodes
         assert accepted > 500 and rejected > 1000
 
@@ -315,7 +334,9 @@ class TestConstructorAgainstOracle:
         for _ in range(300):
             horizon = rng.randrange(8)
             p = rand_hpt(rng, horizon, rng.random())
-            q = rng.choice((rand_hpt(rng, horizon), pruned(rng, p), p.below(rng.choice(sorted(p.nodes)))))
+            q = rng.choice(
+                (rand_hpt(rng, horizon), pruned(rng, p), p.below(rng.choice(sorted(p.nodes))))
+            )
             union = fusion_union(RMap(1, {(): p, (0,): p, (1,): q}), 1)
             assert union.nodes == p.nodes | q.nodes
             assert hpt_leq_n(q, p, -1) == (q.nodes <= p.nodes)
@@ -334,12 +355,18 @@ class TestConstructorAgainstOracle:
                 assert p.children(u) == tuple(v for v in (u + (0,), u + (1,)) if v in p.nodes)
 
     @pytest.mark.parametrize(
-        "horizon, levels",
-        [(2, (1, 3)), (2, (1, 3, 15, 255)), (1, (1, 0b111)), (1, (1, -1)), (0, (0,))],
+        "horizon, levels, message",
+        [
+            (2, (1, 3), "one level mask per length"),
+            (2, (1, 3, 15, 255), "one level mask per length"),
+            (1, (1, 0b111), "level 1 has bits past its 2 words"),
+            (1, (1, -1), "level 1 has bits past its 2 words"),
+            (0, (0,), "must contain the root"),
+        ],
         ids=["too-few", "too-many", "bit-past-the-level", "negative", "no-root"],
     )
-    def test_malformed_masks_rejected(self, horizon, levels):
-        with pytest.raises(ValueError):
+    def test_malformed_masks_rejected(self, horizon, levels, message):
+        with pytest.raises(ValueError, match=message):
             HorizonPerfectTree(horizon, levels=levels)
 
     def test_nodes_is_read_only(self):
