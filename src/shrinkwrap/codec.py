@@ -9,6 +9,7 @@ offending element.
 
 from __future__ import annotations
 
+import functools
 import json
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
@@ -102,6 +103,129 @@ def _as_str(obj: Any, path: str) -> str:
 
 
 # ---------------------------------------------------------------- encoding
+#
+# The bytes are exactly json.dumps(document, indent=2) plus a newline.  A
+# wrapper's F entries and a domination report's rows hold almost all of
+# them, so those two lists are rendered straight to text: each record shape
+# is a field table with one template per indent level, each distinct tree is
+# rendered once, and each list of ints is one join.  The generic writer
+# _dumps renders the rest of the document, and one join of the parts makes
+# the whole text.
+
+_DOCUMENT = ("kind", "version", "payload")
+_WRAPPER = ("scope", "F", "I")
+_ENTRY = ("pair_index", "n", "s", "tree")
+_TREE = ("branches",)
+_REAL = ("prefix", "period")
+_DOMINATION = ("report_type", "passed", "n_reals", "pointwise_enforced", "rows")
+_ROW = (
+    "x", "f_values", "g_values", "in_tree", "failure_set", "violating_pairs", "pointwise_failures",
+)
+
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_LITERALS = {True: "true", False: "false"}
+
+
+@functools.cache
+def _template(fields: tuple[str, ...], level: int) -> str:
+    """An object with these keys at this indent level, one %s per value."""
+    inner = "\n" + "  " * (level + 1)
+    keys = ",".join(f"{inner}{encode_basestring_ascii(k)}: %s" for k in fields)
+    return "{" + keys + "\n" + "  " * level + "}"
+
+
+def _items(texts, level: int) -> str:
+    """A list at this indent level of items already rendered one level in."""
+    inner = "\n" + "  " * (level + 1)
+    body = ("," + inner).join(texts)
+    return "[" + inner + body + "\n" + "  " * level + "]" if body else "[]"
+
+
+def _flat(values, level: int) -> str:
+    """A list of ints, or of booleans, in one join.  Any other list goes to
+    _dumps, which writes a bool among ints as true and raises TypeError on a
+    float or a tuple."""
+    types = set(map(type, values))
+    if types == {int}:
+        texts = map(int.__repr__, values)
+    elif types <= {bool}:  # or empty
+        texts = map(_LITERALS.__getitem__, values)
+    else:
+        return _dumps(list(values), level)
+    return _items(texts, level)
+
+
+def _word_text(s: Node) -> str:
+    # Sound because TreeFamily stores its class prefixes as 0/1 ints.
+    return '"' + bytes(s).translate(_BITS).decode("ascii") + '"'
+
+
+def _real_text(r: UPReal, level: int) -> str:
+    return _template(_REAL, level) % (_flat(r.prefix, level + 1), _flat(r.period, level + 1))
+
+
+def _tree_text(t: BranchTree, level: int) -> str:
+    branches = [_real_text(b, level + 2) for b in t.sorted_branches()]
+    return _template(_TREE, level) % _items(branches, level + 1)
+
+
+def _parts(template: str, values: tuple) -> list[str]:
+    """``template % values`` as parts of one string; a value that is a list
+    of parts is spliced in, so a bulk list is copied only by the final join."""
+    segments = template.split("%s")
+    parts = [segments[0]]
+    for value, segment in zip(values, segments[1:]):
+        parts += value if isinstance(value, list) else (value,)
+        parts.append(segment)
+    return parts
+
+
+def _wrapper_parts(w: ShrinkWrapper, level: int) -> list[str]:
+    # An entry's tree is its last field, and one shared part: a padded
+    # family's filler tree fills almost every leaf.
+    head, tail = _template(_ENTRY, level + 2).rsplit("%s", 1)
+    inner = "\n" + "  " * (level + 2)
+    lead, sep = "[" + inner, tail + "," + inner
+    trees: dict[frozenset[UPReal], str] = {}
+    entries = []
+    for (nt, n) in sorted(w.families):
+        pair = (_dumps(nt), _dumps(n))
+        leaves = sorted(w.families[(nt, n)].leaves, key=lambda leaf: (len(leaf[0]), leaf[0]))
+        for prefix, tree in leaves:
+            # Keyed by the branch set, a frozenset, which keeps its hash.
+            text = trees.get(tree.branches)
+            if text is None:
+                text = trees[tree.branches] = _tree_text(tree, level + 3)
+            entries += (lead + head % (*pair, _word_text(prefix)), text)
+            lead = sep
+    entries.append(tail + "\n" + "  " * (level + 1) + "]" if entries else "[]")
+    scope = {"N": w.scope.n_reals, "Ntilde": w.scope.n_pairs}
+    isolated = [[_enc_real(x) for x in sorted(part, key=up_sort_key)] for part in w.isolated]
+    return _parts(
+        _template(_WRAPPER, level), (_dumps(scope, level + 1), entries, _dumps(isolated, level + 1))
+    )
+
+
+def _domination_text(report: DominationReport, level: int) -> str:
+    row = _template(_ROW, level + 2)
+    v = level + 3
+    rows = [
+        row % (
+            _real_text(r.x, v),
+            _flat(r.f_values, v),
+            _flat(r.g_values, v),
+            _flat(r.in_tree, v),
+            _flat(r.failure_set, v),
+            _items([_flat(p, v + 1) for p in r.violating_pairs], v),
+            _flat(r.pointwise_failures, v),
+        )
+        for r in report.rows
+    ]
+    header = (report.passed, report.n_reals, report.pointwise_enforced)
+    return _template(_DOMINATION, level) % (
+        '"domination"', *(_dumps(value, level + 1) for value in header), _items(rows, level + 1),
+    )
+
 
 def _enc_word(s: Node) -> str:
     return "".join(map(str, s))
@@ -113,28 +237,6 @@ def _enc_real(r: UPReal) -> dict:
 
 def _enc_tree(t: BranchTree) -> dict:
     return {"branches": [_enc_real(b) for b in t.sorted_branches()]}
-
-
-def _enc_wrapper(w: ShrinkWrapper) -> dict:
-    # One payload object per distinct tree: a padded family's filler tree
-    # fills almost every leaf, and _dumps renders a shared object once.
-    trees: dict[BranchTree, dict] = {}
-    entries = []
-    for (nt, n) in sorted(w.families):
-        fam = w.families[(nt, n)]
-        for prefix, tree in sorted(fam.leaves, key=lambda leaf: (len(leaf[0]), leaf[0])):
-            enc = trees.get(tree)
-            if enc is None:
-                enc = trees[tree] = _enc_tree(tree)
-            entries.append({"pair_index": nt, "n": n, "s": _enc_word(prefix), "tree": enc})
-    return {
-        "scope": {"N": w.scope.n_reals, "Ntilde": w.scope.n_pairs},
-        "F": entries,
-        "I": [
-            [_enc_real(x) for x in sorted(part, key=up_sort_key)]
-            for part in w.isolated
-        ],
-    }
 
 
 def _enc_silver(p: SilverTree) -> dict:
@@ -181,25 +283,6 @@ def _enc_report(report) -> dict:
                     "reason": v.reason,
                 }
                 for v in report.violations
-            ],
-        }
-    if isinstance(report, DominationReport):
-        return {
-            "report_type": "domination",
-            "passed": report.passed,
-            "n_reals": report.n_reals,
-            "pointwise_enforced": report.pointwise_enforced,
-            "rows": [
-                {
-                    "x": _enc_real(row.x),
-                    "f_values": list(row.f_values),
-                    "g_values": list(row.g_values),
-                    "in_tree": list(row.in_tree),
-                    "failure_set": list(row.failure_set),
-                    "violating_pairs": [list(p) for p in row.violating_pairs],
-                    "pointwise_failures": list(row.pointwise_failures),
-                }
-                for row in report.rows
             ],
         }
     if isinstance(report, FusionReport):
@@ -264,46 +347,51 @@ def infer_kind(value) -> str:
     raise CodecError(f"$: cannot infer an artifact kind for {type(value).__name__}")
 
 
+def _enc_payload(value, kind: str):
+    """Any other payload, as the dicts and lists that _dumps writes."""
+    if kind == "reals":
+        return [_enc_real(x) for x in value]
+    if kind == "trees":
+        return [_enc_tree(t) for t in value]
+    if kind == "silver-tree":
+        return _enc_silver(value)
+    if kind == "ground-universe":
+        return [_enc_real(x) for x in sorted(value.reals, key=up_sort_key)]
+    if kind == "rmap":
+        return _enc_rmap(value)
+    return _enc_report(value)
+
+
 def encode(value, kind: Optional[str] = None) -> bytes:
     """Serialize a value as a UTF-8 JSON artifact document."""
     if kind is None:
         kind = infer_kind(value)
     if kind not in KINDS:
         raise CodecError(f"$: unknown kind {kind!r}")
-    if kind == "reals":
-        payload = [_enc_real(x) for x in value]
-    elif kind == "trees":
-        payload = [_enc_tree(t) for t in value]
-    elif kind == "wrapper":
-        payload = _enc_wrapper(value)
-    elif kind == "silver-tree":
-        payload = _enc_silver(value)
-    elif kind == "ground-universe":
-        payload = [_enc_real(x) for x in sorted(value.reals, key=up_sort_key)]
-    elif kind == "rmap":
-        payload = _enc_rmap(value)
+    if kind == "wrapper":
+        payload = _wrapper_parts(value, 1)
+    elif kind == "report" and isinstance(value, DominationReport):
+        payload = _domination_text(value, 1)
     else:
-        payload = _enc_report(value)
-    document = {"kind": kind, "version": VERSION, "payload": payload}
-    return (_dumps(document) + "\n").encode("utf-8")
+        payload = _dumps(_enc_payload(value, kind), 1)
+    parts = _parts(_template(_DOCUMENT, 0) + "\n", (_dumps(kind), _dumps(VERSION), payload))
+    return "".join(parts).encode("utf-8")
 
 
-def _dumps(document) -> str:
-    """Exactly ``json.dumps(document, indent=2)`` for dicts with string
-    keys, lists, strings, ints, booleans and None.
+def _dumps(value, level: int = 0) -> str:
+    """Exactly ``json.dumps(value, indent=2)`` for dicts with string keys,
+    lists, strings, ints, booleans and None, indented as if the value sat
+    at ``level`` in a larger document.
 
-    The stdlib runs its C encoder only without ``indent``; this writer
-    renders each container once per call and reuses the text wherever the
-    same object recurs at the same depth.
+    The stdlib runs its C encoder only without ``indent``; this writer is
+    one recursive function appending to a list.
     """
     out: list[str] = []
-    _write(document, 0, out, {})
+    _write(value, level, out)
     return "".join(out)
 
 
-def _write(value, level: int, out: list[str], memo: dict[tuple[int, int], str]) -> None:
-    # The memo is keyed by id(), which is sound because the document holds
-    # every container alive until _dumps returns.
+def _write(value, level: int, out: list[str]) -> None:
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
@@ -315,34 +403,26 @@ def _write(value, level: int, out: list[str], memo: dict[tuple[int, int], str]) 
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, (list, dict)):
-        key = (id(value), level)
-        text = memo.get(key)
-        if text is None:
-            if not value:
-                text = "[]" if isinstance(value, list) else "{}"
-            else:
-                start = len(out)
-                inner = "\n" + "  " * (level + 1)
-                if isinstance(value, list):
-                    out.append("[")
-                    for item in value:
-                        out.append(inner)
-                        _write(item, level + 1, out, memo)
-                        out.append(",")
-                    out[-1] = "\n" + "  " * level + "]"
-                else:
-                    out.append("{")
-                    for k, item in value.items():
-                        if not isinstance(k, str):
-                            raise TypeError(f"keys must be str, not {type(k).__name__}")
-                        out.append(inner + encode_basestring_ascii(k) + ": ")
-                        _write(item, level + 1, out, memo)
-                        out.append(",")
-                    out[-1] = "\n" + "  " * level + "}"
-                text = "".join(out[start:])
-                del out[start:]
-            memo[key] = text
-        out.append(text)
+        if not value:
+            out.append("[]" if isinstance(value, list) else "{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        if isinstance(value, list):
+            out.append("[")
+            for item in value:
+                out.append(inner)
+                _write(item, level + 1, out)
+                out.append(",")
+            out[-1] = "\n" + "  " * level + "]"
+        else:
+            out.append("{")
+            for k, item in value.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                out.append(inner + encode_basestring_ascii(k) + ": ")
+                _write(item, level + 1, out)
+                out.append(",")
+            out[-1] = "\n" + "  " * level + "}"
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -106,6 +106,9 @@ class TreeFamily:
             prefix = tuple(prefix)
             if prefix.count(0) + prefix.count(1) != len(prefix) or len(prefix) > self.width:
                 raise ValueError(f"bad class prefix {prefix!r} for width {self.width}")
+            # A bit given as True or 1.0 counts as 1 above; store it as the
+            # int, which the codec writes as a "0"/"1" word.
+            prefix = tuple(map(int, prefix))
             if prefix in table:
                 raise ValueError(f"duplicate class prefix {prefix!r}")
             table[prefix] = tree

@@ -12,14 +12,16 @@ unreduced representation.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from math import lcm
 
 from shrinkwrap.codec import CodecError
-from shrinkwrap.core import DEFAULT_CODERS, BranchTree, UPReal
-from shrinkwrap.sacks import MAX_HORIZON, HorizonPerfectTree, RMap, stem_or_path
-from shrinkwrap.silver import SilverTree
-from shrinkwrap.wrapper import ShrinkWrapper, TreeFamily, WrapperScope
+from shrinkwrap.core import DEFAULT_CODERS, BranchTree, UPReal, up_sort_key
+from shrinkwrap.domination import DominationReport
+from shrinkwrap.sacks import MAX_HORIZON, FusionReport, HorizonPerfectTree, RMap, stem_or_path
+from shrinkwrap.silver import ObstructionReport, SilverTree
+from shrinkwrap.wrapper import ShrinkWrapper, TreeFamily, WrapperReport, WrapperScope
 
 
 def parts(x) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -380,3 +382,165 @@ def naive_dec_wrapper(obj, path: str = "$.payload") -> ShrinkWrapper:
     except ValueError as e:
         _naive_fail(path, str(e))
     return wrapper
+
+
+def _naive_word_text(s) -> str:
+    return "".join(map(str, s))
+
+
+def _naive_enc_real(r: UPReal) -> dict:
+    return {"prefix": list(r.prefix), "period": list(r.period)}
+
+
+def _naive_enc_tree(t: BranchTree) -> dict:
+    return {"branches": [_naive_enc_real(b) for b in t.sorted_branches()]}
+
+
+def _naive_enc_hpt(p: HorizonPerfectTree) -> dict:
+    return {
+        "horizon": p.horizon,
+        "nodes": [_naive_word_text(t) for t in sorted(p.nodes, key=lambda t: (len(t), t))],
+    }
+
+
+def _naive_opt(value, enc):
+    return None if value is None else enc(value)
+
+
+def _naive_enc_report(report) -> dict:
+    if isinstance(report, WrapperReport):
+        return {
+            "report_type": "wrapper",
+            "passed": report.passed,
+            "violations": [
+                {
+                    "condition": v.condition,
+                    "pair_index": v.ntilde,
+                    "n": v.n,
+                    "s1": _naive_opt(v.s1, _naive_word_text),
+                    "s2": _naive_opt(v.s2, _naive_word_text),
+                    "reason": v.reason,
+                }
+                for v in report.violations
+            ],
+        }
+    if isinstance(report, DominationReport):
+        return {
+            "report_type": "domination",
+            "passed": report.passed,
+            "n_reals": report.n_reals,
+            "pointwise_enforced": report.pointwise_enforced,
+            "rows": [
+                {
+                    "x": _naive_enc_real(row.x),
+                    "f_values": list(row.f_values),
+                    "g_values": list(row.g_values),
+                    "in_tree": list(row.in_tree),
+                    "failure_set": list(row.failure_set),
+                    "violating_pairs": [list(p) for p in row.violating_pairs],
+                    "pointwise_failures": list(row.pointwise_failures),
+                }
+                for row in report.rows
+            ],
+        }
+    if isinstance(report, FusionReport):
+        return {
+            "report_type": "fusion",
+            "passed": report.passed,
+            "failures": list(report.failures),
+            "chain": [_naive_enc_hpt(p) for p in report.chain],
+        }
+    if isinstance(report, ObstructionReport):
+        return {
+            "report_type": "obstruction",
+            "n": report.n,
+            "ntilde": report.ntilde,
+            "r0": _naive_enc_real(report.r0),
+            "r1": _naive_enc_real(report.r1),
+            "u": _naive_enc_real(report.u),
+            "clause": report.clause,
+            "index": report.index,
+            "s1": _naive_opt(report.s1, _naive_word_text),
+            "s2": _naive_opt(report.s2, _naive_word_text),
+            "tree1": _naive_opt(report.tree1, _naive_enc_tree),
+            "tree2": _naive_opt(report.tree2, _naive_enc_tree),
+            "reason": report.reason,
+        }
+    return {
+        "report_type": "brute",
+        "n": report.n,
+        "ntilde": report.ntilde,
+        "u": _naive_enc_real(report.u),
+        "total": report.total,
+        "histogram": [[clause, count] for clause, count in report.histogram],
+        "survivors": report.survivors,
+        "vacuous": report.vacuous,
+        "s_uniform": report.s_uniform,
+        "max_branches": report.max_branches,
+    }
+
+
+def _naive_payload(value, kind: str):
+    if kind in ("reals", "trees"):
+        return [(_naive_enc_real if kind == "reals" else _naive_enc_tree)(x) for x in value]
+    if kind == "ground-universe":
+        return [_naive_enc_real(x) for x in sorted(value.reals, key=up_sort_key)]
+    if kind == "wrapper":
+        return {
+            "scope": {"N": value.scope.n_reals, "Ntilde": value.scope.n_pairs},
+            "F": [
+                {
+                    "pair_index": nt,
+                    "n": n,
+                    "s": _naive_word_text(prefix),
+                    "tree": _naive_enc_tree(tree),
+                }
+                for (nt, n) in sorted(value.families)
+                for prefix, tree in sorted(
+                    value.families[(nt, n)].leaves, key=lambda leaf: (len(leaf[0]), leaf[0])
+                )
+            ],
+            "I": [
+                [_naive_enc_real(x) for x in sorted(part, key=up_sort_key)]
+                for part in value.isolated
+            ],
+        }
+    if kind == "silver-tree":
+        return {
+            "horizon": value.horizon,
+            "split_levels": sorted(value.split_levels),
+            "fixed": {str(l): b for l, b in sorted(value.fixed)},
+        }
+    if kind == "rmap":
+        return {
+            "depth": value.depth,
+            "trees": [
+                {"s": _naive_word_text(s), "tree": _naive_enc_hpt(value.trees[s])}
+                for s in sorted(value.trees, key=lambda s: (len(s), s))
+            ],
+        }
+    return _naive_enc_report(value)
+
+
+def _naive_check_json(value) -> None:
+    """TypeError on anything outside the artifact value types: dicts with
+    string keys, lists, strings, ints, booleans and None.  json.dumps would
+    write a float or a tuple; an artifact holds neither."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            _naive_check_json(v)
+    elif isinstance(value, list):
+        for v in value:
+            _naive_check_json(v)
+    elif value is not None and not isinstance(value, (str, int)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def naive_encode(value, kind: str) -> bytes:
+    """Artifact bytes from a document of plain dicts and lists, written by
+    ``json.dumps(indent=2)``: the encoder's reference."""
+    document = {"kind": kind, "version": 1, "payload": _naive_payload(value, kind)}
+    _naive_check_json(document)
+    return (json.dumps(document, indent=2) + "\n").encode("utf-8")

@@ -13,6 +13,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 from gen import (
     mutate_at_level,
@@ -444,7 +445,7 @@ def test_09_artifact_round_trip_and_reproducible_builds(tmp_path, monkeypatch):
                 "build", "--reals", reals_path, "--decoys", decoys_path, "--out", out,
             ]
             assert run(argv) == 0
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
         battery_path = str(tmp_path / "battery.json")
@@ -457,5 +458,5 @@ def test_09_artifact_round_trip_and_reproducible_builds(tmp_path, monkeypatch):
                 "--battery", battery_path, "--out", out,
             ]
             assert run(argv) == 0
-            reports.append(open(out, "rb").read())
+            reports.append(Path(out).read_bytes())
         assert reports[0] == reports[1]

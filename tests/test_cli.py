@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import naive_dec_wrapper, rand_rmap, rand_upreal
+from gen import (
+    mutate_at_level,
+    naive_dec_wrapper,
+    naive_encode,
+    rand_branch_tree,
+    rand_rmap,
+    rand_upreal,
+)
 from shrinkwrap import codec
 from shrinkwrap.cli import run
 from shrinkwrap.codec import CodecError, decode, encode, infer_kind
@@ -26,7 +35,13 @@ from shrinkwrap.silver import (
     brute_obstruction,
     obstruct,
 )
-from shrinkwrap.wrapper import build_padded_wrapper, build_wrapper, verify_wrapper
+from shrinkwrap.wrapper import (
+    ShrinkWrapper,
+    TreeFamily,
+    build_padded_wrapper,
+    build_wrapper,
+    verify_wrapper,
+)
 
 
 def R(prefix, period=(0,)):
@@ -117,6 +132,125 @@ class TestWriter:
             codec._dumps(bad)
 
 
+def seeded_wrappers():
+    """Padded wrappers over 2-6 points with 0-20 decoys, and a direct build."""
+    rng = random.Random(71)
+    wrappers = [build_wrapper(XS)]
+    for decoys in (0, 1, 3, 7, 12, 20):
+        xs = tuple(rand_upreal(rng, alphabet=3) for _ in range(rng.randint(2, 6)))
+        pool = tuple(rand_upreal(rng, alphabet=3) for _ in range(decoys))
+        wrappers.append(build_padded_wrapper(xs, decoys=pool, seed=rng.randrange(1000)))
+    return wrappers
+
+
+def violating_report():
+    # The probe ZERO leaves the trees of points 0 and 3, follows point 0 to
+    # level 2 and point 3 to level 4: both indices fail, and f(0) = 2 <= 3.
+    xs = (R([0, 0, 5]), R([1]), R([2]), R([0, 0, 0, 0, 7]))
+    return check_domination(xs, (ZERO, R([0, 0, 5])), trees=[T(R([9]))] * 4)
+
+
+def seeded_domination_reports():
+    """Reports from both providers, with failing rows, and one with no rows."""
+    rng = random.Random(72)
+    reports = [violating_report(), check_domination(XS, (), wrapper=build_wrapper(XS))]
+    for _ in range(6):
+        xs = tuple(rand_upreal(rng, alphabet=3) for _ in range(rng.randint(2, 6)))
+        battery = [rand_upreal(rng, alphabet=3) for _ in range(6)]
+        battery += [mutate_at_level(rng, x, rng.randint(0, 4)) for x in xs]
+        # Most trees hold their own point; the rest usually miss it.
+        trees = [
+            T(x, *rand_branch_tree(rng).branches) if rng.random() < 0.7 else rand_branch_tree(rng)
+            for x in xs
+        ]
+        pool = [rand_upreal(rng, alphabet=3) for _ in range(rng.randint(0, 8))]
+        w = build_padded_wrapper(xs, decoys=pool, seed=7)
+        reports.append(check_domination(xs, battery, trees=trees))
+        reports.append(check_domination(xs, battery, wrapper=w))
+    return reports
+
+
+def other_artifacts():
+    """(value, kind) for every other kind and report type."""
+    w = build_wrapper(XS)
+    return [
+        (tuple(rand_upreal(random.Random(2)) for _ in range(8)), "reals"),
+        ((T(ZERO), T(R([1]), R([0, 1]))), "trees"),
+        (P6, "silver-tree"),
+        (G8, "ground-universe"),
+        (rand_rmap(random.Random(9), 3, 9), "rmap"),
+        (verify_wrapper(w, XS), "report"),
+        (verify_wrapper(w, (ZERO, R([1]), R([0, 1]), R([2]))), "report"),
+        (verify_fusion_helper(rand_rmap(random.Random(4), 3, 9)), "report"),
+        (obstruct(w, G8, P6), "report"),
+        (
+            ObstructionReport(
+                1, 5, ZERO, R([1]), R([2]), "3c", None, (0,), (1, 0), T(ZERO), T(R([1])), "x"
+            ),
+            "report",
+        ),
+        (brute_obstruction(G4, P6, max_branches=1), "report"),
+    ]
+
+
+def assert_matches_oracle(value, kind):
+    """The oracle's bytes, or the exception type the oracle raises."""
+    try:
+        expected = naive_encode(value, kind)
+    except Exception as e:  # any type: the encoder must raise the same one
+        with pytest.raises(type(e)):
+            encode(value, kind)
+    else:
+        assert encode(value, kind) == expected
+
+
+class TestEncoderOracle:
+    """codec.encode against naive_encode: dict documents that
+    json.dumps(indent=2) writes."""
+
+    @pytest.mark.parametrize("w", seeded_wrappers(), ids=lambda w: f"{len(w.families)}fam")
+    def test_wrappers(self, w):
+        assert encode(w) == naive_encode(w, "wrapper")
+
+    def test_domination_reports(self):
+        reports = seeded_domination_reports()
+        for report in reports:
+            assert encode(report) == naive_encode(report, "report")
+        rows = [row for report in reports for row in report.rows]
+        for field in ("failure_set", "violating_pairs", "pointwise_failures"):
+            assert any(getattr(row, field) for row in rows), field
+        assert any(not report.rows for report in reports)
+
+    @pytest.mark.parametrize("value,kind", other_artifacts())
+    def test_every_other_kind(self, value, kind):
+        assert encode(value, kind) == naive_encode(value, kind)
+
+    @pytest.mark.parametrize("odd", [1.5, (1, 2), True, False])
+    @pytest.mark.parametrize(
+        "field", ["f_values", "g_values", "failure_set", "violating_pairs", "pointwise_failures"]
+    )
+    def test_odd_value_in_an_int_field_of_a_row(self, field, odd):
+        report = violating_report()
+        row = report.rows[0]
+        if field == "violating_pairs":
+            values = ((odd, 3),) + row.violating_pairs
+        else:
+            values = (odd,) + getattr(row, field)
+        report = dataclasses.replace(report, rows=(dataclasses.replace(row, **{field: values}),))
+        assert_matches_oracle(report, "report")
+
+    @pytest.mark.parametrize("odd", [1, 0, 1.0, None])
+    def test_odd_value_in_the_bool_field_of_a_row(self, odd):
+        report = violating_report()
+        row = dataclasses.replace(report.rows[0], in_tree=(odd,) + report.rows[0].in_tree)
+        assert_matches_oracle(dataclasses.replace(report, rows=(row,)), "report")
+
+    @pytest.mark.parametrize("odd", [1.5, (1,), True])
+    def test_odd_value_in_the_report_header(self, odd):
+        report = dataclasses.replace(violating_report(), n_reals=odd)
+        assert_matches_oracle(report, "report")
+
+
 class TestRoundTrip:
     def test_reals(self):
         rng = random.Random(2)
@@ -131,6 +265,21 @@ class TestRoundTrip:
         w = build_padded_wrapper(XS, decoys=[R([1, 1]), R([0, 0, 1])], seed=5)
         assert decode(encode(w)) == w
         assert encode(decode(encode(w))) == encode(w)
+
+    @pytest.mark.parametrize("one", [True, 1.0])
+    def test_family_bits_given_as_true_or_float(self, one):
+        t0, t1 = T(ZERO), T(R([1]))
+        odd = TreeFamily(1, (((0,), t0), ((one,), t1)))
+        plain = TreeFamily(1, (((0,), t0), ((1,), t1)))
+        assert odd == plain
+        assert [odd.tree_at(s) for s in ((0,), (1,), (one,))] == [t0, t1, t1]
+        assert [type(b) for prefix, _ in odd.leaves for b in prefix] == [int, int]
+        w = build_wrapper(XS)
+        families = dict(w.families)
+        families[(1, 0)] = odd
+        w = ShrinkWrapper(w.scope, families, w.isolated)
+        assert decode(encode(w)) == w
+        assert encode(w) == encode(ShrinkWrapper(w.scope, {**families, (1, 0): plain}, w.isolated))
 
     def test_silver_tree(self):
         assert decode(encode(P6)) == P6
@@ -433,9 +582,9 @@ class TestCli:
         reals = save("xs.json", XS)
         out = str(tmp / "w.json")
         run(["build", "--reals", reals, "--out", out])
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         doc["payload"]["F"][0]["tree"]["branches"] = [{"prefix": [9], "period": [0]}]
-        open(out, "w").write(json.dumps(doc))
+        Path(out).write_text(json.dumps(doc))
         assert run(["verify", "--wrapper", out, "--reals", reals]) == 1
         captured = capsys.readouterr().out
         assert "condition" in captured and "FAIL" in captured
@@ -448,7 +597,7 @@ class TestCli:
         out1, out2 = str(tmp / "a.json"), str(tmp / "b.json")
         assert run(["build", "--reals", reals, "--decoys", decoys, "--out", out1]) == 0
         assert run(["build", "--reals", reals, "--decoys", decoys, "--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
         assert run(["verify", "--wrapper", out1, "--reals", reals]) == 0
 
     def test_seed_must_be_unsigned(self, paths, monkeypatch):

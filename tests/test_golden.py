@@ -129,10 +129,10 @@ def test_every_kind_and_report_type_is_pinned():
 
 
 def test_build_with_decoys_matches_golden_digest(tmp_path, monkeypatch):
-    reals, decoys, out = (str(tmp_path / f) for f in ("xs.json", "d.json", "w.json"))
-    open(reals, "wb").write(encode(seeded_reals(41, 6, alphabet=3)))
-    open(decoys, "wb").write(encode(seeded_reals(42, 12, alphabet=3)))
+    reals, decoys, out = (tmp_path / f for f in ("xs.json", "d.json", "w.json"))
+    reals.write_bytes(encode(seeded_reals(41, 6, alphabet=3)))
+    decoys.write_bytes(encode(seeded_reals(42, 12, alphabet=3)))
     monkeypatch.setenv("SHRINKWRAP_SEED", "37")
-    assert run(["build", "--reals", reals, "--decoys", decoys, "--out", out]) == 0
-    data = open(out, "rb").read()
+    assert run(["build", "--reals", str(reals), "--decoys", str(decoys), "--out", str(out)]) == 0
+    data = out.read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN["cli-build-decoys"]
