@@ -429,11 +429,19 @@ def _write(value, level: int, out: list[str]) -> None:
 
 # ---------------------------------------------------------------- decoding
 
+_UNBITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(s: str) -> Node:
+    """The word of a string of "0"s and "1"s, in one translate."""
+    return tuple(s.encode("ascii").translate(_UNBITS))
+
+
 def _dec_word(obj: Any, path: str) -> Node:
     s = _as_str(obj, path)
     if not set(s) <= {"0", "1"}:
         _fail(path, f"expected a bit string, got {s!r}")
-    return tuple(map(int, s))
+    return _bits(s)
 
 
 def _dec_real(obj: Any, path: str) -> UPReal:
@@ -490,7 +498,7 @@ def _dec_wrapper(obj: Any, path: str) -> ShrinkWrapper:
         # Path strings are built only for an entry that fails these checks;
         # _dec_entry then reports the first failure in document order.
         if type(nt) is int and type(n) is int and type(s) is str and not s.strip("01"):
-            prefix = tuple(map(int, s))
+            prefix = _bits(s)
         else:
             nt, n, prefix, tree_obj = _dec_entry(entry, f"{path}.F[{i}]")
         key = repr(tree_obj)

@@ -104,14 +104,12 @@ class TreeFamily:
         table = {}
         for prefix, tree in self.leaves:
             prefix = tuple(prefix)
-            if prefix.count(0) + prefix.count(1) != len(prefix) or len(prefix) > self.width:
+            bits = _int_bits(prefix)
+            if bits is None or len(bits) > self.width:
                 raise ValueError(f"bad class prefix {prefix!r} for width {self.width}")
-            # A bit given as True or 1.0 counts as 1 above; store it as the
-            # int, which the codec writes as a "0"/"1" word.
-            prefix = tuple(map(int, prefix))
-            if prefix in table:
-                raise ValueError(f"duplicate class prefix {prefix!r}")
-            table[prefix] = tree
+            if bits in table:
+                raise ValueError(f"duplicate class prefix {bits!r}")
+            table[bits] = tree
         _check_partition(table, self.width)
         reduced = _reduce(table)
         object.__setattr__(
@@ -168,6 +166,19 @@ class TreeFamily:
         if best is None:
             raise ValueError("tree is not assigned by this family")
         return best
+
+
+def _int_bits(word: tuple) -> Optional[Node]:
+    """The word with each letter as the int 0 or 1, or None unless every
+    letter equals 0 or 1.  A bit given as True or 1.0 is stored as the int,
+    which the codec writes as a "0"/"1" word."""
+    try:
+        bits = bytes(word)  # one C pass when every letter is an int in range
+    except (TypeError, ValueError):  # a letter such as 1.0, -1 or "1"
+        if word.count(0) + word.count(1) != len(word):
+            return None
+        return tuple(map(int, word))
+    return None if bits.translate(None, b"\x00\x01") else tuple(bits)
 
 
 def _split_in(table: dict[Node, BranchTree], word: Node) -> dict[Node, BranchTree]:

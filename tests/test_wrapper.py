@@ -74,6 +74,11 @@ class TestTreeFamily:
         with pytest.raises(ValueError):
             TreeFamily(2, (((), T(ZERO)), ((1,), T(ZERO))))  # overlap
 
+    @pytest.mark.parametrize("letter", [2, -1, 256, 0.5, 2.0, "1", None])
+    def test_prefix_letters_must_be_bits(self, letter):
+        with pytest.raises(ValueError, match="bad class prefix"):
+            TreeFamily(1, (((0,), T(ZERO)), ((letter,), T(R([1])))))
+
     def test_partition_check_matches_pairwise_oracle(self):
         rng = random.Random(505)
         outcomes = Counter()
