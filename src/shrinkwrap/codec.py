@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import json
+from operator import attrgetter
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from shrinkwrap.core import (
     DEFAULT_CODERS,
@@ -38,16 +39,6 @@ from shrinkwrap.wrapper import (
 )
 
 VERSION = 1
-
-KINDS = (
-    "reals",
-    "trees",
-    "wrapper",
-    "silver-tree",
-    "ground-universe",
-    "rmap",
-    "report",
-)
 
 
 class CodecError(ValueError):
@@ -102,25 +93,15 @@ def _as_str(obj: Any, path: str) -> str:
     return obj
 
 
-# ---------------------------------------------------------------- encoding
+# ----------------------------------------------------------------- writing
 #
-# The bytes are exactly json.dumps(document, indent=2) plus a newline.  A
-# wrapper's F entries and a domination report's rows hold almost all of
-# them, so those two lists are rendered straight to text: each record shape
-# is a field table with one template per indent level, each distinct tree is
-# rendered once, and each list of ints is one join.  The generic writer
-# _dumps renders the rest of the document, and one join of the parts makes
-# the whole text.
+# The bytes are exactly json.dumps(document, indent=2) plus a newline.  Each
+# record shape is a field table, and its keys make one template per indent
+# level; each distinct tree of a wrapper is rendered once, and each list of
+# ints is one join.  The generic writer _dumps renders scalars and whatever
+# else is not a record, and one join of the parts makes the whole text.
 
 _DOCUMENT = ("kind", "version", "payload")
-_WRAPPER = ("scope", "F", "I")
-_ENTRY = ("pair_index", "n", "s", "tree")
-_TREE = ("branches",)
-_REAL = ("prefix", "period")
-_DOMINATION = ("report_type", "passed", "n_reals", "pointwise_enforced", "rows")
-_ROW = (
-    "x", "f_values", "g_values", "in_tree", "failure_set", "violating_pairs", "pointwise_failures",
-)
 
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
 _LITERALS = {True: "true", False: "false"}
@@ -160,13 +141,8 @@ def _word_text(s: Node) -> str:
     return '"' + bytes(s).translate(_BITS).decode("ascii") + '"'
 
 
-def _real_text(r: UPReal, level: int) -> str:
-    return _template(_REAL, level) % (_flat(r.prefix, level + 1), _flat(r.period, level + 1))
-
-
-def _tree_text(t: BranchTree, level: int) -> str:
-    branches = [_real_text(b, level + 2) for b in t.sorted_branches()]
-    return _template(_TREE, level) % _items(branches, level + 1)
+def _enc_word(s: Node) -> str:
+    return "".join(map(str, s))
 
 
 def _parts(template: str, values: tuple) -> list[str]:
@@ -178,204 +154,6 @@ def _parts(template: str, values: tuple) -> list[str]:
         parts += value if isinstance(value, list) else (value,)
         parts.append(segment)
     return parts
-
-
-def _wrapper_parts(w: ShrinkWrapper, level: int) -> list[str]:
-    # An entry's tree is its last field, and one shared part: a padded
-    # family's filler tree fills almost every leaf.
-    head, tail = _template(_ENTRY, level + 2).rsplit("%s", 1)
-    inner = "\n" + "  " * (level + 2)
-    lead, sep = "[" + inner, tail + "," + inner
-    trees: dict[frozenset[UPReal], str] = {}
-    entries = []
-    for (nt, n) in sorted(w.families):
-        pair = (_dumps(nt), _dumps(n))
-        leaves = sorted(w.families[(nt, n)].leaves, key=lambda leaf: (len(leaf[0]), leaf[0]))
-        for prefix, tree in leaves:
-            # Keyed by the branch set, a frozenset, which keeps its hash.
-            text = trees.get(tree.branches)
-            if text is None:
-                text = trees[tree.branches] = _tree_text(tree, level + 3)
-            entries += (lead + head % (*pair, _word_text(prefix)), text)
-            lead = sep
-    entries.append(tail + "\n" + "  " * (level + 1) + "]" if entries else "[]")
-    scope = {"N": w.scope.n_reals, "Ntilde": w.scope.n_pairs}
-    isolated = [[_enc_real(x) for x in sorted(part, key=up_sort_key)] for part in w.isolated]
-    return _parts(
-        _template(_WRAPPER, level), (_dumps(scope, level + 1), entries, _dumps(isolated, level + 1))
-    )
-
-
-def _domination_text(report: DominationReport, level: int) -> str:
-    row = _template(_ROW, level + 2)
-    v = level + 3
-    rows = [
-        row % (
-            _real_text(r.x, v),
-            _flat(r.f_values, v),
-            _flat(r.g_values, v),
-            _flat(r.in_tree, v),
-            _flat(r.failure_set, v),
-            _items([_flat(p, v + 1) for p in r.violating_pairs], v),
-            _flat(r.pointwise_failures, v),
-        )
-        for r in report.rows
-    ]
-    header = (report.passed, report.n_reals, report.pointwise_enforced)
-    return _template(_DOMINATION, level) % (
-        '"domination"', *(_dumps(value, level + 1) for value in header), _items(rows, level + 1),
-    )
-
-
-def _enc_word(s: Node) -> str:
-    return "".join(map(str, s))
-
-
-def _enc_real(r: UPReal) -> dict:
-    return {"prefix": list(r.prefix), "period": list(r.period)}
-
-
-def _enc_tree(t: BranchTree) -> dict:
-    return {"branches": [_enc_real(b) for b in t.sorted_branches()]}
-
-
-def _enc_silver(p: SilverTree) -> dict:
-    return {
-        "horizon": p.horizon,
-        "split_levels": sorted(p.split_levels),
-        "fixed": {str(l): b for l, b in sorted(p.fixed)},
-    }
-
-
-def _enc_hpt(p: HorizonPerfectTree) -> dict:
-    return {
-        "horizon": p.horizon,
-        "nodes": [_enc_word(t) for t in sorted(p.nodes, key=lambda t: (len(t), t))],
-    }
-
-
-def _enc_rmap(r: RMap) -> dict:
-    return {
-        "depth": r.depth,
-        "trees": [
-            {"s": _enc_word(s), "tree": _enc_hpt(r.trees[s])}
-            for s in sorted(r.trees, key=lambda s: (len(s), s))
-        ],
-    }
-
-
-def _opt(value, enc):
-    return None if value is None else enc(value)
-
-
-def _enc_report(report) -> dict:
-    if isinstance(report, WrapperReport):
-        return {
-            "report_type": "wrapper",
-            "passed": report.passed,
-            "violations": [
-                {
-                    "condition": v.condition,
-                    "pair_index": v.ntilde,
-                    "n": v.n,
-                    "s1": _opt(v.s1, _enc_word),
-                    "s2": _opt(v.s2, _enc_word),
-                    "reason": v.reason,
-                }
-                for v in report.violations
-            ],
-        }
-    if isinstance(report, FusionReport):
-        return {
-            "report_type": "fusion",
-            "passed": report.passed,
-            "failures": list(report.failures),
-            "chain": [_enc_hpt(p) for p in report.chain],
-        }
-    if isinstance(report, ObstructionReport):
-        return {
-            "report_type": "obstruction",
-            "n": report.n,
-            "ntilde": report.ntilde,
-            "r0": _enc_real(report.r0),
-            "r1": _enc_real(report.r1),
-            "u": _enc_real(report.u),
-            "clause": report.clause,
-            "index": report.index,
-            "s1": _opt(report.s1, _enc_word),
-            "s2": _opt(report.s2, _enc_word),
-            "tree1": _opt(report.tree1, _enc_tree),
-            "tree2": _opt(report.tree2, _enc_tree),
-            "reason": report.reason,
-        }
-    if isinstance(report, BruteSummary):
-        return {
-            "report_type": "brute",
-            "n": report.n,
-            "ntilde": report.ntilde,
-            "u": _enc_real(report.u),
-            "total": report.total,
-            "histogram": [[clause, count] for clause, count in report.histogram],
-            "survivors": report.survivors,
-            "vacuous": report.vacuous,
-            "s_uniform": report.s_uniform,
-            "max_branches": report.max_branches,
-        }
-    raise CodecError(f"$: no report encoding for {type(report).__name__}")
-
-
-_REPORT_TYPES = (WrapperReport, DominationReport, FusionReport, ObstructionReport, BruteSummary)
-
-
-def infer_kind(value) -> str:
-    if isinstance(value, ShrinkWrapper):
-        return "wrapper"
-    if isinstance(value, SilverTree):
-        return "silver-tree"
-    if isinstance(value, GroundUniverse):
-        return "ground-universe"
-    if isinstance(value, RMap):
-        return "rmap"
-    if isinstance(value, _REPORT_TYPES):
-        return "report"
-    if isinstance(value, (list, tuple, frozenset, set)):
-        items = list(value)
-        if all(isinstance(x, UPReal) for x in items):
-            return "reals"
-        if items and all(isinstance(x, BranchTree) for x in items):
-            return "trees"
-    raise CodecError(f"$: cannot infer an artifact kind for {type(value).__name__}")
-
-
-def _enc_payload(value, kind: str):
-    """Any other payload, as the dicts and lists that _dumps writes."""
-    if kind == "reals":
-        return [_enc_real(x) for x in value]
-    if kind == "trees":
-        return [_enc_tree(t) for t in value]
-    if kind == "silver-tree":
-        return _enc_silver(value)
-    if kind == "ground-universe":
-        return [_enc_real(x) for x in sorted(value.reals, key=up_sort_key)]
-    if kind == "rmap":
-        return _enc_rmap(value)
-    return _enc_report(value)
-
-
-def encode(value, kind: Optional[str] = None) -> bytes:
-    """Serialize a value as a UTF-8 JSON artifact document."""
-    if kind is None:
-        kind = infer_kind(value)
-    if kind not in KINDS:
-        raise CodecError(f"$: unknown kind {kind!r}")
-    if kind == "wrapper":
-        payload = _wrapper_parts(value, 1)
-    elif kind == "report" and isinstance(value, DominationReport):
-        payload = _domination_text(value, 1)
-    else:
-        payload = _dumps(_enc_payload(value, kind), 1)
-    parts = _parts(_template(_DOCUMENT, 0) + "\n", (_dumps(kind), _dumps(VERSION), payload))
-    return "".join(parts).encode("utf-8")
 
 
 def _dumps(value, level: int = 0) -> str:
@@ -427,7 +205,7 @@ def _write(value, level: int, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-# ---------------------------------------------------------------- decoding
+# ----------------------------------------------------------------- reading
 
 _UNBITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -444,45 +222,171 @@ def _dec_word(obj: Any, path: str) -> Node:
     return _bits(s)
 
 
-def _dec_real(obj: Any, path: str) -> UPReal:
-    obj = _as_obj(obj, path)
-    prefix = _as_ints(_get(obj, "prefix", path), f"{path}.prefix")
-    period = _as_ints(_get(obj, "period", path), f"{path}.period")
-    if not period:
-        _fail(f"{path}.period", "period must be nonempty")
+def _made(make: Callable, path: str, *values):
+    """``make(*values)``, with a ValueError reported at ``path``."""
     try:
-        return UPReal(prefix, period)
+        return make(*values)
     except ValueError as e:
         _fail(path, str(e))
 
 
-def _dec_tree(obj: Any, path: str) -> BranchTree:
-    obj = _as_obj(obj, path)
-    branches = _as_list(_get(obj, "branches", path), f"{path}.branches")
-    if not branches:
-        _fail(f"{path}.branches", "a tree needs at least one branch")
-    return BranchTree(
-        frozenset(_dec_real(b, f"{path}.branches[{i}]") for i, b in enumerate(branches))
+# ------------------------------------------------------------------ fields
+#
+# A field writes one value shape at an indent level and reads it back from
+# parsed JSON at a path.  A record is a field too: its table of (key, field)
+# entries, in document order, is the only place its keys are spelled.
+
+
+class _Field(NamedTuple):
+    write: Callable[[Any, int], str]
+    read: Callable[[Any, str], Any]
+
+
+class _Record:
+    """An object whose keys and fields come from one table.  It is written
+    from the value's attributes, named like the keys unless ``attrs``
+    renames them, through one template per indent level, and read back as
+    ``make(*fields)`` in document order."""
+
+    def __init__(self, make: Callable, table: tuple, **attrs: str):
+        self.make = make
+        self.keys = tuple(key for key, _ in table)
+        self.writers = tuple(
+            (attrgetter(attrs.get(key, key)), field.write, _many(field)) for key, field in table
+        )
+        self.readers = tuple((key, field.read) for key, field in table)
+
+    def texts(self, value, level: int) -> tuple:
+        """The text of each field, one level in."""
+        return tuple([write(get(value), level + 1) for get, write, _ in self.writers])
+
+    def write(self, value, level: int) -> str:
+        return _template(self.keys, level) % self.texts(value, level)
+
+    def write_many(self, values, level: int) -> list[str]:
+        """Many values, written a field at a time: a list of records pays
+        for its template and its field dispatch once, not once a record."""
+        values = list(values)
+        columns = [many(list(map(get, values)), level + 1) for get, _, many in self.writers]
+        return list(map(_template(self.keys, level).__mod__, zip(*columns)))
+
+    def read(self, obj: Any, path: str):
+        obj = _as_obj(obj, path)
+        try:
+            values = [read(obj[key], f"{path}.{key}") for key, read in self.readers]
+        except KeyError:
+            for key in self.keys:
+                _get(obj, key, path)  # fails at the first missing key
+            raise
+        return _made(self.make, path, *values)
+
+
+def _many(field: _Field) -> Callable[[list, int], list[str]]:
+    """A writer of many values of a field, one text each."""
+    if isinstance(field, _Record):
+        return field.write_many
+    write = field.write
+    return lambda values, level: [write(v, level) for v in values]
+
+
+def _list(field: _Field) -> _Field:
+    many, read = _many(field), field.read
+    return _Field(
+        lambda values, level: _items(many(values, level + 1), level),
+        lambda obj, path: tuple(read(v, f"{path}[{i}]") for i, v in enumerate(_as_list(obj, path))),
     )
 
 
-def _dec_entry(entry: Any, epath: str) -> tuple[int, int, Node, Any]:
-    entry = _as_obj(entry, epath)
-    nt = _as_int(_get(entry, "pair_index", epath), f"{epath}.pair_index")
-    n = _as_int(_get(entry, "n", epath), f"{epath}.n")
-    prefix = _dec_word(_get(entry, "s", epath), f"{epath}.s")
-    return nt, n, prefix, _get(entry, "tree", epath)
+def _sorted_set(field: _Field, key=None) -> _Field:
+    write, read = _list(field)
+    return _Field(
+        lambda values, level: write(sorted(values, key=key), level),
+        lambda obj, path: frozenset(read(obj, path)),
+    )
 
 
-def _dec_wrapper(obj: Any, path: str) -> ShrinkWrapper:
-    obj = _as_obj(obj, path)
-    spath = f"{path}.scope"
-    scope_obj = _as_obj(_get(obj, "scope", path), spath)
-    bounds = [_as_int(_get(scope_obj, key, spath), f"{spath}.{key}") for key in ("N", "Ntilde")]
-    try:
-        scope = WrapperScope(*bounds)
-    except ValueError as e:
-        _fail(spath, str(e))
+def _optional(field: _Field) -> _Field:
+    write, read = field.write, field.read
+    return _Field(
+        lambda value, level: "null" if value is None else write(value, level),
+        lambda obj, path: None if obj is None else read(obj, path),
+    )
+
+
+def _pair(first: _Field, second: _Field) -> _Field:
+    """Two scalars, written by _flat."""
+
+    def read(obj: Any, path: str) -> tuple:
+        items = _as_list(obj, path)
+        if len(items) != 2:
+            _fail(path, f"expected 2 elements, got {len(items)}")
+        return first.read(items[0], f"{path}[0]"), second.read(items[1], f"{path}[1]")
+
+    return _Field(_flat, read)
+
+
+def _nonempty(field: _Field, message: str) -> _Field:
+    read_field = field.read
+
+    def read(obj: Any, path: str):
+        value = read_field(obj, path)
+        if not value:
+            _fail(path, message)
+        return value
+
+    return _Field(field.write, read)
+
+
+_INT = _Field(_dumps, _as_int)
+_BOOL = _Field(_dumps, _as_bool)
+_STR = _Field(_dumps, _as_str)
+_INTS = _Field(_flat, _as_ints)
+_BOOLS = _Field(_flat, _list(_BOOL).read)
+_WORD = _Field(lambda s, level: encode_basestring_ascii(_enc_word(s)), _dec_word)
+
+_REAL = _Record(UPReal, (("prefix", _INTS), ("period", _nonempty(_INTS, "period must be nonempty"))))
+_REALS = _sorted_set(_REAL, up_sort_key)
+_TREE = _Record(BranchTree, (("branches", _nonempty(_REALS, "a tree needs at least one branch")),))
+_HPT = _Record(
+    HorizonPerfectTree, (("horizon", _INT), ("nodes", _sorted_set(_WORD, lambda t: (len(t), t))))
+)
+
+# --------------------------------------------------------------- wrappers
+#
+# A wrapper's F entries hold almost all of its bytes.  They are written as
+# parts: each distinct tree is rendered once and is one shared part.  They
+# are read with a typed check per entry and each distinct tree object
+# decoded once; only an entry that fails goes through _ENTRY's reader.
+
+_SCOPE = _Record(WrapperScope, (("N", _INT), ("Ntilde", _INT)), N="n_reals", Ntilde="n_pairs")
+_ENTRY = _Record(
+    lambda *fields: fields, (("pair_index", _INT), ("n", _INT), ("s", _WORD), ("tree", _TREE))
+)
+
+
+def _entries_parts(families: dict, level: int) -> list[str]:
+    # An entry's tree is its last field, and one shared part: a padded
+    # family's filler tree fills almost every leaf.
+    head, tail = _template(_ENTRY.keys, level + 1).rsplit("%s", 1)
+    inner = "\n" + "  " * (level + 1)
+    lead, sep = "[" + inner, tail + "," + inner
+    trees: dict[frozenset[UPReal], str] = {}
+    entries = []
+    for (nt, n) in sorted(families):
+        pair = (_dumps(nt), _dumps(n))
+        leaves = sorted(families[(nt, n)].leaves, key=lambda leaf: (len(leaf[0]), leaf[0]))
+        for prefix, tree in leaves:
+            # Keyed by the branch set, a frozenset, which keeps its hash.
+            text = trees.get(tree.branches)
+            if text is None:
+                text = trees[tree.branches] = _TREE.write(tree, level + 2)
+            entries += (lead + head % (*pair, _word_text(prefix)), text)
+            lead = sep
+    entries.append(tail + "\n" + "  " * level + "]" if entries else "[]")
+    return entries
+
+
+def _dec_entries(obj: Any, path: str) -> dict[tuple[int, int], dict[Node, BranchTree]]:
     tables: dict[tuple[int, int], dict[Node, BranchTree]] = {}
     # A padded family repeats one filler tree in almost every leaf, so each
     # distinct tree object is decoded once.  repr() is an exact key for
@@ -490,202 +394,218 @@ def _dec_wrapper(obj: Any, path: str) -> ShrinkWrapper:
     # and hash equal.  Only successes are kept, so a bad tree still fails
     # at the first entry that holds it.
     trees: dict[str, BranchTree] = {}
-    for i, entry in enumerate(_as_list(_get(obj, "F", path), f"{path}.F")):
+    for i, entry in enumerate(_as_list(obj, path)):
         try:
             nt, n, s, tree_obj = entry["pair_index"], entry["n"], entry["s"], entry["tree"]
         except (TypeError, KeyError):
             nt = None
         # Path strings are built only for an entry that fails these checks;
-        # _dec_entry then reports the first failure in document order.
+        # _ENTRY's reader then reports the first failure in document order.
         if type(nt) is int and type(n) is int and type(s) is str and not s.strip("01"):
             prefix = _bits(s)
+            key = repr(tree_obj)
+            tree = trees.get(key)
+            if tree is None:
+                tree = trees[key] = _TREE.read(tree_obj, f"{path}[{i}].tree")
         else:
-            nt, n, prefix, tree_obj = _dec_entry(entry, f"{path}.F[{i}]")
-        key = repr(tree_obj)
-        tree = trees.get(key)
-        if tree is None:
-            tree = trees[key] = _dec_tree(tree_obj, f"{path}.F[{i}].tree")
+            nt, n, prefix, tree = _ENTRY.read(entry, f"{path}[{i}]")
         table = tables.setdefault((nt, n), {})
         if prefix in table:
-            _fail(f"{path}.F[{i}].s", f"duplicate leaf {_enc_word(prefix)!r}")
+            _fail(f"{path}[{i}].s", f"duplicate leaf {_enc_word(prefix)!r}")
         table[prefix] = tree
-    isolated = tuple(
-        frozenset(
-            _dec_real(x, f"{path}.I[{i}][{j}]") for j, x in enumerate(_as_list(part, f"{path}.I[{i}]"))
-        )
-        for i, part in enumerate(_as_list(_get(obj, "I", path), f"{path}.I"))
-    )
-    try:
-        families = {
-            (nt, n): TreeFamily(nt, tuple(sorted(table.items())))
-            for (nt, n), table in tables.items()
-        }
-        wrapper = ShrinkWrapper(scope, families, isolated)
-        wrapper.check_total(DEFAULT_CODERS)
-    except ValueError as e:
-        _fail(path, str(e))
+    return tables
+
+
+def _wrapper(scope: WrapperScope, tables: dict, isolated: tuple) -> ShrinkWrapper:
+    families = {
+        (nt, n): TreeFamily(nt, tuple(sorted(table.items())))
+        for (nt, n), table in tables.items()
+    }
+    wrapper = ShrinkWrapper(scope, families, isolated)
+    wrapper.check_total(DEFAULT_CODERS)
     return wrapper
 
 
-def _dec_silver(obj: Any, path: str) -> SilverTree:
-    obj = _as_obj(obj, path)
-    horizon = _as_int(_get(obj, "horizon", path), f"{path}.horizon")
-    levels = frozenset(_as_ints(_get(obj, "split_levels", path), f"{path}.split_levels"))
+# F's writer returns parts, so a wrapper is written by _wrapper_parts, which
+# splices them, and never by _Record.write.
+_WRAPPER = _Record(
+    _wrapper,
+    (("scope", _SCOPE), ("F", _Field(_entries_parts, _dec_entries)), ("I", _list(_REALS))),
+    F="families",
+    I="isolated",
+)
+
+
+def _wrapper_parts(w: ShrinkWrapper, level: int) -> list[str]:
+    return _parts(_template(_WRAPPER.keys, level), _WRAPPER.texts(w, level))
+
+
+# ---------------------------------------------------------- other records
+
+
+def _dec_fixed(obj: Any, path: str) -> dict[int, int]:
     fixed = {}
-    for key, bit in _as_obj(_get(obj, "fixed", path), f"{path}.fixed").items():
-        kpath = f"{path}.fixed[{key!r}]"
+    for key, bit in _as_obj(obj, path).items():
+        kpath = f"{path}[{key!r}]"
         digits = key[1:] if key.startswith("-") else key
         if not (digits.isascii() and digits.isdigit()):
             _fail(kpath, "level keys must be integers")
         if int(key) in fixed:
             _fail(kpath, f"level {int(key)} is fixed twice")
         fixed[int(key)] = _as_int(bit, kpath)
-    return SilverTree(horizon, levels, fixed)
+    return fixed
 
 
-def _dec_hpt(obj: Any, path: str) -> HorizonPerfectTree:
-    obj = _as_obj(obj, path)
-    horizon = _as_int(_get(obj, "horizon", path), f"{path}.horizon")
-    nodes = frozenset(
-        _dec_word(t, f"{path}.nodes[{i}]")
-        for i, t in enumerate(_as_list(_get(obj, "nodes", path), f"{path}.nodes"))
-    )
-    try:
-        return HorizonPerfectTree(horizon, nodes)
-    except ValueError as e:
-        _fail(path, str(e))
+_FIXED = _Field(lambda fixed, level: _dumps({str(l): b for l, b in sorted(fixed)}, level), _dec_fixed)
+_SILVER = _Record(SilverTree, (
+    ("horizon", _INT), ("split_levels", _sorted_set(_INT)), ("fixed", _FIXED),
+))
+_Leaf = NamedTuple("_Leaf", [("s", Node), ("tree", HorizonPerfectTree)])
+_LEAF = _Record(_Leaf, (("s", _WORD), ("tree", _HPT)))
+_LEAF_LIST = _list(_LEAF)
 
 
-def _dec_rmap(obj: Any, path: str) -> RMap:
-    obj = _as_obj(obj, path)
-    depth = _as_int(_get(obj, "depth", path), f"{path}.depth")
+def _dec_leaves(obj: Any, path: str) -> dict[Node, HorizonPerfectTree]:
     trees = {}
-    for i, entry in enumerate(_as_list(_get(obj, "trees", path), f"{path}.trees")):
-        epath = f"{path}.trees[{i}]"
-        entry = _as_obj(entry, epath)
-        word = _dec_word(_get(entry, "s", epath), f"{epath}.s")
-        if word in trees:
-            _fail(f"{epath}.s", f"duplicate word {_enc_word(word)!r}")
-        trees[word] = _dec_hpt(_get(entry, "tree", epath), f"{epath}.tree")
-    try:
-        return RMap(depth, trees)
-    except ValueError as e:
-        _fail(path, str(e))
+    for i, leaf in enumerate(_as_list(obj, path)):
+        s, tree = _LEAF.read(leaf, f"{path}[{i}]")
+        if s in trees:
+            _fail(f"{path}[{i}].s", f"duplicate word {_enc_word(s)!r}")
+        trees[s] = tree
+    return trees
 
 
-def _dec_pair(obj: Any, path: str, first, second) -> tuple:
-    items = _as_list(obj, path)
-    if len(items) != 2:
-        _fail(path, f"expected 2 elements, got {len(items)}")
-    return first(items[0], f"{path}[0]"), second(items[1], f"{path}[1]")
+_LEAVES = _Field(
+    lambda trees, level: _LEAF_LIST.write(
+        [_Leaf(s, trees[s]) for s in sorted(trees, key=lambda s: (len(s), s))], level
+    ),
+    _dec_leaves,
+)
+_RMAP = _Record(RMap, (("depth", _INT), ("trees", _LEAVES)))
+_UNIVERSE = _Field(
+    lambda u, level: _REALS.write(u.reals, level),
+    lambda obj, path: _made(GroundUniverse, path, _REALS.read(obj, path)),
+)
+
+# ----------------------------------------------------------------- reports
+
+_VIOLATION = _Record(Violation, (
+    ("condition", _STR),
+    ("pair_index", _INT),
+    ("n", _optional(_INT)),
+    ("s1", _optional(_WORD)),
+    ("s2", _optional(_WORD)),
+    ("reason", _STR),
+), pair_index="ntilde")
+_ROW = _Record(DominationRow, (
+    ("x", _REAL),
+    ("f_values", _INTS),
+    ("g_values", _INTS),
+    ("in_tree", _BOOLS),
+    ("failure_set", _INTS),
+    ("violating_pairs", _list(_pair(_INT, _INT))),
+    ("pointwise_failures", _INTS),
+))
+
+# Each report is written after its "report_type" key, which decode reads
+# first to pick the table.
+_REPORTS = {
+    "wrapper": _Record(WrapperReport, (("passed", _BOOL), ("violations", _list(_VIOLATION)))),
+    "domination": _Record(DominationReport, (
+        ("passed", _BOOL),
+        ("n_reals", _INT),
+        ("pointwise_enforced", _BOOL),
+        ("rows", _list(_ROW)),
+    )),
+    "fusion": _Record(FusionReport, (
+        ("passed", _BOOL), ("failures", _list(_STR)), ("chain", _list(_HPT)),
+    )),
+    "obstruction": _Record(ObstructionReport, (
+        ("n", _INT),
+        ("ntilde", _INT),
+        ("r0", _REAL),
+        ("r1", _REAL),
+        ("u", _REAL),
+        ("clause", _STR),
+        ("index", _optional(_INT)),
+        ("s1", _optional(_WORD)),
+        ("s2", _optional(_WORD)),
+        ("tree1", _optional(_TREE)),
+        ("tree2", _optional(_TREE)),
+        ("reason", _STR),
+    )),
+    "brute": _Record(BruteSummary, (
+        ("n", _INT),
+        ("ntilde", _INT),
+        ("u", _REAL),
+        ("total", _INT),
+        ("histogram", _list(_pair(_STR, _INT))),
+        ("survivors", _INT),
+        ("vacuous", _BOOL),
+        ("s_uniform", _BOOL),
+        ("max_branches", _INT),
+    )),
+}
+_REPORT_TYPES = {record.make: name for name, record in _REPORTS.items()}
 
 
-def _dec_opt(obj: Any, path: str, dec):
-    return None if obj is None else dec(obj, path)
+def _write_report(report, level: int) -> str:
+    name = _REPORT_TYPES.get(type(report))
+    if name is None:
+        raise CodecError(f"$: no report encoding for {type(report).__name__}")
+    record = _REPORTS[name]
+    template = _template(("report_type",) + record.keys, level)
+    return template % (_dumps(name), *record.texts(report, level))
 
 
-def _dec_report(obj: Any, path: str):
+def _read_report(obj: Any, path: str):
     obj = _as_obj(obj, path)
-    rtype = _as_str(_get(obj, "report_type", path), f"{path}.report_type")
-    if rtype == "wrapper":
-        violations = []
-        for i, v in enumerate(_as_list(_get(obj, "violations", path), f"{path}.violations")):
-            vpath = f"{path}.violations[{i}]"
-            v = _as_obj(v, vpath)
-            n = _get(v, "n", vpath)
-            violations.append(
-                Violation(
-                    _as_str(_get(v, "condition", vpath), f"{vpath}.condition"),
-                    _as_int(_get(v, "pair_index", vpath), f"{vpath}.pair_index"),
-                    None if n is None else _as_int(n, f"{vpath}.n"),
-                    _dec_opt(_get(v, "s1", vpath), f"{vpath}.s1", _dec_word),
-                    _dec_opt(_get(v, "s2", vpath), f"{vpath}.s2", _dec_word),
-                    _as_str(_get(v, "reason", vpath), f"{vpath}.reason"),
-                )
-            )
-        return WrapperReport(
-            _as_bool(_get(obj, "passed", path), f"{path}.passed"), tuple(violations)
-        )
-    if rtype == "domination":
-        rows = []
-        for i, row in enumerate(_as_list(_get(obj, "rows", path), f"{path}.rows")):
-            rpath = f"{path}.rows[{i}]"
-            row = _as_obj(row, rpath)
+    name = _as_str(_get(obj, "report_type", path), f"{path}.report_type")
+    if name not in _REPORTS:
+        _fail(f"{path}.report_type", f"unknown report type {name!r}")
+    return _REPORTS[name].read(obj, path)
 
-            def ints(key):
-                return _as_ints(_get(row, key, rpath), f"{rpath}.{key}")
 
-            pairs = tuple(
-                _dec_pair(p, f"{rpath}.violating_pairs[{j}]", _as_int, _as_int)
-                for j, p in enumerate(
-                    _as_list(_get(row, "violating_pairs", rpath), f"{rpath}.violating_pairs")
-                )
-            )
-            rows.append(
-                DominationRow(
-                    _dec_real(_get(row, "x", rpath), f"{rpath}.x"),
-                    ints("f_values"),
-                    ints("g_values"),
-                    tuple(
-                        _as_bool(v, f"{rpath}.in_tree[{j}]")
-                        for j, v in enumerate(_as_list(_get(row, "in_tree", rpath), f"{rpath}.in_tree"))
-                    ),
-                    ints("failure_set"),
-                    pairs,
-                    ints("pointwise_failures"),
-                )
-            )
-        return DominationReport(
-            _as_bool(_get(obj, "passed", path), f"{path}.passed"),
-            _as_int(_get(obj, "n_reals", path), f"{path}.n_reals"),
-            _as_bool(_get(obj, "pointwise_enforced", path), f"{path}.pointwise_enforced"),
-            tuple(rows),
-        )
-    if rtype == "fusion":
-        return FusionReport(
-            _as_bool(_get(obj, "passed", path), f"{path}.passed"),
-            tuple(
-                _as_str(f, f"{path}.failures[{i}]")
-                for i, f in enumerate(_as_list(_get(obj, "failures", path), f"{path}.failures"))
-            ),
-            tuple(
-                _dec_hpt(p, f"{path}.chain[{i}]")
-                for i, p in enumerate(_as_list(_get(obj, "chain", path), f"{path}.chain"))
-            ),
-        )
-    if rtype == "obstruction":
-        index = _get(obj, "index", path)
-        return ObstructionReport(
-            _as_int(_get(obj, "n", path), f"{path}.n"),
-            _as_int(_get(obj, "ntilde", path), f"{path}.ntilde"),
-            _dec_real(_get(obj, "r0", path), f"{path}.r0"),
-            _dec_real(_get(obj, "r1", path), f"{path}.r1"),
-            _dec_real(_get(obj, "u", path), f"{path}.u"),
-            _as_str(_get(obj, "clause", path), f"{path}.clause"),
-            None if index is None else _as_int(index, f"{path}.index"),
-            _dec_opt(_get(obj, "s1", path), f"{path}.s1", _dec_word),
-            _dec_opt(_get(obj, "s2", path), f"{path}.s2", _dec_word),
-            _dec_opt(_get(obj, "tree1", path), f"{path}.tree1", _dec_tree),
-            _dec_opt(_get(obj, "tree2", path), f"{path}.tree2", _dec_tree),
-            _as_str(_get(obj, "reason", path), f"{path}.reason"),
-        )
-    if rtype == "brute":
-        histogram = tuple(
-            _dec_pair(h, f"{path}.histogram[{i}]", _as_str, _as_int)
-            for i, h in enumerate(_as_list(_get(obj, "histogram", path), f"{path}.histogram"))
-        )
-        return BruteSummary(
-            _as_int(_get(obj, "n", path), f"{path}.n"),
-            _as_int(_get(obj, "ntilde", path), f"{path}.ntilde"),
-            _dec_real(_get(obj, "u", path), f"{path}.u"),
-            _as_int(_get(obj, "total", path), f"{path}.total"),
-            histogram,
-            _as_int(_get(obj, "survivors", path), f"{path}.survivors"),
-            _as_bool(_get(obj, "vacuous", path), f"{path}.vacuous"),
-            _as_bool(_get(obj, "s_uniform", path), f"{path}.s_uniform"),
-            _as_int(_get(obj, "max_branches", path), f"{path}.max_branches"),
-        )
-    _fail(f"{path}.report_type", f"unknown report type {rtype!r}")
+# ------------------------------------------------------------------- kinds
+
+_KINDS = {
+    "reals": _list(_REAL),
+    "trees": _list(_TREE),
+    "wrapper": _Field(_wrapper_parts, _WRAPPER.read),
+    "silver-tree": _SILVER,
+    "ground-universe": _UNIVERSE,
+    "rmap": _RMAP,
+    "report": _Field(_write_report, _read_report),
+}
+KINDS = tuple(_KINDS)
+_KIND_OF = {
+    ShrinkWrapper: "wrapper", SilverTree: "silver-tree", GroundUniverse: "ground-universe", RMap: "rmap",
+    **dict.fromkeys(_REPORT_TYPES, "report"),
+}
+
+
+def infer_kind(value) -> str:
+    for cls, kind in _KIND_OF.items():
+        if isinstance(value, cls):
+            return kind
+    if isinstance(value, (list, tuple, frozenset, set)):
+        items = list(value)
+        if all(isinstance(x, UPReal) for x in items):
+            return "reals"
+        if items and all(isinstance(x, BranchTree) for x in items):
+            return "trees"
+    raise CodecError(f"$: cannot infer an artifact kind for {type(value).__name__}")
+
+
+def encode(value, kind: Optional[str] = None) -> bytes:
+    """Serialize a value as a UTF-8 JSON artifact document."""
+    if kind is None:
+        kind = infer_kind(value)
+    if kind not in _KINDS:
+        raise CodecError(f"$: unknown kind {kind!r}")
+    payload = _KINDS[kind].write(value, 1)
+    parts = _parts(_template(_DOCUMENT, 0) + "\n", (_dumps(kind), _dumps(VERSION), payload))
+    return "".join(parts).encode("utf-8")
 
 
 def decode(data, expect: Optional[str] = None):
@@ -693,12 +613,16 @@ def decode(data, expect: Optional[str] = None):
 
     ``expect`` pins the kind; a mismatch is a decode error.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         document = json.loads(data)
     except json.JSONDecodeError as e:
         raise CodecError(f"$: invalid JSON at line {e.lineno} column {e.colno}") from None
+    except ValueError as e:  # bad UTF-8, or an integer longer than int() may parse
+        raise CodecError(f"$: invalid JSON: {e}") from None
+    except RecursionError:
+        raise CodecError("$: invalid JSON: nested too deeply") from None
     document = _as_obj(document, "$")
     kind = _as_str(_get(document, "kind", "$"), "$.kind")
     if kind not in KINDS:
@@ -708,31 +632,11 @@ def decode(data, expect: Optional[str] = None):
     version = _as_int(_get(document, "version", "$"), "$.version")
     if version != VERSION:
         _fail("$.version", f"unsupported version {version}")
-    payload = _get(document, "payload", "$")
-    path = "$.payload"
-    if kind == "reals":
-        return tuple(
-            _dec_real(x, f"{path}[{i}]") for i, x in enumerate(_as_list(payload, path))
-        )
-    if kind == "trees":
-        return tuple(
-            _dec_tree(t, f"{path}[{i}]") for i, t in enumerate(_as_list(payload, path))
-        )
-    if kind == "wrapper":
-        return _dec_wrapper(payload, path)
-    if kind == "silver-tree":
-        return _dec_silver(payload, path)
-    if kind == "ground-universe":
-        reals = frozenset(
-            _dec_real(x, f"{path}[{i}]") for i, x in enumerate(_as_list(payload, path))
-        )
-        try:
-            return GroundUniverse(reals)
-        except ValueError as e:
-            _fail(path, str(e))
-    if kind == "rmap":
-        return _dec_rmap(payload, path)
-    return _dec_report(payload, path)
+    try:
+        return _KINDS[kind].read(_get(document, "payload", "$"), "$.payload")
+    except RecursionError:
+        # The repr of a deeply nested value, in a message or a tree key.
+        raise CodecError("$.payload: nested too deeply") from None
 
 
 def save(path: str, value, kind: Optional[str] = None) -> None:

@@ -97,10 +97,24 @@ def sv_validate(p: SilverTree) -> bool:
     fixed = dict(p.fixed)
     if len(fixed) != len(p.fixed):
         return False
-    expected = set(range(p.horizon)) - p.split_levels
-    if set(fixed) != expected:
+    # The fixed levels must be exactly the levels below the horizon that do
+    # not split.  Counting first keeps the work linear in the representation,
+    # however large the declared horizon.
+    splits = sum(1 for l in p.split_levels if _is_level(l, p.horizon))
+    if len(fixed) + splits != p.horizon:
+        return False
+    if not all(_is_level(l, p.horizon) and l not in p.split_levels for l in fixed):
         return False
     return all(b in (0, 1) for b in fixed.values())
+
+
+def _is_level(l, horizon: int) -> bool:
+    """Does ``l`` equal a level below the horizon?  ``2.0`` and ``True`` do,
+    as they equal the ints 2 and 1; ``0.5`` and ``"a"`` do not."""
+    try:
+        return 0 <= l < horizon and l == int(l)
+    except (TypeError, ValueError):
+        return False
 
 
 def sv_leftmost(p: SilverTree, t: Node = ()) -> UPReal:

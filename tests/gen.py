@@ -18,10 +18,10 @@ from math import lcm
 
 from shrinkwrap.codec import CodecError
 from shrinkwrap.core import DEFAULT_CODERS, BranchTree, UPReal, up_sort_key
-from shrinkwrap.domination import DominationReport
+from shrinkwrap.domination import DominationReport, DominationRow
 from shrinkwrap.sacks import MAX_HORIZON, FusionReport, HorizonPerfectTree, RMap, stem_or_path
-from shrinkwrap.silver import ObstructionReport, SilverTree
-from shrinkwrap.wrapper import ShrinkWrapper, TreeFamily, WrapperReport, WrapperScope
+from shrinkwrap.silver import BruteSummary, GroundUniverse, ObstructionReport, SilverTree
+from shrinkwrap.wrapper import ShrinkWrapper, TreeFamily, Violation, WrapperReport, WrapperScope
 
 
 def parts(x) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -150,6 +150,21 @@ def rand_silver(rng: random.Random, horizon: int, min_splits: int = 1) -> Silver
     levels = frozenset(rng.sample(range(horizon), count))
     fixed = {l: rng.randrange(2) for l in range(horizon) if l not in levels}
     return SilverTree(horizon, levels, fixed)
+
+
+def naive_sv_validate(p: SilverTree) -> bool:
+    """The set-based Silver check: the fixed levels are the set of levels
+    below the horizon less the split levels, built in full."""
+    if p.horizon < 0:
+        return False
+    if not all(0 <= l < p.horizon for l in p.split_levels):
+        return False
+    fixed = dict(p.fixed)
+    if len(fixed) != len(p.fixed):
+        return False
+    if set(fixed) != set(range(p.horizon)) - p.split_levels:
+        return False
+    return all(b in (0, 1) for b in fixed.values())
 
 
 def naive_hpt_check(horizon: int, nodes) -> None:
@@ -382,6 +397,202 @@ def naive_dec_wrapper(obj, path: str = "$.payload") -> ShrinkWrapper:
     except ValueError as e:
         _naive_fail(path, str(e))
     return wrapper
+
+
+def _naive_bool(obj, path: str) -> bool:
+    if not isinstance(obj, bool):
+        _naive_fail(path, f"expected a boolean, got {obj!r}")
+    return obj
+
+
+def _naive_str(obj, path: str) -> str:
+    if not isinstance(obj, str):
+        _naive_fail(path, f"expected a string, got {type(obj).__name__}")
+    return obj
+
+
+def _naive_each(dec):
+    return lambda obj, path: tuple(
+        dec(v, f"{path}[{i}]") for i, v in enumerate(_naive_list(obj, path))
+    )
+
+
+def _naive_key(obj: dict, key: str, path: str, dec):
+    return dec(_naive_get(obj, key, path), f"{path}.{key}")
+
+
+def _naive_dec_opt(dec):
+    return lambda obj, path: None if obj is None else dec(obj, path)
+
+
+def _naive_pair(first, second):
+    def dec(obj, path: str) -> tuple:
+        items = _naive_list(obj, path)
+        if len(items) != 2:
+            _naive_fail(path, f"expected 2 elements, got {len(items)}")
+        return first(items[0], f"{path}[0]"), second(items[1], f"{path}[1]")
+
+    return dec
+
+
+def _naive_silver(obj, path: str) -> SilverTree:
+    obj = _naive_obj(obj, path)
+    horizon = _naive_key(obj, "horizon", path, _naive_int)
+    levels = frozenset(_naive_key(obj, "split_levels", path, _naive_each(_naive_int)))
+    fixed = {}
+    for key, bit in _naive_obj(_naive_get(obj, "fixed", path), f"{path}.fixed").items():
+        kpath = f"{path}.fixed[{key!r}]"
+        digits = key[1:] if key.startswith("-") else key
+        if not (digits.isascii() and digits.isdigit()):
+            _naive_fail(kpath, "level keys must be integers")
+        if int(key) in fixed:
+            _naive_fail(kpath, f"level {int(key)} is fixed twice")
+        fixed[int(key)] = _naive_int(bit, kpath)
+    return SilverTree(horizon, levels, fixed)
+
+
+def _naive_hpt(obj, path: str) -> HorizonPerfectTree:
+    obj = _naive_obj(obj, path)
+    horizon = _naive_key(obj, "horizon", path, _naive_int)
+    nodes = frozenset(_naive_key(obj, "nodes", path, _naive_each(_naive_word)))
+    try:
+        return HorizonPerfectTree(horizon, nodes)
+    except ValueError as e:
+        _naive_fail(path, str(e))
+
+
+def _naive_rmap(obj, path: str) -> RMap:
+    obj = _naive_obj(obj, path)
+    depth = _naive_key(obj, "depth", path, _naive_int)
+    trees = {}
+    for i, entry in enumerate(_naive_list(_naive_get(obj, "trees", path), f"{path}.trees")):
+        epath = f"{path}.trees[{i}]"
+        entry = _naive_obj(entry, epath)
+        word = _naive_key(entry, "s", epath, _naive_word)
+        tree = _naive_key(entry, "tree", epath, _naive_hpt)
+        if word in trees:
+            _naive_fail(f"{epath}.s", f"duplicate word {''.join(map(str, word))!r}")
+        trees[word] = tree
+    try:
+        return RMap(depth, trees)
+    except ValueError as e:
+        _naive_fail(path, str(e))
+
+
+def _naive_violation(obj, path: str) -> Violation:
+    obj = _naive_obj(obj, path)
+    return Violation(
+        _naive_key(obj, "condition", path, _naive_str),
+        _naive_key(obj, "pair_index", path, _naive_int),
+        _naive_key(obj, "n", path, _naive_dec_opt(_naive_int)),
+        _naive_key(obj, "s1", path, _naive_dec_opt(_naive_word)),
+        _naive_key(obj, "s2", path, _naive_dec_opt(_naive_word)),
+        _naive_key(obj, "reason", path, _naive_str),
+    )
+
+
+def _naive_row(obj, path: str) -> DominationRow:
+    obj = _naive_obj(obj, path)
+
+    def get(key, dec):
+        return _naive_key(obj, key, path, dec)
+
+    ints = _naive_each(_naive_int)
+    return DominationRow(
+        get("x", _naive_real),
+        get("f_values", ints),
+        get("g_values", ints),
+        get("in_tree", _naive_each(_naive_bool)),
+        get("failure_set", ints),
+        get("violating_pairs", _naive_each(_naive_pair(_naive_int, _naive_int))),
+        get("pointwise_failures", ints),
+    )
+
+
+def _naive_report(obj, path: str):
+    obj = _naive_obj(obj, path)
+    rtype = _naive_key(obj, "report_type", path, _naive_str)
+
+    def get(key, dec):
+        return _naive_key(obj, key, path, dec)
+
+    if rtype == "wrapper":
+        return WrapperReport(
+            get("passed", _naive_bool), get("violations", _naive_each(_naive_violation))
+        )
+    if rtype == "domination":
+        return DominationReport(
+            get("passed", _naive_bool),
+            get("n_reals", _naive_int),
+            get("pointwise_enforced", _naive_bool),
+            get("rows", _naive_each(_naive_row)),
+        )
+    if rtype == "fusion":
+        return FusionReport(
+            get("passed", _naive_bool),
+            get("failures", _naive_each(_naive_str)),
+            get("chain", _naive_each(_naive_hpt)),
+        )
+    if rtype == "obstruction":
+        return ObstructionReport(
+            get("n", _naive_int),
+            get("ntilde", _naive_int),
+            get("r0", _naive_real),
+            get("r1", _naive_real),
+            get("u", _naive_real),
+            get("clause", _naive_str),
+            get("index", _naive_dec_opt(_naive_int)),
+            get("s1", _naive_dec_opt(_naive_word)),
+            get("s2", _naive_dec_opt(_naive_word)),
+            get("tree1", _naive_dec_opt(_naive_tree)),
+            get("tree2", _naive_dec_opt(_naive_tree)),
+            get("reason", _naive_str),
+        )
+    if rtype == "brute":
+        return BruteSummary(
+            get("n", _naive_int),
+            get("ntilde", _naive_int),
+            get("u", _naive_real),
+            get("total", _naive_int),
+            get("histogram", _naive_each(_naive_pair(_naive_str, _naive_int))),
+            get("survivors", _naive_int),
+            get("vacuous", _naive_bool),
+            get("s_uniform", _naive_bool),
+            get("max_branches", _naive_int),
+        )
+    _naive_fail(f"{path}.report_type", f"unknown report type {rtype!r}")
+
+
+def _naive_universe(obj, path: str) -> GroundUniverse:
+    reals = frozenset(_naive_each(_naive_real)(obj, path))
+    try:
+        return GroundUniverse(reals)
+    except ValueError as e:
+        _naive_fail(path, str(e))
+
+
+_NAIVE_PAYLOADS = {
+    "reals": _naive_each(_naive_real),
+    "trees": _naive_each(_naive_tree),
+    "wrapper": naive_dec_wrapper,
+    "silver-tree": _naive_silver,
+    "ground-universe": _naive_universe,
+    "rmap": _naive_rmap,
+    "report": _naive_report,
+}
+
+
+def naive_decode(document):
+    """A parsed artifact document decoded by hand-written walkers, one per
+    kind and report type, each reading its keys in document order."""
+    document = _naive_obj(document, "$")
+    kind = _naive_key(document, "kind", "$", _naive_str)
+    if kind not in _NAIVE_PAYLOADS:
+        _naive_fail("$.kind", f"unknown kind {kind!r}")
+    version = _naive_key(document, "version", "$", _naive_int)
+    if version != 1:
+        _naive_fail("$.version", f"unsupported version {version}")
+    return _NAIVE_PAYLOADS[kind](_naive_get(document, "payload", "$"), "$.payload")
 
 
 def _naive_word_text(s) -> str:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from gen import (
     mutate_at_level,
     naive_dec_wrapper,
+    naive_decode,
     naive_encode,
     rand_branch_tree,
     rand_rmap,
@@ -457,6 +458,33 @@ class TestDecodeErrors:
         doc = {"kind": "reals", "version": 1, "payload": [{"prefix": [], "period": [0, True]}]}
         self.check(json.dumps(doc), r"\$\.payload\[0\]\.period\[1\]: expected an integer, got True")
 
+    def test_deep_nesting(self):
+        data = '{"kind": "reals", "version": 1, "payload": ' + "[" * 100_000
+        self.check(data, re.escape("$: invalid JSON: nested too deeply"))
+
+    def test_deep_value_in_an_error_message(self):
+        # A rejected value is printed in its message, and a row's field is
+        # read a dozen frames below where the parser started: the deepest
+        # value the parser takes there cannot be printed.
+        doc = json.loads(encode(violating_report()))
+        doc["payload"]["rows"][0]["in_tree"] = ["deep"]
+        text = json.dumps(doc)
+        for depth in range(1000, 0, -1):
+            with pytest.raises(CodecError) as caught:
+                decode(text.replace('"deep"', "[" * depth + "]" * depth))
+            if "invalid JSON" not in str(caught.value):
+                break
+        assert str(caught.value) == "$.payload: nested too deeply"
+
+    def test_invalid_utf8(self):
+        self.check(b'{"kind": "reals", "version": 1, "payload": []}\xff', re.escape(
+            "$: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 46"
+        ))
+
+    def test_integer_past_the_digit_limit(self):
+        data = '{"kind": "reals", "version": 1, "payload": [{"prefix": [%s], "period": [0]}]}'
+        self.check(data % ("1" * 5000), re.escape("$: invalid JSON: Exceeds the limit (4300 digits)"))
+
     def test_unknown_report_type(self):
         doc = {"kind": "report", "version": 1, "payload": {"report_type": "nope"}}
         self.check(json.dumps(doc), "report_type")
@@ -556,6 +584,97 @@ class TestWrapperDecodeOracle:
         monkeypatch.setattr(BranchTree, "__post_init__", counting)
         decode(data)
         assert len(built) == len(distinct) < len(entries)
+
+
+def every_artifact():
+    """(value, kind) for every kind and report type, small enough to corrupt
+    one element at a time."""
+    rmap = rand_rmap(random.Random(3), 1, 3)
+    padded = build_padded_wrapper((ZERO, R([1])), decoys=(R([0, 1]), R([1, 1])), seed=3)
+    return [
+        (XS + (R([2, 1], (0, 1)),), "reals"),
+        ((T(ZERO), T(R([1]), R([0, 1]))), "trees"),
+        (padded, "wrapper"),
+        (P6, "silver-tree"),
+        (G4, "ground-universe"),
+        (rmap, "rmap"),
+        (verify_wrapper(build_wrapper(XS), (ZERO, R([1]), R([0, 1]), R([2]))), "report"),
+        (violating_report(), "report"),
+        (check_domination(XS, (R([2]),), wrapper=build_wrapper(XS)), "report"),
+        (verify_fusion_helper(rmap), "report"),
+        (obstruct(build_wrapper(XS), G8, P6), "report"),
+        (
+            ObstructionReport(
+                1, 5, ZERO, R([1]), R([2]), "3c", None, (0,), (1, 0), T(ZERO), T(R([1])), "x"
+            ),
+            "report",
+        ),
+        (brute_obstruction(G4, P6, max_branches=1), "report"),
+    ]
+
+
+ARTIFACTS = [encode(value, kind) for value, kind in every_artifact()]
+
+
+def both_decoders(text: str):
+    """decode's outcome and the oracle's, each a value or an error."""
+    return outcome(lambda: decode(text)), outcome(lambda: naive_decode(json.loads(text)))
+
+
+class TestDecodeOracle:
+    """The table-driven decoder against hand-written walkers, on every kind
+    and report type."""
+
+    def test_clean_documents(self):
+        for (value, kind), data in zip(every_artifact(), ARTIFACTS):
+            assert decode(data) == naive_decode(json.loads(data)) == decode(encode(value, kind))
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.integers(0, len(ARTIFACTS) - 1),
+        st.integers(0, 2**32),
+        st.sampled_from(("replace", "retype", "delete", "duplicate", "extend")),
+        st.sampled_from(REPLACEMENTS + ("x", 2.0, -1, [0, 1, 2], ["condition2", 1, 2])),
+    )
+    def test_corrupted_documents(self, which, where, how, value):
+        doc = json.loads(ARTIFACTS[which])
+        spots = list(locations(doc["payload"]))
+        container, key = spots[where % len(spots)]
+        original = container[key]
+        if how == "retype" and type(original) is int:
+            container[key] = bool(original) if original in (0, 1) else float(original)
+        elif how == "delete":
+            del container[key]
+        elif how == "duplicate" and isinstance(container, list):
+            container.insert(key, json.loads(json.dumps(container[key])))
+        elif how == "extend" and isinstance(original, list) and original:
+            original.append(original[-1])  # a pair with three elements
+        else:
+            container[key] = value
+        got, want = both_decoders(json.dumps(doc))
+        assert got == want
+
+    @pytest.mark.parametrize("empty", [{}, []], ids=["object", "list"])
+    def test_every_container_emptied(self, empty):
+        for data in ARTIFACTS:
+            doc = json.loads(data)
+            for container, key in locations(doc["payload"]):
+                original = container[key]
+                if isinstance(original, (dict, list)):
+                    container[key] = empty
+                    got, want = both_decoders(json.dumps(doc))
+                    assert got == want
+                    container[key] = original
+
+    def test_keys_are_read_in_document_order(self):
+        # An emptied record reports the first key it lacks in document order.
+        failed = verify_wrapper(build_wrapper(XS), (ZERO, R([1]), R([0, 1]), R([2])))
+        emptied = ((failed, "violations", "condition"), (violating_report(), "rows", "x"))
+        for report, field, key in emptied:
+            doc = json.loads(encode(report))
+            doc["payload"][field][0] = {}
+            with pytest.raises(CodecError, match=re.escape(f"[0]: missing key {key!r}")):
+                decode(json.dumps(doc))
 
 
 @pytest.fixture
@@ -690,6 +809,25 @@ class TestCli:
         assert "survivors 0" in capsys.readouterr().out
         assert run(["silver-obstruct", "--universe", g, "--tree", p,
                     "--brute", "--max-branches", "0"]) == 0
+
+    def test_silver_obstruct_brute_on_a_huge_horizon(self, paths, capsys):
+        # 10**8 levels with no fixed bits: rejected without listing them.
+        tmp, save = paths
+        tree = save("p.json", SilverTree(10**8, frozenset(), {}))
+        start = time.perf_counter()
+        code = run(["silver-obstruct", "--universe", save("g.json", G4), "--tree", tree,
+                    "--brute", "--max-branches", "1"])
+        assert code == 2
+        assert "not a valid silver representation" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1.0
+
+    def test_build_on_deeply_nested_reals(self, tmp_path, capsys):
+        # Exit code 1 is reserved for a reported failure; a file that cannot
+        # be read exits 2 with its path in the message.
+        reals = tmp_path / "xs.json"
+        reals.write_text('{"kind": "reals", "version": 1, "payload": ' + "[" * 100_000)
+        assert run(["build", "--reals", str(reals), "--out", str(tmp_path / "w.json")]) == 2
+        assert capsys.readouterr().err == "error: $: invalid JSON: nested too deeply\n"
 
     def test_brute_needs_a_bound(self, paths):
         tmp, save = paths

@@ -5,10 +5,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from gen import naive_clause_counts, rand_hpt, rand_silver
+from gen import naive_clause_counts, naive_sv_validate, rand_hpt, rand_silver
 from shrinkwrap.core import ZERO, UPReal, up_eval, up_first_diff, up_sort_key
 from shrinkwrap.silver import (
     BruteSummary,
@@ -65,6 +66,65 @@ class TestValidate:
 
     def test_negative_horizon(self):
         assert not sv_validate(SilverTree(-1, frozenset(), {}))
+
+    def test_huge_horizon_allocates_nothing(self):
+        # A set of every level below the horizon would take 99 MB here.
+        p = SilverTree(10**6, frozenset(), {})
+        tracemalloc.start()
+        try:
+            assert not sv_validate(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def validate_cases():
+    """Seeded representations, valid and broken one way each, with level
+    keys of other types: 2.0 and True equal a level, 0.5 and "a" do not."""
+    rng = random.Random(41)
+    cases = [
+        SilverTree(1, frozenset(), {"a": 0}),
+        SilverTree(1, frozenset({0.5}), {0: 1}),
+        SilverTree(2, frozenset({0.5}), {0: 1}),
+        SilverTree(2, frozenset({1.0}), {0: 1}),
+        SilverTree(2, frozenset(), {True: 1, 0: 0}),
+        SilverTree(0, frozenset(), {}),
+    ]
+    for _ in range(300):
+        p = rand_silver(rng, rng.randint(1, 9), min_splits=0)
+        fixed, levels = dict(p.fixed), set(p.split_levels)
+        move = rng.randrange(10)
+        if move == 1 and fixed:
+            del fixed[rng.choice(sorted(fixed))]
+        elif move == 2 and levels:
+            fixed[rng.choice(sorted(levels))] = 0
+        elif move == 3:
+            fixed[rng.choice([-1, p.horizon, p.horizon + 3])] = 1
+        elif move == 4 and fixed:
+            level = rng.choice(sorted(fixed))
+            fixed[rng.choice([float(level), level + 0.5, level - 0.5])] = fixed.pop(level)
+        elif move == 5:
+            levels.add(rng.choice([-1, p.horizon, 0.5, p.horizon - 0.5]))
+        elif move == 6 and fixed:
+            fixed[rng.choice(sorted(fixed))] = 2
+        elif move == 7:
+            p = dataclasses.replace(p, horizon=p.horizon + rng.choice([-1, 1]))
+        elif move == 8 and 1 in fixed:
+            fixed[True] = fixed.pop(1)
+        elif move == 9 and fixed and levels:
+            # Right count, wrong levels: a split level fixed in place of another.
+            del fixed[rng.choice(sorted(fixed))]
+            fixed[rng.choice(sorted(levels))] = 0
+        cases.append(SilverTree(p.horizon, frozenset(levels), fixed))
+    return cases
+
+
+def test_validate_matches_the_set_based_check():
+    cases = validate_cases()
+    assert [p for p in cases if sv_validate(p) != naive_sv_validate(p)] == []
+    verdicts = [naive_sv_validate(p) for p in cases]
+    assert 50 < sum(verdicts) < len(verdicts) - 50
 
 
 class TestStemAndNodes:
