@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import functools
 import json
-from operator import attrgetter
+import marshal
+from itertools import groupby, repeat
+from operator import attrgetter, itemgetter
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from shrinkwrap.core import (
     DEFAULT_CODERS,
@@ -207,7 +209,8 @@ def _write(value, level: int, out: list[str]) -> None:
 
 # ----------------------------------------------------------------- reading
 
-_UNBITS = bytes.maketrans(b"01", b"\x00\x01")
+# "0" and "1" become the bytes 0 and 1, and every other byte becomes 2.
+_UNBITS = bytes(c - 48 if c in b"01" else 2 for c in range(256))
 
 
 def _bits(s: str) -> Node:
@@ -355,13 +358,14 @@ _HPT = _Record(
 #
 # A wrapper's F entries hold almost all of its bytes.  They are written as
 # parts: each distinct tree is rendered once and is one shared part.  They
-# are read with a typed check per entry and each distinct tree object
-# decoded once; only an entry that fails goes through _ENTRY's reader.
+# are read column by column, each distinct tree object decoded once; a
+# document that fails a column check is read again entry by entry.
 
 _SCOPE = _Record(WrapperScope, (("N", _INT), ("Ntilde", _INT)), N="n_reals", Ntilde="n_pairs")
 _ENTRY = _Record(
     lambda *fields: fields, (("pair_index", _INT), ("n", _INT), ("s", _WORD), ("tree", _TREE))
 )
+_ENTRY_COLUMNS = tuple(map(itemgetter, _ENTRY.keys))
 
 
 def _entries_parts(families: dict, level: int) -> list[str]:
@@ -386,41 +390,56 @@ def _entries_parts(families: dict, level: int) -> list[str]:
     return entries
 
 
-def _dec_entries(obj: Any, path: str) -> dict[tuple[int, int], dict[Node, BranchTree]]:
+def _dec_entries(obj: Any, path: str) -> dict[tuple[int, int], Iterable[tuple[bytes | Node, BranchTree]]]:
+    """Each family's (class prefix, tree) leaves, in document order, to be
+    read once."""
+    entries = _as_list(obj, path)
+    try:
+        nts, ns, words, tree_objs = (list(map(get, entries)) for get in _ENTRY_COLUMNS)
+        prefixes = list(map(bytes.translate, map(str.encode, words), repeat(_UNBITS)))
+        # marshal keeps every type apart, where 1, True and 1.0 compare and
+        # hash equal, so its bytes are an exact key for a parsed tree.
+        # Version 2 writes no back-references: the bytes follow the value.
+        keys = list(map(marshal.dumps, tree_objs, repeat(2)))
+    except (TypeError, KeyError, ValueError):  # a bad entry, or a tree nested too deeply
+        return _dec_entries_checked(entries, path)
+    if set(map(type, nts + ns)) - {int} or b"".join(prefixes).translate(None, b"\x00\x01"):
+        return _dec_entries_checked(entries, path)
+    # Each family's entries as one run; a family split over two runs, or a
+    # repeated prefix, goes to the entry-by-entry reader.
+    runs: dict[tuple[int, int], slice] = {}
+    start = 0
+    for family, run in groupby(zip(nts, ns)):
+        end = start + len(list(run))
+        if family in runs or len(set(prefixes[start:end])) < end - start:
+            return _dec_entries_checked(entries, path)
+        runs[family] = slice(start, end)
+        start = end
+    # Each distinct tree object is read once, at the first entry holding it.
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    trees = {
+        key: _TREE.read(tree_objs[i], f"{path}[{i}].tree")
+        for key, i in sorted(first.items(), key=itemgetter(1))
+    }
+    trees = list(map(trees.__getitem__, keys))
+    return {family: zip(prefixes[run], trees[run]) for family, run in runs.items()}
+
+
+def _dec_entries_checked(entries: list, path: str) -> dict:
+    # Every entry through _ENTRY's reader, so that the first failure in
+    # document order is the one reported.
     tables: dict[tuple[int, int], dict[Node, BranchTree]] = {}
-    # A padded family repeats one filler tree in almost every leaf, so each
-    # distinct tree object is decoded once.  repr() is an exact key for
-    # parsed JSON: 1, True and 1.0 print differently, although they compare
-    # and hash equal.  Only successes are kept, so a bad tree still fails
-    # at the first entry that holds it.
-    trees: dict[str, BranchTree] = {}
-    for i, entry in enumerate(_as_list(obj, path)):
-        try:
-            nt, n, s, tree_obj = entry["pair_index"], entry["n"], entry["s"], entry["tree"]
-        except (TypeError, KeyError):
-            nt = None
-        # Path strings are built only for an entry that fails these checks;
-        # _ENTRY's reader then reports the first failure in document order.
-        if type(nt) is int and type(n) is int and type(s) is str and not s.strip("01"):
-            prefix = _bits(s)
-            key = repr(tree_obj)
-            tree = trees.get(key)
-            if tree is None:
-                tree = trees[key] = _TREE.read(tree_obj, f"{path}[{i}].tree")
-        else:
-            nt, n, prefix, tree = _ENTRY.read(entry, f"{path}[{i}]")
+    for i, entry in enumerate(entries):
+        nt, n, prefix, tree = _ENTRY.read(entry, f"{path}[{i}]")
         table = tables.setdefault((nt, n), {})
         if prefix in table:
             _fail(f"{path}[{i}].s", f"duplicate leaf {_enc_word(prefix)!r}")
         table[prefix] = tree
-    return tables
+    return {fam: list(table.items()) for fam, table in tables.items()}
 
 
 def _wrapper(scope: WrapperScope, tables: dict, isolated: tuple) -> ShrinkWrapper:
-    families = {
-        (nt, n): TreeFamily(nt, tuple(sorted(table.items())))
-        for (nt, n), table in tables.items()
-    }
+    families = {(nt, n): TreeFamily(nt, leaves) for (nt, n), leaves in tables.items()}
     wrapper = ShrinkWrapper(scope, families, isolated)
     wrapper.check_total(DEFAULT_CODERS)
     return wrapper
@@ -635,7 +654,7 @@ def decode(data, expect: Optional[str] = None):
     try:
         return _KINDS[kind].read(_get(document, "payload", "$"), "$.payload")
     except RecursionError:
-        # The repr of a deeply nested value, in a message or a tree key.
+        # The repr of a deeply nested value in a message.
         raise CodecError("$.payload: nested too deeply") from None
 
 

@@ -238,6 +238,11 @@ class RMap:
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
         trees = {tuple(s): p for s, p in dict(self.trees).items()}
+        # There are 2**(depth + 1) - 1 words up to the depth; counting the
+        # keys first bounds the work by the map, not by the declared depth.
+        count = len(trees) + 1
+        if count & (count - 1) or count.bit_length() != self.depth + 2:
+            raise ValueError("need exactly one tree per word up to the depth")
         expected = {
             tuple(w)
             for l in range(self.depth + 1)

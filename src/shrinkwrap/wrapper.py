@@ -101,20 +101,27 @@ class TreeFamily:
     def __post_init__(self):
         if self.width < 0:
             raise ValueError("width must be nonnegative")
-        table = {}
-        for prefix, tree in self.leaves:
-            prefix = tuple(prefix)
-            bits = _int_bits(prefix)
-            if bits is None or len(bits) > self.width:
-                raise ValueError(f"bad class prefix {prefix!r} for width {self.width}")
-            if bits in table:
-                raise ValueError(f"duplicate class prefix {bits!r}")
-            table[bits] = tree
-        _check_partition(table, self.width)
-        reduced = _reduce(table)
-        object.__setattr__(
-            self, "leaves", tuple(sorted(reduced.items()))
-        )
+        bits, trees = _class_bits(self.leaves, self.width)
+        # One sort, then one pass over lexicographic neighbours.  Every
+        # extension of a prefix follows it directly, so the first
+        # overlapping neighbours are the first overlapping pair overall, a
+        # repeated prefix overlaps itself, and sibling classes are adjacent.
+        order = sorted(range(len(bits)), key=bits.__getitem__)
+        merges = False
+        for i, j in zip(order, order[1:]):
+            p, q = bits[i], bits[j]
+            if q.startswith(p):
+                _check_repeats(bits)
+                raise ValueError(f"overlapping class prefixes {tuple(p)!r} and {tuple(q)!r}")
+            if len(p) == len(q) and p[:-1] == q[:-1] and trees[i] == trees[j]:
+                merges = True
+        # A class of length l holds 2**(width - l) words.
+        if sum(map((1 << self.width).__rshift__, map(len, bits))) != 1 << self.width:
+            raise ValueError("class prefixes do not cover every word")
+        leaves = zip(map(tuple, map(bits.__getitem__, order)), map(trees.__getitem__, order))
+        if merges:
+            leaves = sorted(_reduce(dict(leaves)).items())
+        object.__setattr__(self, "leaves", tuple(leaves))
 
     @classmethod
     def constant(cls, width: int, tree: BranchTree) -> "TreeFamily":
@@ -168,17 +175,17 @@ class TreeFamily:
         return best
 
 
-def _int_bits(word: tuple) -> Optional[Node]:
-    """The word with each letter as the int 0 or 1, or None unless every
-    letter equals 0 or 1.  A bit given as True or 1.0 is stored as the int,
-    which the codec writes as a "0"/"1" word."""
+def _bit_bytes(word: tuple | bytes) -> Optional[bytes]:
+    """The word as one byte 0 or 1 per letter, or None unless every letter
+    equals 0 or 1.  A bit given as True or 1.0 becomes the byte 1, so the
+    family stores it as the int 1, which the codec writes as a "0"/"1" word."""
     try:
         bits = bytes(word)  # one C pass when every letter is an int in range
     except (TypeError, ValueError):  # a letter such as 1.0, -1 or "1"
         if word.count(0) + word.count(1) != len(word):
             return None
-        return tuple(map(int, word))
-    return None if bits.translate(None, b"\x00\x01") else tuple(bits)
+        return bytes(map(int, word))
+    return None if bits.translate(None, b"\x00\x01") else bits
 
 
 def _split_in(table: dict[Node, BranchTree], word: Node) -> dict[Node, BranchTree]:
@@ -192,17 +199,40 @@ def _split_in(table: dict[Node, BranchTree], word: Node) -> dict[Node, BranchTre
     return out
 
 
-def _check_partition(table: Mapping[Node, BranchTree], width: int) -> None:
-    # In lexicographic order every extension of a prefix follows it
-    # directly, so an overlap shows up between neighbours, and the first
-    # overlapping neighbours are the first overlapping pair overall.
-    prefixes = sorted(table)
-    for p, q in zip(prefixes, prefixes[1:]):
-        if p == q[: len(p)]:
-            raise ValueError(f"overlapping class prefixes {p!r} and {q!r}")
-    total = sum(1 << (width - len(p)) for p in prefixes)
-    if total != 1 << width:
-        raise ValueError("class prefixes do not cover every word")
+def _class_bits(leaves: Iterable, width: int) -> tuple[list[bytes], list[BranchTree]]:
+    # Each class prefix as bytes, checked, and its tree, in the order given.
+    # Prefixes that are all bytes already, as the codec reads them, are
+    # checked in one pass over their concatenation.
+    given: list = []
+    trees: list[BranchTree] = []
+    for prefix, tree in leaves:
+        given.append(prefix)
+        trees.append(tree)
+    if (
+        set(map(type, given)) == {bytes}
+        and not b"".join(given).translate(None, b"\x00\x01")
+        and max(map(len, given)) <= width
+    ):
+        return given, trees
+    bits: list[bytes] = []
+    for prefix in given:
+        if type(prefix) is not bytes:
+            prefix = tuple(prefix)
+        word = _bit_bytes(prefix)
+        if word is None or len(word) > width:
+            _check_repeats(bits)
+            raise ValueError(f"bad class prefix {tuple(prefix)!r} for width {width}")
+        bits.append(word)
+    return bits, trees
+
+
+def _check_repeats(bits: list[bytes]) -> None:
+    # The first class prefix given twice, in the order given.
+    seen = set()
+    for word in bits:
+        if word in seen:
+            raise ValueError(f"duplicate class prefix {tuple(word)!r}")
+        seen.add(word)
 
 
 def _reduce(table: Mapping[Node, BranchTree]) -> dict[Node, BranchTree]:
@@ -381,8 +411,11 @@ def verify_wrapper(
     violations: list[Violation] = []
 
     for nt, a, b in wrapper.scope.pairs(coders):
+        # Each family's distinct trees, once per pair position.
+        distinct: dict[int, dict[BranchTree, int]] = {}
         for n in (a, b):
             fam = wrapper.family(nt, n)
+            distinct[n] = fam.distinct_trees()
             # law 1: growth obedience, once per trie leaf
             for prefix, tree, _ in fam.classes():
                 for index in coders.class_shape_indices(prefix, nt, n):
@@ -399,7 +432,7 @@ def verify_wrapper(
                         )
                         break
             # law 2: some word's tree passes through the point
-            if not any(xs[n] in tree.branches for tree in fam.distinct_trees()):
+            if not any(xs[n] in tree.branches for tree in distinct[n]):
                 violations.append(
                     Violation(
                         "2",
@@ -412,8 +445,8 @@ def verify_wrapper(
                 )
         fam1 = wrapper.family(nt, a)
         fam2 = wrapper.family(nt, b)
-        for t1 in fam1.distinct_trees():
-            for t2 in fam2.distinct_trees():
+        for t1 in distinct[a]:
+            for t2 in distinct[b]:
                 tag, _, _, reason = _classify_trees(
                     t1, t2, wrapper.isolated[a], wrapper.isolated[b], xs[a], xs[b]
                 )

@@ -264,6 +264,50 @@ def naive_check_partition(table, width: int) -> None:
         raise ValueError("class prefixes do not cover every word")
 
 
+def _naive_bits(word: tuple):
+    # Each letter equal to 0 or 1 becomes that int; None if another letter.
+    if not all(b == 0 or b == 1 for b in word):
+        return None
+    return tuple(1 if b == 1 else 0 for b in word)
+
+
+def _naive_reduce(table: dict) -> dict:
+    # Merge sibling classes with equal trees, longest first, until none merge.
+    out = dict(table)
+    merged = True
+    while merged:
+        merged = False
+        for prefix in sorted(out, key=len, reverse=True):
+            if not prefix or prefix not in out:
+                continue
+            sibling = prefix[:-1] + (1 - prefix[-1],)
+            if sibling in out and out[sibling] == out[prefix]:
+                tree = out.pop(prefix)
+                out.pop(sibling)
+                out[prefix[:-1]] = tree
+                merged = True
+    return out
+
+
+def naive_tree_family(width: int, leaves) -> tuple:
+    """The reduced, sorted leaves a TreeFamily of this width stores, or its
+    ValueError: letters checked one by one, then repeats, the partition by
+    comparing every pair of prefixes, and sibling merges to a fixed point."""
+    if width < 0:
+        raise ValueError("width must be nonnegative")
+    table = {}
+    for prefix, tree in leaves:
+        prefix = tuple(prefix)
+        bits = _naive_bits(prefix)
+        if bits is None or len(bits) > width:
+            raise ValueError(f"bad class prefix {prefix!r} for width {width}")
+        if bits in table:
+            raise ValueError(f"duplicate class prefix {bits!r}")
+        table[bits] = tree
+    naive_check_partition(table, width)
+    return tuple(sorted(_naive_reduce(table).items()))
+
+
 def rand_prefix_table(rng: random.Random, width: int) -> dict:
     """Random class-prefix table for a width, valid or broken.
 
@@ -292,6 +336,40 @@ def rand_prefix_table(rng: random.Random, width: int) -> dict:
         else:
             table[tuple(rng.randrange(2) for _ in range(rng.randint(0, width)))] = 0
     return table
+
+
+def rand_family_leaves(rng: random.Random, width: int) -> list:
+    """Random (prefix, tree) leaves for a family of this width, valid or broken.
+
+    Starts from :func:`rand_prefix_table`, so overlaps and gaps occur, and
+    draws each tree from three placeholders, so equal siblings call for a
+    merge.  Prefixes come as tuples, lists or bytes, with bits given as
+    ``True`` or ``1.0``; now and then a leaf is repeated, a prefix runs past
+    the width or a letter is not a bit.
+    """
+    leaves = [(prefix, rng.randrange(3)) for prefix in rand_prefix_table(rng, width)]
+    if leaves and rng.random() < 0.15:
+        leaves.append(rng.choice(leaves))
+    if rng.random() < 0.1:
+        leaves.append((tuple(rng.randrange(2) for _ in range(width + 1)), 0))
+    rng.shuffle(leaves)
+    out = []
+    for prefix, tree in leaves:
+        form = rng.randrange(12)
+        if form == 1:
+            prefix = list(prefix)
+        elif form == 2:
+            prefix = bytes(prefix)
+        elif form == 3:
+            prefix = tuple(bool(b) for b in prefix)
+        elif form == 4:
+            prefix = tuple(float(b) for b in prefix)
+        elif form == 5 and prefix and rng.random() < 0.3:
+            letters = list(prefix)
+            letters[rng.randrange(len(letters))] = rng.choice((2, -1, 256, 0.5, "1", None))
+            prefix = tuple(letters)
+        out.append((prefix, tree))
+    return out
 
 
 def _naive_fail(path: str, message: str):
@@ -389,7 +467,7 @@ def naive_dec_wrapper(obj, path: str = "$.payload") -> ShrinkWrapper:
     )
     try:
         families = {
-            (nt, n): TreeFamily(nt, tuple(sorted(table.items())))
+            (nt, n): TreeFamily(nt, naive_tree_family(nt, table.items()))
             for (nt, n), table in tables.items()
         }
         wrapper = ShrinkWrapper(scope, families, isolated)

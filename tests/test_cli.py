@@ -5,8 +5,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import marshal
 import random
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -533,8 +535,96 @@ def outcome(decoder):
         return type(e), str(e)
 
 
+def twin_trees(seed: int) -> tuple[dict, int, int]:
+    """A padded wrapper document and two entries that hold equal trees."""
+    doc = json.loads(padded_document(seed))
+    first = {}
+    for i, entry in enumerate(doc["payload"]["F"]):
+        j = first.setdefault(json.dumps(entry["tree"]), i)
+        if j != i:
+            return doc, j, i
+    raise AssertionError("no tree is repeated")
+
+
+def set_branch(key, value):
+    def edit(tree):
+        tree["branches"][0][key] = value
+    return edit
+
+
+def nested(depth: int) -> list:
+    value = [0]
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def keep(tree):
+    pass
+
+
+# Edits that leave two equal trees differing only by what the name says,
+# each with whether it breaks its tree.
+MEMO_KEY_CASES = {
+    "1 and true": ((set_branch("period", [1]), False), (set_branch("period", [True]), True)),
+    "1 and 1.0": ((set_branch("period", [1]), False), (set_branch("period", [1.0]), True)),
+    "true and 1.0": ((set_branch("period", [True]), True), (set_branch("period", [1.0]), True)),
+    "[] and {} for a prefix": ((set_branch("prefix", []), False), (set_branch("prefix", {}), True)),
+    "key order": ((keep, False), (lambda tree: tree["branches"].__setitem__(
+        0, dict(reversed(tree["branches"][0].items()))), False)),
+    "an extra key": ((keep, False), (lambda tree: tree.__setitem__("extra", 1), False)),
+    "a deeply nested value": ((keep, False), (set_branch("prefix", nested(50)), True)),
+}
+
+
 class TestWrapperDecodeOracle:
     """The per-tree memo against the decoder that decodes every entry anew."""
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["in order", "swapped"])
+    @pytest.mark.parametrize("case", MEMO_KEY_CASES)
+    def test_memo_key_edge_cases(self, case, swap):
+        doc, i, j = twin_trees(0)
+        edits = MEMO_KEY_CASES[case][::-1] if swap else MEMO_KEY_CASES[case]
+        for k, (edit, _) in zip((i, j), edits):
+            edit(doc["payload"]["F"][k]["tree"])
+        text = json.dumps(doc)
+        got = outcome(lambda: decode(text))
+        assert got == outcome(lambda: naive_dec_wrapper(json.loads(text)["payload"], "$.payload"))
+        # Twins that stay equal decode as one tree; otherwise the first
+        # broken twin fails, even when the other was decoded first.
+        broken = [k for k, (_, breaks) in zip((i, j), edits) if breaks]
+        if broken:
+            assert got[0] is CodecError and got[1].startswith(f"$.payload.F[{broken[0]}].tree")
+        elif case in ("key order", "an extra key"):
+            assert got == ("ok", decode(padded_document(0)))
+
+    def test_broken_twins_fail_at_the_first(self):
+        doc, i, j = twin_trees(0)
+        for k in (i, j):
+            set_branch("period", [True])(doc["payload"]["F"][k]["tree"])
+        text = json.dumps(doc)
+        got = outcome(lambda: decode(text))
+        assert got == outcome(lambda: naive_dec_wrapper(json.loads(text)["payload"], "$.payload"))
+        assert got[1].startswith(f"$.payload.F[{i}].tree")
+
+    def test_tree_past_the_marshal_depth(self):
+        # A tree too deep for a memo key is read entry by entry, with the
+        # error and path the oracle gives.
+        doc, i, j = twin_trees(0)
+        set_branch("prefix", nested(2500))(doc["payload"]["F"][j]["tree"])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(8000)  # so that json can write and parse the tree at all
+        try:
+            text = json.dumps(doc)
+            with pytest.raises(ValueError, match="too deeply nested"):
+                marshal.dumps(json.loads(text)["payload"]["F"][j]["tree"], 2)
+            got = outcome(lambda: decode(text))
+            want = outcome(lambda: naive_dec_wrapper(json.loads(text)["payload"], "$.payload"))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
+        assert got[0] is CodecError
+        assert got[1].startswith(f"$.payload.F[{j}].tree.branches[0].prefix[0]: expected an integer")
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -789,6 +879,19 @@ class TestCli:
         rmap = save("rmap.json", RMap(1, {(): full, (0,): full, (1,): full}))
         assert run(["fusion", "--rmap", rmap]) == 1
         assert "comparable" in capsys.readouterr().out
+
+    def test_fusion_on_a_huge_declared_depth(self, tmp_path, capsys):
+        # One tree, but 2**61 - 1 words up to the declared depth: rejected
+        # by counting the keys, without listing the words.
+        doc = json.loads(encode(RMap(0, {(): HorizonPerfectTree.full(2)})))
+        doc["payload"]["depth"] = 60
+        rmap = tmp_path / "rmap.json"
+        rmap.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code = run(["fusion", "--rmap", str(rmap)])
+        assert code == 2
+        assert "need exactly one tree per word up to the depth" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1.0
 
     def test_silver_obstruct_wrapper(self, paths, capsys):
         tmp, save = paths

@@ -461,6 +461,38 @@ class TestVerifyFusionHelper:
         assert any("stems" in f for f in report.failures)
 
 
+    def test_level_union_outside_the_root_reported(self):
+        """The chain laws re-check what the refinement and stem laws give,
+        so this message never fires alone: a child that leaves the root's
+        tree is a refinement failure first."""
+        full = HorizonPerfectTree.full(4)
+        rmap = RMap(1, {(): full.below((0,)), (0,): full.below((0, 0)), (1,): full.below((1,))})
+        assert verify_fusion_helper(rmap).failures == (
+            "not a refinement of its parent at word (1,)",
+            "level union 1 is not contained in level union 0",
+        )
+
+    def test_level_union_losing_early_branching_reported(self):
+        """As above, this chain message comes only with a law failure: both
+        children of (1,) lie under (0,), which (1,)'s tree excludes, so the
+        level-2 union no longer branches at the root."""
+        full = HorizonPerfectTree.full(4)
+        rmap = RMap(2, {
+            (): full,
+            (0,): full.below((0,)),
+            (1,): full.below((1,)),
+            (0, 0): full.below((0, 0)),
+            (0, 1): full.below((0, 1)),
+            (1, 0): full.below((0, 0, 0)),
+            (1, 1): full.below((0, 0, 1)),
+        })
+        assert verify_fusion_helper(rmap).failures == (
+            "not a refinement of its parent at word (1, 0)",
+            "not a refinement of its parent at word (1, 1)",
+            "level union 2 does not keep the early branching of 1",
+        )
+
+
 def lcp(u, v):
     out = []
     for a, b in zip(u, v):

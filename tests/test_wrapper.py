@@ -7,13 +7,20 @@ from collections import Counter
 
 import pytest
 
-from gen import naive_check_partition, naive_equal, naive_first_diff, rand_prefix_table, rand_upreal
+from gen import (
+    naive_check_partition,
+    naive_equal,
+    naive_first_diff,
+    naive_tree_family,
+    rand_family_leaves,
+    rand_prefix_table,
+    rand_upreal,
+)
 from shrinkwrap.core import ZERO, BranchTree, UPReal, up_first_diff
 from shrinkwrap.wrapper import (
     ShrinkWrapper,
     TreeFamily,
     WrapperScope,
-    _check_partition,
     build_padded_wrapper,
     build_wrapper,
     classify_pair,
@@ -90,15 +97,44 @@ class TestTreeFamily:
                 return str(e)
             return None
 
+        def build(table, width):
+            TreeFamily(width, tuple(table.items()))
+
         for _ in range(3000):
             width = rng.randrange(7)
             table = rand_prefix_table(rng, width)
             expected = verdict(naive_check_partition, table, width)
-            assert verdict(_check_partition, table, width) == expected, (width, sorted(table))
+            assert verdict(build, table, width) == expected, (width, sorted(table))
             # "overlapping class prefixes ..." or "class prefixes do not cover ..."
             outcomes["ok" if expected is None else expected.split()[0]] += 1
         assert set(outcomes) == {"ok", "overlapping", "class"}
         assert min(outcomes.values()) > 300, outcomes
+
+    def test_one_pass_build_matches_oracle(self):
+        """The one sort and one neighbour pass against the letter-by-letter,
+        pairwise, merge-to-a-fixed-point oracle: the same leaves, down to the
+        type of every bit, or the same error."""
+        rng = random.Random(1111)
+        outcomes = Counter()
+
+        def outcome(build):
+            try:
+                return "ok", repr(build())
+            except ValueError as e:
+                return "error", str(e)
+
+        for _ in range(4000):
+            width = rng.randrange(7)
+            leaves = rand_family_leaves(rng, width)
+            want = outcome(lambda: naive_tree_family(width, leaves))
+            assert outcome(lambda: TreeFamily(width, leaves).leaves) == want, (width, leaves)
+            kind = want[1].split()[0] if want[0] == "error" else "ok"
+            if kind == "ok" and len(naive_tree_family(width, leaves)) < len(leaves):
+                kind = "merged"
+            outcomes[kind] += 1
+        # ok, merged, and errors: bad, duplicate, overlapping, class (a gap)
+        assert set(outcomes) == {"ok", "merged", "bad", "duplicate", "overlapping", "class"}
+        assert min(outcomes.values()) > 100, outcomes
 
     def test_distinct_trees_counts_words(self):
         special = T(R([1]))
@@ -234,6 +270,21 @@ class TestVerifyWrapper:
         report = verify_wrapper(w, (a, b))
         assert not report.passed
         assert any(v.condition == "3" for v in report.violations)
+
+    def test_each_family_is_scanned_once(self, monkeypatch):
+        rng = random.Random(45)
+        xs = [rand_upreal(rng) for _ in range(6)]
+        w = build_padded_wrapper(xs, decoys=[rand_upreal(rng) for _ in range(6)], seed=3)
+        scanned = []
+        distinct_trees = TreeFamily.distinct_trees
+
+        def counting(self):
+            scanned.append(self)
+            return distinct_trees(self)
+
+        monkeypatch.setattr(TreeFamily, "distinct_trees", counting)
+        verify_wrapper(w, xs)
+        assert len(scanned) == len(w.families)
 
     def test_sequence_length_must_match_scope(self):
         xs = [ZERO, R([1])]
