@@ -390,9 +390,10 @@ def _entries_parts(families: dict, level: int) -> list[str]:
     return entries
 
 
-def _dec_entries(obj: Any, path: str) -> dict[tuple[int, int], Iterable[tuple[bytes | Node, BranchTree]]]:
+def _dec_entries(obj: Any, path: str) -> dict[tuple[int, int], Iterable[tuple]]:
     """Each family's (class prefix, tree) leaves, in document order, to be
-    read once."""
+    read once.  A prefix is bytes, or a tuple if the entries were read one
+    by one; TreeFamily takes either."""
     entries = _as_list(obj, path)
     try:
         nts, ns, words, tree_objs = (list(map(get, entries)) for get in _ENTRY_COLUMNS)
@@ -417,11 +418,11 @@ def _dec_entries(obj: Any, path: str) -> dict[tuple[int, int], Iterable[tuple[by
         start = end
     # Each distinct tree object is read once, at the first entry holding it.
     first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    trees = {
+    distinct = {
         key: _TREE.read(tree_objs[i], f"{path}[{i}].tree")
         for key, i in sorted(first.items(), key=itemgetter(1))
     }
-    trees = list(map(trees.__getitem__, keys))
+    trees = list(map(distinct.__getitem__, keys))
     return {family: zip(prefixes[run], trees[run]) for family, run in runs.items()}
 
 
