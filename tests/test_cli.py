@@ -595,7 +595,7 @@ class TestWrapperDecodeOracle:
         broken = [k for k, (_, breaks) in zip((i, j), edits) if breaks]
         if broken:
             assert got[0] is CodecError and got[1].startswith(f"$.payload.F[{broken[0]}].tree")
-        elif case in ("key order", "an extra key"):
+        else:
             assert got == ("ok", decode(padded_document(0)))
 
     def test_broken_twins_fail_at_the_first(self):
@@ -610,7 +610,7 @@ class TestWrapperDecodeOracle:
     def test_tree_past_the_marshal_depth(self):
         # A tree too deep for a memo key is read entry by entry, with the
         # error and path the oracle gives.
-        doc, i, j = twin_trees(0)
+        doc, _, j = twin_trees(0)
         set_branch("prefix", nested(2500))(doc["payload"]["F"][j]["tree"])
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(8000)  # so that json can write and parse the tree at all
