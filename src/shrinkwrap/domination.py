@@ -114,6 +114,48 @@ def _sep_bound(pairs: Iterable[tuple[int, int, int]], n2: int, trees) -> int:
     return bound
 
 
+# Longest window a sequence is packed to.  Below it a window holds every
+# position that can tell two sequences apart; past it, windows that agree
+# are settled by the exact scan.
+_WINDOW_CAP = 64
+
+
+def _pack(seqs: set[UPReal]) -> tuple[dict[UPReal, int], int, int]:
+    """Each sequence as one int: its first L positions at one symbol width,
+    position 0 in the highest symbol.
+
+    L is the longest prefix plus twice the longest period, which passes the
+    Fine-Wilf bound of every pair, capped at ``_WINDOW_CAP``.  Values that
+    all fit a byte are packed as they are; otherwise each distinct value is
+    replaced by its index in a table, so a huge value costs one symbol.
+    Returns the ints, their width in bits and the symbol width in bits.
+    """
+    length = min(
+        _WINDOW_CAP,
+        max((len(x.prefix) for x in seqs), default=0)
+        + 2 * max((len(x.period) for x in seqs), default=0),
+    )
+    windows = {}
+    for x in seqs:
+        head = x.prefix[:length]
+        need = length - len(head)
+        if need:
+            head += (x.period * -(-need // len(x.period)))[:need]
+        windows[x] = head
+    if max(map(max, windows.values()), default=0) < 256:
+        width, pack = 1, bytes
+    else:
+        values = set().union(*windows.values())
+        width = max(1, ((len(values) - 1).bit_length() + 7) // 8)
+        codes = {v: i.to_bytes(width, "big") for i, v in enumerate(values)}
+
+        def pack(window):
+            return b"".join(map(codes.__getitem__, window))
+
+    keys = {x: int.from_bytes(pack(w), "big") for x, w in windows.items()}
+    return keys, 8 * width * length, 8 * width
+
+
 def g_full(
     wrapper: ShrinkWrapper, x: UPReal, n: int, coders: CoderConfig = DEFAULT_CODERS
 ) -> int:
@@ -217,24 +259,36 @@ def check_domination(
         }
         enforce_pointwise = True
 
+    battery = tuple(battery)
     cover_sets = [cover.branches for cover in covers]
+    keys, total, symbol = _pack(set(xs).union(battery, *cover_sets))
+    point_keys = [keys[y] for y in xs]
+    cover_keys = [[keys[b] for b in branches] for branches in cover_sets]
+    floors = [max(bound, n) for n, bound in enumerate(bounds)]
     rows = []
     for x in battery:
-        # fx and exit_level, from one first difference per distinct
-        # sequence: the points and the branches of every cover x leaves.
-        in_tree = tuple(x in branches for branches in cover_sets)
-        others = set(xs).union(*(b for b, inside in zip(cover_sets, in_tree) if not inside))
-        others.discard(x)
-        diff = {y: up_first_diff(x, y) for y in others}
-        f_values = tuple(0 if y == x else diff[y] for y in xs)
-        g_values = tuple(
-            max(
-                0 if in_tree[n] else 1 + max(map(diff.__getitem__, cover_sets[n])),
-                bounds[n],
-                n,
-            )
-            for n in range(n_reals)
+        # fx and exit_level from XORs of packed windows: the highest set
+        # bit of kx ^ ky lies in the first position where x and y differ,
+        # and the least XOR over a cover's branches marks the branch x
+        # follows longest.  A zero XOR means the windows agree, which the
+        # cap allows for distinct sequences; those take the exact scan.
+        kx = keys[x]
+        f_values = tuple(
+            (total - d.bit_length()) // symbol if d else 0 if x == y else up_first_diff(x, y)
+            for d, y in zip(map(kx.__xor__, point_keys), xs)
         )
+        in_tree, g_values = [], []
+        for branches, branch_keys, g in zip(cover_sets, cover_keys, floors):
+            d = min(map(kx.__xor__, branch_keys))
+            inside = not d and x in branches
+            if not inside:
+                level = (total - d.bit_length()) // symbol if d else max(
+                    up_first_diff(x, b) for b in branches if keys[b] == kx
+                )
+                g = max(1 + level, g)
+            in_tree.append(inside)
+            g_values.append(g)
+        in_tree, g_values = tuple(in_tree), tuple(g_values)
         failures = tuple(
             n for n in range(n_reals) if f_values[n] > g_values[n]
         )

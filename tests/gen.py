@@ -114,6 +114,70 @@ def mutate_at_level(rng: random.Random, x: UPReal, level: int) -> UPReal:
     return UPReal(tuple(values), period)
 
 
+def naive_check_domination(reals, battery, wrapper=None, trees=None) -> DominationReport:
+    """The battery check one probe at a time, from the definitions.
+
+    Covers are intersections of the unions of every family's branch sets at
+    the pair positions involving an index; separation bounds range over
+    every pair of assigned trees with no branch in common.  Each probe
+    takes one scan-to-bound first difference per distinct sequence it
+    meets: the points and the branches of every cover it leaves.
+    """
+    xs = tuple(reals)
+    n_reals = len(xs)
+    all_pairs = {(a, b) for a in range(n_reals) for b in range(a + 1, n_reals)}
+    if wrapper is not None:
+        pairs = list(wrapper.scope.pairs())
+
+        def branch_sets(nt, n):
+            return [tree.branches for _, tree in wrapper.families[(nt, n)].leaves]
+
+        covers = [
+            frozenset.intersection(*(
+                frozenset().union(*branch_sets(nt, n)) for nt, a, b in pairs if n in (a, b)
+            ))
+            for n in range(n_reals)
+        ]
+        bounds = [0] * n_reals
+        for nt, a, b in pairs:
+            for t1 in branch_sets(nt, a):
+                for t2 in branch_sets(nt, b):
+                    diffs = [naive_first_diff(u, v) for u in t1 for v in t2]
+                    if None not in diffs:
+                        bounds[b] = max(bounds[b], 1 + max(diffs))
+        in_scope = {(a, b) for _, a, b in pairs}
+    else:
+        covers = [tree.branches for tree in trees]
+        bounds = [0] * n_reals
+        in_scope = all_pairs
+    enforce_pointwise = all_pairs <= in_scope
+
+    rows = []
+    for x in battery:
+        in_tree = tuple(any(naive_equal(x, b) for b in cover) for cover in covers)
+        others = set(xs).union(*(c for c, inside in zip(covers, in_tree) if not inside))
+        diff = {y: naive_first_diff(x, y) for y in others}
+        f_values = tuple(0 if diff[y] is None else diff[y] for y in xs)
+        g_values = tuple(
+            max(0 if in_tree[n] else 1 + max(map(diff.__getitem__, covers[n])), bounds[n], n)
+            for n in range(n_reals)
+        )
+        failures = tuple(n for n in range(n_reals) if f_values[n] > g_values[n])
+        violating = tuple(
+            (n1, n2)
+            for i, n1 in enumerate(failures)
+            for n2 in failures[i + 1 :]
+            if (n1, n2) in in_scope and f_values[n1] <= n2
+        )
+        pointwise = tuple(n for n in failures if not in_tree[n])
+        rows.append(DominationRow(x, f_values, g_values, in_tree, failures, violating, pointwise))
+    passed = all(
+        not row.violating_pairs and (not enforce_pointwise or not row.pointwise_failures)
+        for row in rows
+    )
+    return DominationReport(passed, n_reals, enforce_pointwise, tuple(rows))
+
+
 def rand_hpt(rng: random.Random, horizon: int, skip_chance=0.45) -> HorizonPerfectTree:
     """Random horizon tree that never skips splitting twice in a row."""
     nodes = set()

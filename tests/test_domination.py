@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
-from gen import mutate_at_level, rand_upreal
+from gen import mutate_at_level, naive_check_domination, rand_upreal
+from shrinkwrap import codec, domination
+from shrinkwrap.cli import run
 from shrinkwrap.core import ZERO, BranchTree, UPReal, up_first_diff
 from shrinkwrap.domination import (
+    _WINDOW_CAP,
     big_t,
     check_domination,
     check_hypotheses_simple,
@@ -373,3 +378,193 @@ class TestCheckDomination:
             check_domination(xs + [ZERO], [], wrapper=w)
         with pytest.raises(ValueError):
             check_domination(xs, [], trees=trees[:1])
+
+
+def assert_matches_oracle(xs, battery, **provider):
+    report = check_domination(xs, battery, **provider)
+    want = naive_check_domination(xs, battery, **provider)
+    assert (report.passed, report.n_reals, report.pointwise_enforced) == (
+        want.passed, want.n_reals, want.pointwise_enforced
+    )
+    assert len(report.rows) == len(want.rows)
+    for got_row, want_row in zip(report.rows, want.rows):
+        for field in dataclasses.fields(want_row):
+            name = field.name
+            assert getattr(got_row, name) == getattr(want_row, name), (name, want_row.x)
+    return report
+
+
+def oracle_points(rng, n, kind):
+    """Sequences of one kind, with one or two forced duplicates."""
+
+    def make():
+        if kind == "wide":  # values >= 256, often more than 256 distinct: 2-byte symbols
+            return rand_upreal(rng, alphabet=100_000, max_period=60)
+        if kind == "huge":  # values far past a machine word
+            x = rand_upreal(rng)
+            return UPReal(tuple(2**80 + v for v in x.prefix), tuple(2**80 + v for v in x.period))
+        if kind == "long":  # periods long enough that the windows are capped
+            return rand_upreal(rng, alphabet=3, max_period=40)
+        return rand_upreal(rng, alphabet=3)
+
+    xs = [make() for _ in range(n)]
+    for _ in range(rng.randint(1, 2)):
+        xs[rng.randrange(n)] = rng.choice(xs)
+    return xs
+
+
+def oracle_battery(rng, xs, branches, kind):
+    """Points, branches, fresh sequences, near misses, and sequences that
+    agree with a point or a branch past the window cap."""
+    sources = list(xs) + sorted(branches, key=repr)
+    out = sources + oracle_points(rng, 6, kind)
+    for _ in range(12):
+        out.append(mutate_at_level(rng, rng.choice(sources), rng.randrange(8)))
+    for _ in range(0 if kind == "small" else 4):  # small keeps every window uncapped
+        level = _WINDOW_CAP + rng.randrange(40)
+        out.append(mutate_at_level(rng, rng.choice(sources), level))
+    out.append(rng.choice(out))  # a repeated probe
+    return out
+
+
+class TestCheckDominationOracle:
+    KINDS = ("small", "wide", "huge", "long")
+
+    def test_wrapper_provider(self):
+        rng = random.Random(51)
+        for trial in range(16):
+            kind = self.KINDS[trial % 4]
+            xs = oracle_points(rng, 4, kind)
+            if trial % 5 == 2:  # point 0 follows point 3 for a while
+                xs[0] = mutate_at_level(rng, xs[3], rng.randrange(1, 3))
+            decoys = oracle_points(rng, 3, kind)
+            scope = WrapperScope(4, 6 if trial % 3 else 4)  # full, or partial
+            w = build_padded_wrapper(xs, scope=scope, decoys=decoys, seed=trial)
+            if trial % 5 == 4:  # index 0 no longer covers its point
+                away = mutate_at_level(rng, xs[0], 0)
+                w = dataclasses.replace(w, families={
+                    (nt, n): TreeFamily.constant(nt, T(away)) if n == 0 else fam
+                    for (nt, n), fam in w.families.items()
+                })
+            if trial % 5 == 2:  # every tree shares one branch near point 3
+                near = mutate_at_level(rng, xs[3], rng.randrange(5, 8))
+                w = dataclasses.replace(w, families={
+                    key: TreeFamily(fam.width, tuple(
+                        (prefix, BranchTree(t.branches | {near})) for prefix, t in fam.leaves
+                    ))
+                    for key, fam in w.families.items()
+                })
+            branches = {
+                b for fam in w.families.values() for t in fam.distinct_trees() for b in t.branches
+            }
+            assert_matches_oracle(xs, oracle_battery(rng, xs, branches, kind), wrapper=w)
+
+    def test_tree_provider(self):
+        rng = random.Random(52)
+        for trial in range(16):
+            kind = self.KINDS[trial % 4]
+            xs = oracle_points(rng, 5, kind)
+            pool = oracle_points(rng, 2, kind) + [
+                mutate_at_level(rng, rng.choice(xs), rng.randrange(1, 9)) for _ in range(3)
+            ]
+            trees = []
+            for x in xs:  # some trees miss their point, some share branches
+                extra = rng.sample(pool, rng.randrange(3))
+                keep = [x] if rng.random() < 0.8 or not extra else []
+                trees.append(BranchTree(frozenset(keep + extra)))
+            if trial % 3 == 0:  # points 0 and 4 share a branch that follows 4 longer
+                xs[0] = mutate_at_level(rng, xs[4], rng.randrange(1, 3))
+                near = mutate_at_level(rng, xs[4], rng.randrange(5, 8))
+                trees[0] = BranchTree(frozenset({xs[0], near}))
+                trees[4] = BranchTree(trees[4].branches | {near})
+            branches = set().union(*(t.branches for t in trees))
+            assert_matches_oracle(xs, oracle_battery(rng, xs, branches, kind), trees=trees)
+
+    def test_empty_battery(self):
+        xs = [ZERO, R([1]), ZERO]
+        w = build_wrapper(xs)
+        for provider in ({"wrapper": w}, {"trees": [T(x) for x in xs]}):
+            report = assert_matches_oracle(xs, [], **provider)
+            assert report.rows == () and report.passed
+
+    def test_windows_past_the_cap_take_the_exact_scan(self, monkeypatch):
+        calls = []
+
+        def counting(x, y):
+            calls.append((x, y))
+            return up_first_diff(x, y)
+
+        monkeypatch.setattr(domination, "up_first_diff", counting)
+        x = R([], tuple(range(100)))  # one period is already past the cap
+        near = mutate_at_level(random.Random(53), x, _WINDOW_CAP + 10)
+        xs = [x, ZERO]
+        trees = [T(x), T(ZERO, near)]
+        report = assert_matches_oracle(xs, [near, x], trees=trees)
+        assert report.rows[0].f_values[0] == _WINDOW_CAP + 10
+        assert (x, near) in calls or (near, x) in calls
+        assert calls, "no window agreed past the cap"
+
+    def test_long_period_probe_stays_bounded(self):
+        # One probe with a 200,000-long period holding a 4,001-bit value,
+        # and a point that agrees with it past the window cap.
+        period = (2**4000,) + tuple(range(1, 200_000))
+        probe = UPReal((), period)
+        xs = [ZERO, UPReal(period[:100], (0,)), R([1])]
+        trees = [T(x) for x in xs]
+        tracemalloc.start()
+        try:
+            report = check_domination(xs, [probe], trees=trees)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (row,) = report.rows
+        assert row.f_values == tuple(fx(xs, probe, n) for n in range(3)) == (0, 100, 0)
+        assert row.g_values == tuple(g_simple(trees, probe, n) for n in range(3))
+        assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+class TestUnenforcedPointwise:
+    """A failure at an index whose cover misses its point counts against
+    the verdict only when the wrapper's scope covers every index pair."""
+
+    XS = (ZERO, R([1]), R([2]))
+    PROBE = R([0, 0, 0, 0, 3])  # follows index 0's point to level 4
+
+    def broken(self, n_pairs):
+        # A padded wrapper whose trees at index 0 hold only a branch that
+        # leaves index 0's point at level 0.
+        w = build_padded_wrapper(self.XS, scope=WrapperScope(3, n_pairs),
+                                 decoys=[R([1, 1]), R([2, 5])], seed=7)
+        away = R([5])
+        return dataclasses.replace(w, families={
+            **w.families,
+            (0, 0): TreeFamily.constant(0, T(away)),
+            (1, 0): TreeFamily.constant(1, T(away)),
+        })
+
+    def dominate(self, tmp_path, wrapper):
+        reals, battery, wpath = (str(tmp_path / f) for f in ("xs.json", "b.json", "w.json"))
+        codec.save(reals, self.XS, "reals")
+        codec.save(battery, (self.PROBE,), "reals")
+        codec.save(wpath, wrapper, "wrapper")
+        return run(["dominate", "--reals", reals, "--wrapper", wpath,
+                    "--battery", battery, "--out", str(tmp_path / "report.json")])
+
+    def test_partial_scope_reports_but_does_not_enforce(self, tmp_path, capsys):
+        w = self.broken(2)
+        report = check_domination(self.XS, [self.PROBE], wrapper=w)
+        (row,) = report.rows
+        assert row.pointwise_failures == (0,) and row.violating_pairs == ()
+        assert not report.pointwise_enforced
+        assert report.passed
+        assert self.dominate(tmp_path, w) == 0
+        out = capsys.readouterr().out
+        assert "pointwise" not in out and "PASS" in out
+
+    def test_full_scope_twin_fails(self, tmp_path, capsys):
+        w = self.broken(3)
+        report = check_domination(self.XS, [self.PROBE], wrapper=w)
+        assert report.rows[0].pointwise_failures == (0,)
+        assert report.pointwise_enforced and not report.passed
+        assert self.dominate(tmp_path, w) == 1
+        assert "pointwise failures [0]" in capsys.readouterr().out
