@@ -114,9 +114,10 @@ def _sep_bound(pairs: Iterable[tuple[int, int, int]], n2: int, trees) -> int:
     return bound
 
 
-# Longest window a sequence is packed to.  Below it a window holds every
-# position that can tell two sequences apart; past it, windows that agree
-# are settled by the exact scan.
+# Longest window a sequence is packed to, which bounds the memory a long
+# period costs.  A shorter window reaches past the Fine-Wilf bound of every
+# pair, so windows that agree belong to equal sequences; capped windows
+# that agree are settled by the exact scan.
 _WINDOW_CAP = 64
 
 
