@@ -10,6 +10,7 @@ deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -153,7 +154,9 @@ def _cmd_silver_obstruct(args) -> int:
     return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process; parse_args keeps no state between calls.
     parser = argparse.ArgumentParser(
         prog="shrinkwrap",
         description="Verify, build, and stress shrink wrappers from JSON artifacts.",

@@ -138,11 +138,6 @@ def _flat(values, level: int) -> str:
     return _items(texts, level)
 
 
-def _word_text(s: Node) -> str:
-    # Sound because TreeFamily stores its class prefixes as 0/1 ints.
-    return '"' + bytes(s).translate(_BITS).decode("ascii") + '"'
-
-
 def _enc_word(s: Node) -> str:
     return "".join(map(str, s))
 
@@ -370,23 +365,28 @@ _ENTRY_COLUMNS = tuple(map(itemgetter, _ENTRY.keys))
 
 def _entries_parts(families: dict, level: int) -> list[str]:
     # An entry's tree is its last field, and one shared part: a padded
-    # family's filler tree fills almost every leaf.
-    head, tail = _template(_ENTRY.keys, level + 1).rsplit("%s", 1)
+    # family's filler tree fills almost every leaf.  Each family's head is
+    # formatted once, up to its words.
+    seg = _template(_ENTRY.keys, level + 1).split("%s")
     inner = "\n" + "  " * (level + 1)
-    lead, sep = "[" + inner, tail + "," + inner
+    sep, word_end = seg[4] + "," + inner, '"' + seg[3]
     trees: dict[frozenset[UPReal], str] = {}
-    entries = []
+    entries: list[str] = []
     for (nt, n) in sorted(families):
-        pair = (_dumps(nt), _dumps(n))
-        leaves = sorted(families[(nt, n)].leaves, key=lambda leaf: (len(leaf[0]), leaf[0]))
-        for prefix, tree in leaves:
+        head = f'{sep}{seg[0]}{_dumps(nt)}{seg[1]}{_dumps(n)}{seg[2]}"'
+        # TreeFamily stores its leaves in lexicographic order, so a stable
+        # sort by length gives the (length, word) order, and its prefixes
+        # are 0/1 ints, so one translate writes a word.
+        for prefix, tree in sorted(families[(nt, n)].leaves, key=lambda leaf: len(leaf[0])):
             # Keyed by the branch set, a frozenset, which keeps its hash.
             text = trees.get(tree.branches)
             if text is None:
                 text = trees[tree.branches] = _TREE.write(tree, level + 2)
-            entries += (lead + head % (*pair, _word_text(prefix)), text)
-            lead = sep
-    entries.append(tail + "\n" + "  " * level + "]" if entries else "[]")
+            entries += (head + bytes(prefix).translate(_BITS).decode() + word_end, text)
+    if not entries:
+        return ["[]"]
+    entries[0] = "[" + inner + entries[0][len(sep):]
+    entries.append(seg[4] + "\n" + "  " * level + "]")
     return entries
 
 

@@ -35,11 +35,24 @@ def _check_word(values: Iterable[int], what: str) -> tuple[int, ...]:
 
 
 def _primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
+    # The periods of a word that divide its length are the multiples of the
+    # shortest one that divide it.  So, starting from the whole length,
+    # divide by each prime factor while the shorter period still tiles the
+    # word.  Once the word is p-periodic, q tiles it when q tiles its first
+    # p letters: O(log n) slice comparisons in C, O(n) letters in all.
     n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return word[:d]
-    return word
+    p = rest = n
+    q = 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest  # the last prime factor
+        if rest % q == 0:
+            while rest % q == 0:
+                rest //= q
+            while p % q == 0 and word[p // q : p] == word[: p - p // q]:
+                p //= q
+        q += 1
+    return word[:p]
 
 
 def _reduce(prefix: Node, period: Node) -> tuple[Node, Node]:
@@ -85,7 +98,10 @@ class UPReal:
         return up_eval(self, i)
 
     def initial_segment(self, length: int) -> Node:
-        return tuple(up_eval(self, i) for i in range(length))
+        if length <= len(self.prefix):
+            return self.prefix[:length] if length > 0 else ()
+        copies = -(-(length - len(self.prefix)) // len(self.period))
+        return self.prefix + (self.period * copies)[: length - len(self.prefix)]
 
 
 ZERO = UPReal.constant(0)
@@ -139,7 +155,7 @@ up_sort_key = cmp_to_key(up_compare)
 
 def up_extends(x: UPReal, t: Node) -> bool:
     """Does the sequence pass through the node ``t``?"""
-    return all(up_eval(x, i) == t[i] for i in range(len(t)))
+    return x.initial_segment(len(t)) == tuple(t)
 
 
 # ---------------------------------------------------------------------------

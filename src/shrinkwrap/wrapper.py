@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from shrinkwrap.core import (
@@ -102,23 +103,27 @@ class TreeFamily:
         if self.width < 0:
             raise ValueError("width must be nonnegative")
         bits, trees = _class_bits(self.leaves, self.width)
-        # One sort, then one pass over lexicographic neighbours.  Every
+        # One sort, then passes in C over lexicographic neighbours.  Every
         # extension of a prefix follows it directly, so the first
         # overlapping neighbours are the first overlapping pair overall, a
         # repeated prefix overlaps itself, and sibling classes are adjacent.
         order = sorted(range(len(bits)), key=bits.__getitem__)
-        merges = False
-        for i, j in zip(order, order[1:]):
-            p, q = bits[i], bits[j]
-            if q.startswith(p):
-                _check_repeats(bits)
-                raise ValueError(f"overlapping class prefixes {tuple(p)!r} and {tuple(q)!r}")
-            if len(p) == len(q) and p[:-1] == q[:-1] and trees[i] == trees[j]:
-                merges = True
+        words = list(map(bits.__getitem__, order))
+        if any(map(bytes.startswith, words[1:], words)):
+            _check_repeats(bits)
+            p, q = next((p, q) for p, q in zip(words, words[1:]) if q.startswith(p))
+            raise ValueError(f"overlapping class prefixes {tuple(p)!r} and {tuple(q)!r}")
         # A class of length l holds 2**(width - l) words.
-        if sum(map((1 << self.width).__rshift__, map(len, bits))) != 1 << self.width:
+        lengths = list(map(len, words))
+        if sum(map((1 << self.width).__rshift__, lengths)) != 1 << self.width:
             raise ValueError("class prefixes do not cover every word")
-        leaves = zip(map(tuple, map(bits.__getitem__, order)), map(trees.__getitem__, order))
+        trees = list(map(trees.__getitem__, order))
+        # Siblings are neighbours of one length and one parent.
+        merges = any(
+            words[i][:-1] == words[i + 1][:-1] and trees[i] == trees[i + 1]
+            for i in itertools.compress(itertools.count(), map(eq, lengths, lengths[1:]))
+        )
+        leaves = zip(map(tuple, words), trees)
         if merges:
             leaves = sorted(_reduce(dict(leaves)).items())
         object.__setattr__(self, "leaves", tuple(leaves))
@@ -132,13 +137,18 @@ class TreeFamily:
         cls, width: int, default: BranchTree, overrides: Mapping[Node, BranchTree] = ()
     ) -> "TreeFamily":
         """Family equal to ``default`` except at the overridden full words."""
-        table: dict[Node, BranchTree] = {(): default}
+        # The table is split over bytes, so the constructor checks it in one
+        # pass; a later spelling of the same word overrides an earlier one.
+        table: dict[bytes, BranchTree] = {b"": default}
         for word, tree in dict(overrides).items():
             word = tuple(word)
             if len(word) != width:
                 raise ValueError("overrides must be full-length words")
-            table = _split_in(table, word)
-            table[word] = tree
+            bits = _bit_bytes(word)
+            if bits is None:
+                raise ValueError(f"override {word!r} is not a binary word")
+            _split_in(table, bits)
+            table[bits] = tree
         return cls(width, tuple(table.items()))
 
     def tree_at(self, s: Node) -> BranchTree:
@@ -188,15 +198,17 @@ def _bit_bytes(word: tuple | bytes) -> Optional[bytes]:
     return None if bits.translate(None, b"\x00\x01") else bits
 
 
-def _split_in(table: dict[Node, BranchTree], word: Node) -> dict[Node, BranchTree]:
-    # Refine the prefix partition so that `word` becomes its own class.
-    out = dict(table)
-    holder = next(p for p in out if word[: len(p)] == p)
-    tree = out.pop(holder)
+_FLIP = (b"\x01", b"\x00")
+
+
+def _split_in(table: dict[bytes, BranchTree], word: bytes) -> None:
+    # Refine the prefix partition in place so that `word` becomes its own
+    # class: the class holding it gives up one sibling per level below it.
+    holder = next(p for p in table if word.startswith(p))
+    tree = table.pop(holder)
     for k in range(len(holder), len(word)):
-        out[word[:k] + (1 - word[k],)] = tree
-    out[word] = tree
-    return out
+        table[word[:k] + _FLIP[word[k]]] = tree
+    table[word] = tree
 
 
 def _class_bits(leaves: Iterable, width: int) -> tuple[list[bytes], list[BranchTree]]:

@@ -372,6 +372,61 @@ def naive_tree_family(width: int, leaves) -> tuple:
     return tuple(sorted(_naive_reduce(table).items()))
 
 
+def naive_from_assignments(width: int, default, overrides) -> tuple:
+    """The leaves TreeFamily.from_assignments stores, or its ValueError:
+    each override word checked letter by letter, the table split over int
+    tuples one sibling per level, then :func:`naive_tree_family`."""
+    table = {(): default}
+    for word, tree in dict(overrides).items():
+        word = tuple(word)
+        if len(word) != width:
+            raise ValueError("overrides must be full-length words")
+        bits = _naive_bits(word)
+        if bits is None:
+            raise ValueError(f"override {word!r} is not a binary word")
+        holder = next(p for p in table if bits[: len(p)] == p)
+        held = table.pop(holder)
+        for k in range(len(holder), width):
+            table[bits[:k] + (1 - bits[k],)] = held
+        table[bits] = tree
+    return naive_tree_family(width, table.items())
+
+
+def rand_overrides(rng: random.Random, width: int, default: int) -> list:
+    """Random (word, tree) overrides for a family of this width, valid or
+    broken, as a list of pairs in the order given.
+
+    Holds zero to four words, with trees drawn from three placeholders (so
+    an override may equal ``default``).  Words come as tuples or bytes,
+    with bits given as ``True`` or ``1.0``; a word may be given twice in
+    two spellings, and now and then a word has the wrong length or a letter
+    that is not a bit.
+    """
+    out = []
+    for _ in range(rng.choice((0, 1, 1, 2, 3, 4))):
+        word = tuple(rng.randrange(2) for _ in range(width))
+        tree = default if rng.random() < 0.2 else rng.randrange(3)
+        if rng.random() < 0.03:
+            word = word[:-1] if word and rng.random() < 0.5 else word + (rng.randrange(2),)
+        elif word and rng.random() < 0.04:
+            letters = list(word)
+            letters[rng.randrange(len(letters))] = rng.choice((2, -1, 256, 0.5, "1", None))
+            word = tuple(letters)
+        spellings = [word]
+        if rng.random() < 0.15 and set(word) <= {0, 1}:
+            spellings.append(bytes(word))
+        for spelling in spellings:
+            form = rng.randrange(6) if type(spelling) is tuple else 0
+            if form == 1:
+                spelling = tuple(bool(b) if b in (0, 1) else b for b in spelling)
+            elif form == 2:
+                spelling = tuple(float(b) if b in (0, 1) else b for b in spelling)
+            elif form == 3 and set(spelling) <= {0, 1}:
+                spelling = bytes(spelling)
+            out.append((spelling, rng.randrange(3) if len(spellings) > 1 else tree))
+    return out
+
+
 def rand_prefix_table(rng: random.Random, width: int) -> dict:
     """Random class-prefix table for a width, valid or broken.
 

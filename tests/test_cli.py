@@ -6,8 +6,10 @@ import dataclasses
 import functools
 import json
 import marshal
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -25,7 +27,8 @@ from gen import (
     rand_rmap,
     rand_upreal,
 )
-from shrinkwrap import codec
+import shrinkwrap
+from shrinkwrap import cli, codec
 from shrinkwrap.cli import run
 from shrinkwrap.codec import CodecError, decode, encode, infer_kind
 from shrinkwrap.core import ZERO, BranchTree, UPReal
@@ -948,6 +951,49 @@ class TestCli:
         tmp, save = paths
         reals = save("xs.json", XS)
         assert run(["verify", "--wrapper", reals, "--reals", reals]) == 2
+
+    def test_cached_parser_carries_no_state(self, paths, capsys):
+        """Commands run back to back in one process, on the one parser, exit
+        and print as each does in a fresh process."""
+        tmp, save = paths
+        xs = (ZERO, R([1]), R([2]))
+        reals = save("xs.json", xs)
+        plain = build_wrapper(xs)
+        # Passes the main laws, but a two-branch tree is shared by two words.
+        fat = TreeFamily.constant(1, T(ZERO, R([3])))
+        wrapper = save("w.json", ShrinkWrapper(plain.scope, {**plain.families, (1, 0): fat}, plain.isolated))
+        battery = save("battery.json", xs + (R([2, 1]), R([0, 1])))
+        a, b, c = ZERO, R([0, 1, 1]), R([0, 1])
+        shared = T(a, b, c)
+        bad_reals = save("ab.json", (a, b))
+        trees = save("trees.json", (shared, shared), kind="trees")
+        probe = save("probe.json", (c,))
+        commands = [
+            ["verify", "--wrapper", wrapper, "--reals", reals, "--cond4"],
+            ["verify", "--wrapper", wrapper, "--reals", reals],
+            ["verify", "--wrapper", wrapper],
+            ["verify", "--wrapper", wrapper, "--reals", reals],
+            ["dominate", "--reals", reals, "--wrapper", wrapper, "--battery", battery,
+             "--out", str(tmp / "r1.json")],
+            ["dominate", "--reals", bad_reals, "--trees", trees, "--battery", probe,
+             "--out", str(tmp / "r2.json")],
+        ]
+        capsys.readouterr()
+        in_process = []
+        for argv in commands:
+            code = run(argv)
+            in_process.append((code, capsys.readouterr().out))
+        assert cli._build_parser() is cli._build_parser()
+        env = {**os.environ, "PYTHONPATH": str(Path(shrinkwrap.__file__).parents[1])}
+        fresh = []
+        for argv in commands:
+            done = subprocess.run(
+                [sys.executable, "-c", "from shrinkwrap.cli import main; main()", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            fresh.append((done.returncode, done.stdout))
+        assert [code for code, _ in in_process] == [1, 0, 2, 0, 0, 1]
+        assert in_process == fresh
 
     def test_unknown_flags(self, capsys):
         assert run(["verify", "--bogus"]) == 2

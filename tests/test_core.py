@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from shrinkwrap.core import (
     up_canonical,
     up_compare,
     up_eval,
+    up_extends,
     up_first_diff,
     up_scan_bound,
     word_code,
@@ -159,6 +161,74 @@ class TestUPReal:
         assert up_compare(ZERO, R([1], [0])) == -1
         assert up_compare(R([0, 2], [0]), R([0, 1], [0])) == 1
         assert up_compare(R([0], [0]), ZERO) == 0
+
+
+class TestSlicedSegments:
+    """``initial_segment`` and ``up_extends`` slice ``prefix + period * k``;
+    the oracles unroll the sequence or read it one position at a time."""
+
+    def test_initial_segment_matches_unroll(self):
+        rng = random.Random(8101)
+        for _ in range(1500):
+            x = rand_upreal(rng, max_prefix=8, max_period=7)
+            p, q = len(x.prefix), len(x.period)
+            lengths = {
+                -(10 ** 6), -5, -1, 0, 1, p, p + 1, p + q, p + q + 1,
+                rng.randrange(p + 1),  # inside the prefix
+                p + rng.randrange(1, 60 * q),  # across many periods
+                p + 50 * q + rng.randrange(q),
+            }
+            for length in lengths:
+                segment = x.initial_segment(length)
+                assert type(segment) is tuple
+                assert segment == (tuple(unroll(x, length)) if length > 0 else ()), (x, length)
+
+    def test_up_extends_matches_a_per_position_loop(self):
+        def per_position(x, t):
+            return all(up_eval(x, i) == t[i] for i in range(len(t)))
+
+        rng = random.Random(8102)
+        seen = set()
+        for _ in range(3000):
+            x = rand_upreal(rng, alphabet=3)
+            node = list(unroll(x, rng.randrange(3 * (len(x.prefix) + len(x.period)) + 2)))
+            if node and rng.random() < 0.5:
+                node[rng.randrange(len(node))] = rng.randrange(3)
+            form = rng.randrange(3)
+            if form == 1:
+                node = [float(v) if v == 1 else v for v in node]
+            node = node if form == 2 else tuple(node)
+            want = per_position(x, node)
+            assert up_extends(x, node) is want, (x, node)
+            seen.add((form, want))
+        assert len(seen) == 6
+
+
+class TestPrimitiveRoot:
+    def test_roots_against_oracle_on_lengths_with_many_divisors(self):
+        rng = random.Random(8103)
+        for n in (12, 60, 360, 720):
+            divisors = [d for d in range(1, n + 1) if n % d == 0]
+            for _ in range(60):
+                d = rng.choice(divisors)
+                word = tuple(rng.randrange(rng.choice((2, 3))) for _ in range(d)) * (n // d)
+                if rng.random() < 0.3:
+                    letters = list(word)
+                    letters[rng.randrange(n)] = rng.randrange(3)
+                    word = tuple(letters)
+                assert UPReal((), word).period == naive_canonical((), word)[1], (n, d)
+
+    def test_long_period_with_one_odd_letter_is_fast(self):
+        # 720,720 has 240 divisors; testing each by building the repetition
+        # took over a second here, nearly all of it comparing zeros.
+        word = (0,) * 720_719 + (1,)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            x = UPReal((), word)
+            elapsed.append(time.perf_counter() - start)
+        assert x.period == word
+        assert min(elapsed) < 0.2, elapsed
 
 
 class TestEquality:

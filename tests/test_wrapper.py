@@ -11,8 +11,10 @@ from gen import (
     naive_check_partition,
     naive_equal,
     naive_first_diff,
+    naive_from_assignments,
     naive_tree_family,
     rand_family_leaves,
+    rand_overrides,
     rand_prefix_table,
     rand_upreal,
 )
@@ -135,6 +137,63 @@ class TestTreeFamily:
         # ok, merged, and errors: bad, duplicate, overlapping, class (a gap)
         assert set(outcomes) == {"ok", "merged", "bad", "duplicate", "overlapping", "class"}
         assert min(outcomes.values()) > 100, outcomes
+
+    def test_from_assignments_matches_oracle(self):
+        """Overrides split over bytes against the tuple split of the oracle:
+        the same leaves, down to the type of every bit, or the same error."""
+        rng = random.Random(1313)
+        outcomes = Counter()
+
+        def outcome(build):
+            try:
+                return "ok", repr(build())
+            except ValueError as e:
+                return "error", str(e)
+
+        for _ in range(4000):
+            width = rng.randrange(7)
+            default = rng.randrange(3)
+            pairs = rand_overrides(rng, width, default)
+            overrides = dict(pairs)
+            want = outcome(lambda: naive_from_assignments(width, default, overrides))
+            got = outcome(lambda: TreeFamily.from_assignments(width, default, overrides).leaves)
+            assert got == want, (width, default, pairs)
+            if want[0] == "error":
+                outcomes[want[1].split()[0]] += 1
+                continue
+            words = [w for w, _ in pairs]
+            outcomes["several" if len(overrides) > 1 else "one" if overrides else "none"] += 1
+            outcomes["two spellings"] += len({tuple(map(int, w)) for w in words}) < len(words)
+            outcomes["True or 1.0"] += any(type(b) in (bool, float) for w in words for b in w)
+            outcomes["equal to default"] += default in overrides.values()
+        # errors: "overrides must be ..." and "override ... is not a binary word"
+        assert set(outcomes) >= {
+            "none", "one", "several", "two spellings", "True or 1.0", "equal to default",
+            "overrides", "override",
+        }
+        assert min(outcomes.values()) > 40, outcomes
+
+    @pytest.mark.parametrize("word, message", [
+        ((0, 2), "override (0, 2) is not a binary word"),
+        ((0, -1), "override (0, -1) is not a binary word"),
+        ((1, 0.5), "override (1, 0.5) is not a binary word"),
+        (("0", "1"), "override ('0', '1') is not a binary word"),
+        ((0, 1, 0), "overrides must be full-length words"),
+        ((1,), "overrides must be full-length words"),
+        (b"\x00\x02", "override (0, 2) is not a binary word"),
+    ])
+    def test_from_assignments_names_the_rejected_word(self, word, message):
+        with pytest.raises(ValueError) as raised:
+            TreeFamily.from_assignments(2, T(ZERO), {(1, 1): T(R([1])), word: T(R([2]))})
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            naive_from_assignments(2, T(ZERO), {(1, 1): T(R([1])), word: T(R([2]))})
+        assert str(raised.value) == message
+
+    def test_from_assignments_checks_the_width(self):
+        with pytest.raises(ValueError) as raised:
+            TreeFamily.from_assignments(-1, T(ZERO))
+        assert str(raised.value) == "width must be nonnegative"
 
     def test_distinct_trees_counts_words(self):
         special = T(R([1]))
