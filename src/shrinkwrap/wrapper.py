@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from operator import eq
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from shrinkwrap.core import (
@@ -103,27 +102,23 @@ class TreeFamily:
         if self.width < 0:
             raise ValueError("width must be nonnegative")
         bits, trees = _class_bits(self.leaves, self.width)
-        # One sort, then passes in C over lexicographic neighbours.  Every
+        # One sort, then one pass over lexicographic neighbours.  Every
         # extension of a prefix follows it directly, so the first
         # overlapping neighbours are the first overlapping pair overall, a
         # repeated prefix overlaps itself, and sibling classes are adjacent.
         order = sorted(range(len(bits)), key=bits.__getitem__)
-        words = list(map(bits.__getitem__, order))
-        if any(map(bytes.startswith, words[1:], words)):
-            _check_repeats(bits)
-            p, q = next((p, q) for p, q in zip(words, words[1:]) if q.startswith(p))
-            raise ValueError(f"overlapping class prefixes {tuple(p)!r} and {tuple(q)!r}")
+        merges = False
+        for i, j in zip(order, order[1:]):
+            p, q = bits[i], bits[j]
+            if q.startswith(p):
+                _check_repeats(bits)
+                raise ValueError(f"overlapping class prefixes {tuple(p)!r} and {tuple(q)!r}")
+            if len(p) == len(q) and p[:-1] == q[:-1] and trees[i] == trees[j]:
+                merges = True
         # A class of length l holds 2**(width - l) words.
-        lengths = list(map(len, words))
-        if sum(map((1 << self.width).__rshift__, lengths)) != 1 << self.width:
+        if sum(map((1 << self.width).__rshift__, map(len, bits))) != 1 << self.width:
             raise ValueError("class prefixes do not cover every word")
-        trees = list(map(trees.__getitem__, order))
-        # Siblings are neighbours of one length and one parent.
-        merges = any(
-            words[i][:-1] == words[i + 1][:-1] and trees[i] == trees[i + 1]
-            for i in itertools.compress(itertools.count(), map(eq, lengths, lengths[1:]))
-        )
-        leaves = zip(map(tuple, words), trees)
+        leaves = zip(map(tuple, map(bits.__getitem__, order)), map(trees.__getitem__, order))
         if merges:
             leaves = sorted(_reduce(dict(leaves)).items())
         object.__setattr__(self, "leaves", tuple(leaves))
