@@ -17,13 +17,7 @@ from operator import attrgetter, itemgetter
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-from shrinkwrap.core import (
-    DEFAULT_CODERS,
-    BranchTree,
-    Node,
-    UPReal,
-    up_sort_key,
-)
+from shrinkwrap.core import BranchTree, Node, UPReal, up_sort_key
 from shrinkwrap.domination import DominationReport, DominationRow
 from shrinkwrap.sacks import FusionReport, HorizonPerfectTree, RMap
 from shrinkwrap.silver import (
@@ -442,7 +436,7 @@ def _dec_entries_checked(entries: list, path: str) -> dict:
 def _wrapper(scope: WrapperScope, tables: dict, isolated: tuple) -> ShrinkWrapper:
     families = {(nt, n): TreeFamily(nt, leaves) for (nt, n), leaves in tables.items()}
     wrapper = ShrinkWrapper(scope, families, isolated)
-    wrapper.check_total(DEFAULT_CODERS)
+    wrapper.check_total()
     return wrapper
 
 

@@ -7,20 +7,18 @@ by scanning a computable bound, which is what makes every structure built on
 top of them (branch-finite trees, wrappers, domination harnesses) fully
 checkable on a desk.
 
-The module also fixes the three index coders used throughout the package:
-a growth rule ``growth(i, l)``, a bijection between naturals and unordered
-pairs of naturals, and a code for (binary word, natural) arguments.  The
-defaults are pinned; :class:`CoderConfig` exists so alternates can be plugged
-in where an operation is parameterised by the coders.
+The module also fixes the index coding used throughout the package: a
+growth rule ``growth(i, l)``, a bijection between naturals and unordered
+pairs of naturals, and a code for (binary word, natural) arguments.  These
+three are pinned, and every operation calls them directly.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd, isqrt
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 # A node is a finite word over the naturals.
 Node = tuple[int, ...]
@@ -159,7 +157,7 @@ def up_extends(x: UPReal, t: Node) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Index coders.
+# Index coding.
 
 
 def growth(i: int, l: int) -> int:
@@ -212,50 +210,6 @@ def shape_code(s: Node, n: int) -> int:
     return word_code(s) + n
 
 
-@dataclass(frozen=True)
-class CoderConfig:
-    """The three coder rules, bundled so alternates can be substituted.
-
-    ``canonical_shape`` flags that ``shape_code`` is the default rule, whose
-    value over the words of a fixed length extending a fixed prefix is
-    minimised by the all-zero tail and whose growth rule is pointwise
-    monotone in the index.  Verification exploits that to check one word per
-    class; with a custom config every word of a class is checked instead,
-    which is only feasible for small widths.
-    """
-
-    growth: Callable[[int, int], int] = growth
-    pair_index: Callable[[Iterable[int]], int] = pair_index
-    pair_of: Callable[[int], tuple[int, int]] = pair_of
-    shape_code: Callable[[Node, int], int] = shape_code
-    canonical_shape: bool = True
-
-    _EXHAUSTIVE_CAP = 4096
-
-    def class_shape_indices(self, prefix: Node, width: int, n: int) -> Iterator[int]:
-        """Growth indices that certify a tree for every word in a class.
-
-        The class is all binary words of length ``width`` extending
-        ``prefix``.  For the canonical rules a single minimal index
-        suffices; otherwise every member is produced.
-        """
-        pad = width - len(prefix)
-        if pad < 0:
-            raise ValueError("class prefix longer than the declared width")
-        if self.canonical_shape:
-            yield self.shape_code(prefix + (0,) * pad, n)
-            return
-        if 1 << pad > self._EXHAUSTIVE_CAP:
-            raise ValueError(
-                "class too large to scan with a non-canonical shape coder"
-            )
-        for tail in itertools.product((0, 1), repeat=pad):
-            yield self.shape_code(prefix + tail, n)
-
-
-DEFAULT_CODERS = CoderConfig()
-
-
 # ---------------------------------------------------------------------------
 # Branch-finite trees.
 
@@ -293,18 +247,17 @@ class BranchTree:
         """Values the branches take at level ``l``."""
         return frozenset(up_eval(x, l) for x in self.branches)
 
-    def obeys(self, i: int, coders: CoderConfig = DEFAULT_CODERS) -> bool:
+    def obeys(self, i: int) -> bool:
         """Does every level's width stay within the growth allowance?
 
         Level widths never exceed the branch count, so scanning stops at the
-        first level whose allowance reaches the branch count.  That bound is
-        exact when the growth rule does not decrease in the level, which the
-        canonical rule satisfies.
+        first level whose allowance reaches the branch count; the allowance
+        never decreases in the level, so that bound is exact.
         """
         count = len(self.branches)
         l = 0
         while True:
-            cap = coders.growth(i, l)
+            cap = growth(i, l)
             if cap >= count:
                 return True
             if len(self.level_values(l)) > cap:

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from shrinkwrap.core import (
-    DEFAULT_CODERS,
     BranchTree,
-    CoderConfig,
     UPReal,
     bt_separation_level,
     up_first_diff,
@@ -51,28 +49,24 @@ def fx(reals: Sequence[UPReal], x: UPReal, n: int) -> int:
     return up_first_diff(x, xn)
 
 
-def big_t(
-    wrapper: ShrinkWrapper, n: int, coders: CoderConfig = DEFAULT_CODERS
-) -> BranchTree:
+def big_t(wrapper: ShrinkWrapper, n: int) -> BranchTree:
     """Covering tree at index n.
 
     A branch survives when every in-scope pair position involving n assigns
     it to some word's tree.  Kept as a branch set, so the result is pruned:
     nodes live only below surviving branches.
     """
-    return _cover(wrapper.scope.pairs(coders), n, _family_trees(wrapper))
+    return _cover(wrapper.scope.pairs(), n, _family_trees(wrapper))
 
 
-def sep_bound(
-    wrapper: ShrinkWrapper, n2: int, coders: CoderConfig = DEFAULT_CODERS
-) -> int:
+def sep_bound(wrapper: ShrinkWrapper, n2: int) -> int:
     """Least level by which every disjoint tree pair aimed at n2 has split.
 
     Ranges over in-scope pair positions whose larger index is n2 and over
     word pairs selecting disjoint branch sets.  No such pair means no
     constraint, hence 0.
     """
-    return _sep_bound(wrapper.scope.pairs(coders), n2, _family_trees(wrapper))
+    return _sep_bound(wrapper.scope.pairs(), n2, _family_trees(wrapper))
 
 
 def _family_trees(wrapper: ShrinkWrapper) -> Callable[[int, int], dict[BranchTree, int]]:
@@ -157,13 +151,11 @@ def _pack(seqs: set[UPReal]) -> tuple[dict[UPReal, int], int, int]:
     return keys, 8 * width * length, 8 * width
 
 
-def g_full(
-    wrapper: ShrinkWrapper, x: UPReal, n: int, coders: CoderConfig = DEFAULT_CODERS
-) -> int:
+def g_full(wrapper: ShrinkWrapper, x: UPReal, n: int) -> int:
     """Dominating value at n from a wrapper: exit, separation bound, or n."""
     return max(
-        exit_level(big_t(wrapper, n, coders), x),
-        sep_bound(wrapper, n, coders),
+        exit_level(big_t(wrapper, n), x),
+        sep_bound(wrapper, n),
         n,
     )
 
@@ -224,7 +216,6 @@ def check_domination(
     battery: Iterable[UPReal],
     wrapper: Optional[ShrinkWrapper] = None,
     trees: Optional[Sequence[BranchTree]] = None,
-    coders: CoderConfig = DEFAULT_CODERS,
 ) -> DominationReport:
     """Run a battery of sequences against the dominating rule.
 
@@ -244,12 +235,12 @@ def check_domination(
             )
         # One list of pair positions and one distinct_trees() call per
         # family serve every index.
-        pairs = list(wrapper.scope.pairs(coders))
+        pairs = list(wrapper.scope.pairs())
         family_trees = _family_trees(wrapper)
         covers = [_cover(pairs, n, family_trees) for n in range(n_reals)]
         bounds = [_sep_bound(pairs, n, family_trees) for n in range(n_reals)]
         in_scope = {(a, b) for _, a, b in pairs}
-        enforce_pointwise = wrapper.scope.covers_all_pairs(coders)
+        enforce_pointwise = wrapper.scope.covers_all_pairs()
     else:
         if len(trees) != n_reals:
             raise ValueError("need exactly one tree per point")

@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Mapping, Optional
 
 from shrinkwrap.core import (
-    DEFAULT_CODERS,
     ZERO,
     BranchTree,
-    CoderConfig,
     Node,
     UPReal,
+    pair_index,
     up_eval,
     up_sort_key,
 )
@@ -310,9 +310,7 @@ class _ObstructionContext:
     u: UPReal
 
 
-def _stage_obstruction(
-    universe: GroundUniverse, silver_p: SilverTree, coders: CoderConfig
-) -> _ObstructionContext:
+def _stage_obstruction(universe: GroundUniverse, silver_p: SilverTree) -> _ObstructionContext:
     # Stage the adversarial pair from the tree's stem and vet it.
     stem = silver_p.stem()
     n = len(stem)
@@ -321,7 +319,7 @@ def _stage_obstruction(
             "the flattened branch is the zero sequence; the tree needs a "
             "splitting level below the horizon"
         )
-    ntilde = coders.pair_index((2 * n, 2 * n + 1))
+    ntilde = pair_index((2 * n, 2 * n + 1))
     r0 = sv_leftmost(silver_p, stem + (0,))
     r1 = sv_leftmost(silver_p, stem + (1,))
     if not (up_eval(r0, n) == 0 and up_eval(r1, n) == 1):
@@ -392,7 +390,6 @@ def obstruct(
     wrapper: ShrinkWrapper,
     universe: GroundUniverse,
     silver_p: SilverTree,
-    coders: CoderConfig = DEFAULT_CODERS,
 ) -> ObstructionReport:
     """Name the wrapper law the staged adversarial pair breaks.
 
@@ -412,7 +409,7 @@ def obstruct(
             raise ValueError(
                 f"isolated set {idx} reaches outside the universe"
             )
-    ctx = _stage_obstruction(universe, silver_p, coders)
+    ctx = _stage_obstruction(universe, silver_p)
     even, odd = 2 * ctx.n, 2 * ctx.n + 1
     if odd >= wrapper.scope.n_reals or ctx.ntilde >= wrapper.scope.n_pairs:
         raise ValueError(
@@ -499,7 +496,6 @@ def brute_obstruction(
     silver_p: SilverTree,
     max_branches: int,
     s_uniform: bool = True,
-    coders: CoderConfig = DEFAULT_CODERS,
 ) -> BruteSummary:
     """Sweep every bounded candidate assignment at the staged pair position.
 
@@ -510,25 +506,18 @@ def brute_obstruction(
     special one assigned at a single word, which is the coarsest non-
     constant family shape.  The verdict of a candidate depends on its
     assignment only through the set of trees it uses, so the sweep is
-    exhaustive for these shapes.
+    exhaustive for these shapes.  The candidates are counted in closed form
+    and checked against the sweep cap before any of them is listed.
     """
-    ctx = _stage_obstruction(universe, silver_p, coders)
+    if max_branches < 0:
+        raise ValueError(f"max_branches must be nonnegative, got {max_branches}")
+    ctx = _stage_obstruction(universe, silver_p)
     pool = sorted(universe.reals, key=up_sort_key)
-    tree_sets = [
-        frozenset(c)
-        for size in range(1, max_branches + 1)
-        for c in itertools.combinations(pool, size)
-    ]
-    iso_sets = [
-        frozenset(c)
-        for size in range(0, max_branches + 1)
-        for c in itertools.combinations(pool, size)
-    ]
-    if ctx.ntilde == 0 or s_uniform:
-        choices = [(c,) for c in tree_sets]
-    else:
-        choices = [(d, s) for d in tree_sets for s in tree_sets]
-    total = len(choices) ** 2 * len(iso_sets) ** 2
+    sizes = range(1, min(max_branches, len(pool)) + 1)
+    n_trees = sum(comb(len(pool), size) for size in sizes)
+    uniform = ctx.ntilde == 0 or s_uniform
+    # Isolated sets are the candidate trees plus the empty set.
+    total = (n_trees if uniform else n_trees**2) ** 2 * (n_trees + 1) ** 2
     if total > _BRUTE_CAP:
         raise ValueError(
             f"{total} candidates exceed the sweep cap of {_BRUTE_CAP}"
@@ -537,6 +526,12 @@ def brute_obstruction(
         return BruteSummary(
             ctx.n, ctx.ntilde, ctx.u, 0, (), 0, True, s_uniform, max_branches
         )
+    tree_sets = [frozenset(c) for size in sizes for c in itertools.combinations(pool, size)]
+    iso_sets = [frozenset(), *tree_sets]
+    if uniform:
+        choices = [(c,) for c in tree_sets]
+    else:
+        choices = [(d, s) for d in tree_sets for s in tree_sets]
     counts = _clause_counts(choices, iso_sets, ctx.u)
     histogram = tuple(sorted(counts.items()))
     survivors = total - sum(counts.values())

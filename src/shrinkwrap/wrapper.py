@@ -34,12 +34,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from shrinkwrap.core import (
-    DEFAULT_CODERS,
     BranchTree,
-    CoderConfig,
     Node,
     UPReal,
     bt_separation_level,
+    growth,
+    pair_of,
+    shape_code,
     up_first_diff,
     up_sort_key,
 )
@@ -50,7 +51,9 @@ class WrapperScope:
     """How much of the plane of pairs a wrapper covers.
 
     ``n_reals`` bounds the sequence indices, ``n_pairs`` the pair positions.
-    Every in-scope pair position must name indices below ``n_reals``.
+    Every in-scope pair position must name indices below ``n_reals``.  The
+    pair positions below C(n_reals, 2) are exactly the pairs of indices
+    below ``n_reals``, so both questions about a scope are one comparison.
     """
 
     n_reals: int
@@ -60,28 +63,23 @@ class WrapperScope:
         if self.n_reals < 0 or self.n_pairs < 0:
             raise ValueError("scope bounds must be nonnegative")
 
-    def validate(self, coders: CoderConfig = DEFAULT_CODERS) -> None:
-        for nt in range(self.n_pairs):
-            a, b = coders.pair_of(nt)
-            if b >= self.n_reals:
-                raise ValueError(
-                    f"pair position {nt} names index {b} outside [0, {self.n_reals})"
-                )
+    def validate(self) -> None:
+        first_out = self.n_reals * (self.n_reals - 1) // 2
+        if self.n_pairs > first_out:
+            raise ValueError(
+                f"pair position {first_out} names index {pair_of(first_out)[1]} "
+                f"outside [0, {self.n_reals})"
+            )
 
-    def pairs(self, coders: CoderConfig = DEFAULT_CODERS) -> Iterator[tuple[int, int, int]]:
+    def pairs(self) -> Iterator[tuple[int, int, int]]:
         """Yield (pair position, smaller index, larger index) in scope."""
         for nt in range(self.n_pairs):
-            a, b = coders.pair_of(nt)
+            a, b = pair_of(nt)
             yield nt, a, b
 
-    def covers_all_pairs(self, coders: CoderConfig = DEFAULT_CODERS) -> bool:
+    def covers_all_pairs(self) -> bool:
         """Does the scope include every pair of indices below ``n_reals``?"""
-        in_scope = {tuple(coders.pair_of(nt)) for nt in range(self.n_pairs)}
-        return all(
-            (a, b) in in_scope
-            for a in range(self.n_reals)
-            for b in range(a + 1, self.n_reals)
-        )
+        return self.n_pairs >= self.n_reals * (self.n_reals - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -264,10 +262,9 @@ class ShrinkWrapper:
     """Scope, tree families for every in-scope (pair position, index), and
     one finite isolated point set per sequence index.
 
-    Which (pair position, index) keys the scope demands depends on the pair
-    coder, which is a per-operation parameter; the constructor therefore
-    only bounds-checks the keys, while the verifier and the codec check
-    totality against the coders they are given.
+    The constructor only bounds-checks the keys, so a partial wrapper can
+    be built and inspected; :meth:`check_total` requires every key the scope
+    demands, and the verifiers and the codec call it.
     """
 
     scope: WrapperScope
@@ -286,10 +283,10 @@ class ShrinkWrapper:
             raise ValueError("need one isolated set per sequence index")
         object.__setattr__(self, "isolated", iso)
 
-    def check_total(self, coders: CoderConfig = DEFAULT_CODERS) -> None:
+    def check_total(self) -> None:
         """Require a family for both indices of every in-scope pair position."""
-        self.scope.validate(coders)
-        for nt, a, b in self.scope.pairs(coders):
+        self.scope.validate()
+        for nt, a, b in self.scope.pairs():
             for n in (a, b):
                 if (nt, n) not in self.families:
                     raise ValueError(f"missing family for pair position {nt}, index {n}")
@@ -386,13 +383,12 @@ def classify_pair(
     ntilde: int,
     s1: Node,
     s2: Node,
-    coders: CoderConfig = DEFAULT_CODERS,
 ) -> PairVerdict:
     """Classify the two branch sets a word pair selects at one pair position."""
     xs = _check_sequence(wrapper, reals)
     if not 0 <= ntilde < wrapper.scope.n_pairs:
         raise ValueError(f"pair position {ntilde} out of scope")
-    n1, n2 = coders.pair_of(ntilde)
+    n1, n2 = pair_of(ntilde)
     t1 = wrapper.tree(ntilde, n1, s1)
     t2 = wrapper.tree(ntilde, n2, s2)
     tag, witness, level, reason = _classify_trees(
@@ -401,23 +397,23 @@ def classify_pair(
     return PairVerdict(tag, ntilde, tuple(s1), tuple(s2), witness, level, reason)
 
 
-def verify_wrapper(
-    wrapper: ShrinkWrapper,
-    reals: Sequence[UPReal],
-    coders: CoderConfig = DEFAULT_CODERS,
-) -> WrapperReport:
+def verify_wrapper(wrapper: ShrinkWrapper, reals: Sequence[UPReal]) -> WrapperReport:
     """Check the three defining laws over the whole scope.
 
     Law 3 is checked once per pair of distinct assigned trees; the verdict
     for a word pair depends only on the trees the words select, so this is
     exhaustive.  Reported word witnesses are representatives of their
     classes.
+
+    Law 1 is checked once per trie leaf, at the all-zero tail of its class:
+    over the words of one length that word has the least shape code, and a
+    tree that obeys an index obeys every larger one.
     """
     xs = _check_sequence(wrapper, reals)
-    wrapper.check_total(coders)
+    wrapper.check_total()
     violations: list[Violation] = []
 
-    for nt, a, b in wrapper.scope.pairs(coders):
+    for nt, a, b in wrapper.scope.pairs():
         # Each family's distinct trees, once per pair position.
         distinct: dict[int, dict[BranchTree, int]] = {}
         for n in (a, b):
@@ -425,19 +421,19 @@ def verify_wrapper(
             distinct[n] = fam.distinct_trees()
             # law 1: growth obedience, once per trie leaf
             for prefix, tree, _ in fam.classes():
-                for index in coders.class_shape_indices(prefix, nt, n):
-                    if not tree.obeys(index, coders):
-                        violations.append(
-                            Violation(
-                                "1",
-                                nt,
-                                n,
-                                prefix + (0,) * (nt - len(prefix)),
-                                None,
-                                f"tree exceeds the growth allowance at index {index}",
-                            )
+                word = prefix + (0,) * (nt - len(prefix))
+                index = shape_code(word, n)
+                if not tree.obeys(index):
+                    violations.append(
+                        Violation(
+                            "1",
+                            nt,
+                            n,
+                            word,
+                            None,
+                            f"tree exceeds the growth allowance at index {index}",
                         )
-                        break
+                    )
             # law 2: some word's tree passes through the point
             if not any(xs[n] in tree.branches for tree in distinct[n]):
                 violations.append(
@@ -473,18 +469,16 @@ def verify_wrapper(
     return WrapperReport(not violations, tuple(violations))
 
 
-def verify_condition4(
-    wrapper: ShrinkWrapper, coders: CoderConfig = DEFAULT_CODERS
-) -> WrapperReport:
+def verify_condition4(wrapper: ShrinkWrapper) -> WrapperReport:
     """Check the optional same-index law, separately from the main verifier.
 
     For every pair position and index, any two distinct words must select
     either the same isolated singleton or disjoint branch sets.  A tree
     shared by two or more words therefore has to be an isolated singleton.
     """
-    wrapper.check_total(coders)
+    wrapper.check_total()
     violations: list[Violation] = []
-    for nt, a, b in wrapper.scope.pairs(coders):
+    for nt, a, b in wrapper.scope.pairs():
         for n in (a, b):
             fam = wrapper.family(nt, n)
             distinct = fam.distinct_trees()
@@ -522,9 +516,7 @@ def verify_condition4(
 
 
 def build_wrapper(
-    reals: Sequence[UPReal],
-    scope: Optional[WrapperScope] = None,
-    coders: CoderConfig = DEFAULT_CODERS,
+    reals: Sequence[UPReal], scope: Optional[WrapperScope] = None
 ) -> ShrinkWrapper:
     """The direct wrapper: every word's tree is the single branch through
     the index's own point, and each isolated set is that point alone.
@@ -532,25 +524,18 @@ def build_wrapper(
     With the default scope every pair of sequence indices is covered.
     """
     xs = tuple(reals)
-    scope = scope or full_scope(len(xs), coders)
+    scope = scope or full_scope(len(xs))
     families = {}
-    for nt, a, b in scope.pairs(coders):
+    for nt, a, b in scope.pairs():
         for n in (a, b):
             families[(nt, n)] = TreeFamily.constant(nt, BranchTree.of(xs[n]))
     isolated = tuple(frozenset({x}) for x in xs)
     return ShrinkWrapper(scope, families, isolated)
 
 
-def full_scope(n_reals: int, coders: CoderConfig = DEFAULT_CODERS) -> WrapperScope:
+def full_scope(n_reals: int) -> WrapperScope:
     """Smallest scope covering every pair of indices below ``n_reals``."""
-    if n_reals < 2:
-        return WrapperScope(n_reals, 0)
-    n_pairs = 1 + max(
-        coders.pair_index((a, b))
-        for a in range(n_reals)
-        for b in range(a + 1, n_reals)
-    )
-    return WrapperScope(n_reals, n_pairs)
+    return WrapperScope(n_reals, n_reals * (n_reals - 1) // 2)
 
 
 def _cone_split(
@@ -584,7 +569,6 @@ def build_padded_wrapper(
     scope: Optional[WrapperScope] = None,
     decoys: Iterable[UPReal] = (),
     seed: int = 0,
-    coders: CoderConfig = DEFAULT_CODERS,
 ) -> ShrinkWrapper:
     """A wrapper with decoy branches packed in up to the growth allowance.
 
@@ -596,10 +580,10 @@ def build_padded_wrapper(
     an empty decoy pool this is exactly :func:`build_wrapper`.
     """
     xs = tuple(reals)
-    scope = scope or full_scope(len(xs), coders)
+    scope = scope or full_scope(len(xs))
     pool = sorted(set(decoys) - set(xs), key=up_sort_key)
     if not pool:
-        return build_wrapper(xs, scope, coders)
+        return build_wrapper(xs, scope)
     rng = random.Random(seed)
     fresh_value = 1 + max(
         (max(x.prefix + x.period) for x in (*xs, *pool)), default=0
@@ -608,11 +592,11 @@ def build_padded_wrapper(
     families: dict[tuple[int, int], TreeFamily] = {}
     isolated = [set((x,)) for x in xs]
 
-    for nt, a, b in scope.pairs(coders):
+    for nt, a, b in scope.pairs():
         word_a = tuple(rng.randrange(2) for _ in range(nt))
         word_b = tuple(rng.randrange(2) for _ in range(nt))
-        budget_a = coders.growth(coders.shape_code(word_a, a), 0)
-        budget_b = coders.growth(coders.shape_code(word_b, b), 0)
+        budget_a = growth(shape_code(word_a, a), 0)
+        budget_b = growth(shape_code(word_b, b), 0)
         same = xs[a] == xs[b]
         if same:
             budget = min(budget_a, budget_b)

@@ -17,7 +17,7 @@ import random
 from math import lcm
 
 from shrinkwrap.codec import CodecError
-from shrinkwrap.core import DEFAULT_CODERS, BranchTree, UPReal, up_sort_key
+from shrinkwrap.core import BranchTree, UPReal, up_sort_key
 from shrinkwrap.domination import DominationReport, DominationRow
 from shrinkwrap.sacks import MAX_HORIZON, FusionReport, HorizonPerfectTree, RMap, stem_or_path
 from shrinkwrap.silver import BruteSummary, GroundUniverse, ObstructionReport, SilverTree
@@ -316,6 +316,33 @@ def naive_clause_counts(choices, iso_sets, u) -> dict:
     return counts
 
 
+def naive_law1(wrapper: ShrinkWrapper) -> list:
+    """Law-1 oracle: every word of every class against the growth allowance.
+
+    A word of length w ranks 2**w - 1 plus its binary value, and its growth
+    index adds the sequence index.  A tree obeys index i when level l holds
+    at most i + l + 1 values; past level count - 2 that allowance reaches
+    the branch count, so the unrolled levels below the count decide it.
+    Returns (pair position, index, word, growth index) for the least-ranked
+    breaking word of each class that has one, sorted.
+    """
+    out = []
+    for (nt, n), fam in wrapper.families.items():
+        for prefix, tree in fam.leaves:
+            rows = [unroll(x, len(tree.branches)) for x in tree.branches]
+            widths = [len({row[l] for row in rows}) for l in range(len(tree.branches))]
+            broken = []
+            for tail in itertools.product((0, 1), repeat=nt - len(prefix)):
+                word = prefix + tail
+                index = (1 << nt) - 1 + int("".join(map(str, word)) or "0", 2) + n
+                if any(width > index + l + 1 for l, width in enumerate(widths)):
+                    broken.append((index, word))
+            if broken:
+                index, word = min(broken)
+                out.append((nt, n, word, index))
+    return sorted(out)
+
+
 def naive_check_partition(table, width: int) -> None:
     """Prefix-partition check by comparing every pair of class prefixes."""
     prefixes = sorted(table)
@@ -590,7 +617,7 @@ def naive_dec_wrapper(obj, path: str = "$.payload") -> ShrinkWrapper:
             for (nt, n), table in tables.items()
         }
         wrapper = ShrinkWrapper(scope, families, isolated)
-        wrapper.check_total(DEFAULT_CODERS)
+        wrapper.check_total()
     except ValueError as e:
         _naive_fail(path, str(e))
     return wrapper

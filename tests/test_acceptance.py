@@ -28,7 +28,6 @@ from test_wrapper import oracle_classify
 from shrinkwrap import codec
 from shrinkwrap.cli import run
 from shrinkwrap.core import (
-    DEFAULT_CODERS,
     ZERO,
     BranchTree,
     UPReal,
@@ -260,7 +259,7 @@ def test_05_domination_battery():
                 build_padded_wrapper(xs, decoys=decoys, seed=trial),
             )
             for w in wrappers:
-                assert w.scope.covers_all_pairs(DEFAULT_CODERS)
+                assert w.scope.covers_all_pairs()
                 branches = {
                     b
                     for fam in w.families.values()

@@ -65,6 +65,7 @@ G8 = GroundUniverse(frozenset({
     R([0], (1,)), R([1, 1]), R([0, 0, 1]), R([1, 0], (1,)),
 }))
 G4 = GroundUniverse(frozenset({ZERO, R([1]), R([0, 1]), R([], (1,))}))
+G22 = GroundUniverse(frozenset(UPReal.constant(v) for v in range(22)))
 
 
 class TestEncoding:
@@ -377,6 +378,17 @@ class TestDecodeErrors:
         doc = json.loads(encode(build_wrapper((ZERO, R([1])))))
         doc["payload"]["F"] = doc["payload"]["F"][:1]
         self.check(json.dumps(doc), "missing family")
+
+    def test_huge_scope_without_families_fails_fast(self):
+        # 4.5 M pair positions: totality fails at the first, without a walk.
+        doc = json.loads(encode(build_wrapper((ZERO, R([1])))))
+        doc["payload"]["scope"] = {"N": 3000, "Ntilde": 3000 * 2999 // 2}
+        doc["payload"]["F"] = []
+        doc["payload"]["I"] = [[] for _ in range(3000)]
+        message = "$.payload: missing family for pair position 0, index 0"
+        start = time.perf_counter()
+        self.check(json.dumps(doc), "^" + re.escape(message) + "$")
+        assert time.perf_counter() - start < 0.5
 
     def test_wrapper_duplicate_leaf(self):
         doc = json.loads(encode(build_wrapper((ZERO, R([1])))))
@@ -940,6 +952,22 @@ class TestCli:
         code = run(["silver-obstruct", "--universe", save("g.json", G4),
                     "--tree", save("p.json", P6), "--brute"])
         assert code == 2
+
+    def test_brute_bound_must_be_nonnegative(self, paths, capsys):
+        tmp, save = paths
+        code = run(["silver-obstruct", "--universe", save("g.json", G4),
+                    "--tree", save("p.json", P6), "--brute", "--max-branches", "-1"])
+        assert code == 2
+        assert "max_branches must be nonnegative" in capsys.readouterr().err
+
+    def test_brute_cap_is_checked_before_listing(self, paths, capsys):
+        tmp, save = paths
+        start = time.perf_counter()
+        code = run(["silver-obstruct", "--universe", save("g.json", G22),
+                    "--tree", save("p.json", P6), "--brute", "--max-branches", "8"])
+        assert code == 2
+        assert "exceed the sweep cap" in capsys.readouterr().err
+        assert time.perf_counter() - start < 0.5
 
     def test_missing_file(self, paths):
         tmp, save = paths

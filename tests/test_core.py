@@ -1,4 +1,4 @@
-"""Core layer: sequences, coders, branch-finite trees."""
+"""Core layer: sequences, index coding, branch-finite trees."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from gen import (
 from shrinkwrap.core import (
     ZERO,
     BranchTree,
-    CoderConfig,
     UPReal,
     bt_intersect,
     bt_separation_level,
@@ -323,26 +322,11 @@ class TestCoders:
                         pre.add((s, n))
         assert pre == {((), 2), ((0,), 1), ((1,), 0)}
 
-    def test_class_indices_default_config_single_minimum(self):
-        coders = CoderConfig()
-        out = list(coders.class_shape_indices((1, 0), 4, 2))
-        assert out == [shape_code((1, 0, 0, 0), 2)]
-        # The minimum really is attained at the all-zero tail.
+    def test_shape_code_class_minimum_is_the_all_zero_tail(self):
+        # The class of width-4 words extending (1, 0) takes its least shape
+        # code at (1, 0, 0, 0), the one word law 1 checks per class.
         alts = [shape_code((1, 0, b0, b1), 2) for b0 in (0, 1) for b1 in (0, 1)]
-        assert out[0] == min(alts)
-
-    def test_class_indices_custom_config_scans_everything(self):
-        coders = CoderConfig(canonical_shape=False)
-        out = sorted(coders.class_shape_indices((1,), 3, 0))
-        expect = sorted(
-            shape_code((1, b0, b1), 0) for b0 in (0, 1) for b1 in (0, 1)
-        )
-        assert out == expect
-
-    def test_class_indices_custom_config_cap(self):
-        coders = CoderConfig(canonical_shape=False)
-        with pytest.raises(ValueError):
-            list(coders.class_shape_indices((), 40, 0))
+        assert shape_code((1, 0, 0, 0), 2) == min(alts)
 
 
 class TestBranchTree:

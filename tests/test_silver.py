@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import time
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -43,6 +45,7 @@ G8 = GroundUniverse(frozenset({
     R([0], (1,)), R([1, 1]), R([0, 0, 1]), R([1, 0], (1,)),
 }))
 G4 = GroundUniverse(frozenset({ZERO, R([1]), R([0, 1]), R([], (1,))}))
+G22 = GroundUniverse(frozenset(UPReal.constant(v) for v in range(22)))
 
 
 class TestValidate:
@@ -493,9 +496,45 @@ class TestBruteObstruction:
         assert summary.vacuous and summary.total == 0
         assert summary.histogram == () and summary.survivors == 0
 
+    def test_negative_bound_is_refused(self):
+        with pytest.raises(ValueError, match="^max_branches must be nonnegative, got -1$"):
+            brute_obstruction(G4, P6, max_branches=-1)
+
     def test_oversized_sweeps_are_refused(self):
         with pytest.raises(ValueError, match="sweep cap"):
             brute_obstruction(G8, P6, max_branches=2, s_uniform=False)
+
+    def test_closed_form_total_matches_the_listing(self):
+        pool = sorted(G8.reals, key=up_sort_key)
+        for max_branches in range(5):
+            trees = [c for k in range(1, max_branches + 1) for c in itertools.combinations(pool, k)]
+            isolated = [c for k in range(max_branches + 1) for c in itertools.combinations(pool, k)]
+            for s_uniform in (True, False):
+                choices = len(trees) if s_uniform else len(trees) ** 2
+                total = choices**2 * len(isolated) ** 2
+                if total > 4_000_000:
+                    with pytest.raises(ValueError, match=f"^{total} candidates exceed"):
+                        brute_obstruction(G8, P6, max_branches, s_uniform)
+                else:
+                    assert brute_obstruction(G8, P6, max_branches, s_uniform).total == total
+
+    def test_cap_is_checked_before_listing(self):
+        # 22 reals and up to 8 branches: about 10**21 candidates, counted
+        # without listing a single subset.
+        n_trees = sum(comb(22, k) for k in range(1, 9))
+        total = n_trees**2 * (n_trees + 1) ** 2
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError) as e:
+                brute_obstruction(G22, P6, max_branches=8)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(e.value) == f"{total} candidates exceed the sweep cap of 4000000"
+        assert elapsed < 0.5
+        assert peak < 1 << 20
 
     def test_preconditions_checked_before_enumerating(self):
         g = GroundUniverse(G4.reals | {U6})

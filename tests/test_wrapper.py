@@ -12,13 +12,15 @@ from gen import (
     naive_equal,
     naive_first_diff,
     naive_from_assignments,
+    naive_law1,
     naive_tree_family,
+    rand_branch_tree,
     rand_family_leaves,
     rand_overrides,
     rand_prefix_table,
     rand_upreal,
 )
-from shrinkwrap.core import ZERO, BranchTree, UPReal, up_first_diff
+from shrinkwrap.core import ZERO, BranchTree, UPReal, pair_of, up_first_diff
 from shrinkwrap.wrapper import (
     ShrinkWrapper,
     TreeFamily,
@@ -362,6 +364,83 @@ class TestVerifyWrapper:
         assert all(v.condition == "4" for v in report.violations)
         # the main verifier does not require the fourth law
         assert not any(v.condition == "4" for v in verify_wrapper(bad, xs).violations)
+
+
+def rand_law1_wrapper(rng: random.Random) -> tuple[ShrinkWrapper, list[UPReal]]:
+    """A total wrapper of width at most 6 with random class partitions and
+    trees of up to 10 branches over up to 8 letters, so that some break the
+    growth allowance at low indices and some obey it."""
+    n_reals = rng.randint(2, 5)
+    scope = WrapperScope(n_reals, rng.randint(1, min(7, n_reals * (n_reals - 1) // 2)))
+    families = {}
+    for nt, a, b in scope.pairs():
+        for n in (a, b):
+            classes = [()]
+            for _ in range(rng.randrange(nt + 1)):
+                p = rng.choice([p for p in classes if len(p) < nt])
+                classes.remove(p)
+                classes += [p + (0,), p + (1,)]
+            leaves = [
+                (p, rand_branch_tree(rng, rng.choice((1, 3, 10)), rng.choice((2, 4, 8))))
+                for p in classes
+            ]
+            families[(nt, n)] = TreeFamily(nt, tuple(leaves))
+    xs = [rand_upreal(rng) for _ in range(n_reals)]
+    return ShrinkWrapper(scope, families, tuple(frozenset() for _ in xs)), xs
+
+
+class TestLaw1Oracle:
+    def test_random_families_match_the_word_scan(self):
+        rng = random.Random(1401)
+        broken = obeying = 0
+        for _ in range(150):
+            w, xs = rand_law1_wrapper(rng)
+            got = [
+                (v.ntilde, v.n, v.s1, v.reason)
+                for v in verify_wrapper(w, xs).violations
+                if v.condition == "1"
+            ]
+            want = naive_law1(w)
+            assert got == [
+                (nt, n, word, f"tree exceeds the growth allowance at index {index}")
+                for nt, n, word, index in want
+            ]
+            classes = sum(len(fam.leaves) for fam in w.families.values())
+            broken += len(want)
+            obeying += classes - len(want)
+        assert broken >= 50 and obeying >= 50
+
+
+class TestScopeClosedForms:
+    def test_scopes_match_the_pair_enumeration(self):
+        for n_reals in range(14):
+            full = n_reals * (n_reals - 1) // 2
+            every = {(a, b) for b in range(n_reals) for a in range(b)}
+            smallest = None
+            for n_pairs in range(full + 5):
+                scope = WrapperScope(n_reals, n_pairs)
+                named = [pair_of(nt) for nt in range(n_pairs)]
+                covers = every <= set(named)
+                assert scope.covers_all_pairs() == covers
+                if covers and smallest is None:
+                    smallest = n_pairs
+                outside = [(nt, b) for nt, (_, b) in enumerate(named) if b >= n_reals]
+                if outside:
+                    nt, b = outside[0]
+                    message = f"pair position {nt} names index {b} outside [0, {n_reals})"
+                    with pytest.raises(ValueError) as e:
+                        scope.validate()
+                    assert str(e.value) == message
+                else:
+                    scope.validate()
+            assert full_scope(n_reals) == WrapperScope(n_reals, smallest)
+
+    def test_empty_and_single_index_scopes(self):
+        for n_reals in (0, 1):
+            assert full_scope(n_reals) == WrapperScope(n_reals, 0)
+            with pytest.raises(ValueError) as e:
+                WrapperScope(n_reals, 1).validate()
+            assert str(e.value) == f"pair position 0 names index 1 outside [0, {n_reals})"
 
 
 class TestBuilders:
