@@ -507,8 +507,9 @@ class TestBruteObstruction:
     def test_closed_form_total_matches_the_listing(self):
         pool = sorted(G8.reals, key=up_sort_key)
         for max_branches in range(5):
-            trees = [c for k in range(1, max_branches + 1) for c in itertools.combinations(pool, k)]
-            isolated = [c for k in range(max_branches + 1) for c in itertools.combinations(pool, k)]
+            sizes = range(max_branches + 1)
+            isolated = [c for k in sizes for c in itertools.combinations(pool, k)]
+            trees = isolated[1:]
             for s_uniform in (True, False):
                 choices = len(trees) if s_uniform else len(trees) ** 2
                 total = choices**2 * len(isolated) ** 2
@@ -517,6 +518,13 @@ class TestBruteObstruction:
                         brute_obstruction(G8, P6, max_branches, s_uniform)
                 else:
                     assert brute_obstruction(G8, P6, max_branches, s_uniform).total == total
+
+    def test_bound_past_the_universe_size_lists_nothing_more(self):
+        start = time.perf_counter()
+        huge = brute_obstruction(G4, P6, max_branches=10**9)
+        assert time.perf_counter() - start < 0.5
+        whole = brute_obstruction(G4, P6, max_branches=4)
+        assert huge == dataclasses.replace(whole, max_branches=10**9)
 
     def test_cap_is_checked_before_listing(self):
         # 22 reals and up to 8 branches: about 10**21 candidates, counted
