@@ -466,28 +466,29 @@ def _clause_counts(
 ) -> dict[str, int]:
     """Verdicts of every (trees1, trees2, iso1, iso2) candidate, by clause.
 
-    A verdict reads an isolated set only through whether it holds u, so the
-    isolated sets fall into at most two classes (with u, without u); each
-    pair of classes is classified once, through its first members, and
-    weighted by the number of candidates in it.
+    A verdict reads a family only through its first tree holding u, and an
+    isolated set only through whether it holds u.  So the families fall into
+    cover classes, keyed by that tree (the empty set when no tree holds u),
+    and the isolated sets into at most two classes (with u, without u); each
+    combination of classes is classified once and weighted by the number of
+    candidates in it.
     """
+    covers: dict[frozenset[UPReal], int] = {}
+    for trees in choices:
+        cover = next((c for c in trees if u in c), frozenset())
+        covers[cover] = covers.get(cover, 0) + 1
     classes: dict[bool, tuple[frozenset[UPReal], int]] = {}
     for iso in iso_sets:
         held = u in iso
         first, size = classes.get(held, (iso, 0))
         classes[held] = (first, size + 1)
     counts: dict[str, int] = {}
-    for trees1 in choices:
-        t1 = next((c for c in trees1 if u in c), None)
-        for trees2 in choices:
-            t2 = next((c for c in trees2 if u in c), None)
+    for t1, count1 in covers.items():
+        for t2, count2 in covers.items():
             for iso1, size1 in classes.values():
                 for iso2, size2 in classes.values():
-                    if t1 is None or t2 is None:
-                        clause = "condition2"
-                    else:
-                        clause, _, _ = _violated_clause(t1, t2, iso1, iso2, u)
-                    counts[clause] = counts.get(clause, 0) + size1 * size2
+                    clause, _, _ = _violated_clause(t1, t2, iso1, iso2, u)
+                    counts[clause] = counts.get(clause, 0) + count1 * count2 * size1 * size2
     return counts
 
 
@@ -505,8 +506,8 @@ def brute_obstruction(
     each index picks an ordered (default, special) pair of trees, the
     special one assigned at a single word, which is the coarsest non-
     constant family shape.  The verdict of a candidate depends on its
-    assignment only through the set of trees it uses, so the sweep is
-    exhaustive for these shapes.  The candidates are counted in closed form
+    assignment only through its first tree holding u, so the sweep is
+    exhaustive for these shapes, and it classifies each cover class once.  The candidates are counted in closed form
     and checked against the sweep cap before any of them is listed.
     """
     if max_branches < 0:

@@ -45,6 +45,8 @@ from shrinkwrap.core import (
     up_sort_key,
 )
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 @dataclass(frozen=True)
 class WrapperScope:
@@ -407,7 +409,9 @@ def verify_wrapper(wrapper: ShrinkWrapper, reals: Sequence[UPReal]) -> WrapperRe
 
     Law 1 is checked once per trie leaf, at the all-zero tail of its class:
     over the words of one length that word has the least shape code, and a
-    tree that obeys an index obeys every larger one.
+    tree that obeys an index obeys every larger one.  That code is read off
+    the prefix's binary value, and the word is spelled out only for a
+    violation.
     """
     xs = _check_sequence(wrapper, reals)
     wrapper.check_total()
@@ -421,15 +425,16 @@ def verify_wrapper(wrapper: ShrinkWrapper, reals: Sequence[UPReal]) -> WrapperRe
             distinct[n] = fam.distinct_trees()
             # law 1: growth obedience, once per trie leaf
             for prefix, tree, _ in fam.classes():
-                word = prefix + (0,) * (nt - len(prefix))
-                index = shape_code(word, n)
+                tail = nt - len(prefix)
+                value = int(b"0" + bytes(prefix).translate(_DIGITS), 2)
+                index = (1 << nt) - 1 + (value << tail) + n
                 if not tree.obeys(index):
                     violations.append(
                         Violation(
                             "1",
                             nt,
                             n,
-                            word,
+                            prefix + (0,) * tail,
                             None,
                             f"tree exceeds the growth allowance at index {index}",
                         )

@@ -11,7 +11,15 @@ from math import comb
 
 import pytest
 
-from gen import naive_clause_counts, naive_sv_validate, rand_hpt, rand_silver
+import shrinkwrap.silver
+
+from gen import (
+    naive_clause_counts,
+    naive_sv_validate,
+    rand_hpt,
+    rand_silver,
+    rand_upreal,
+)
 from shrinkwrap.core import ZERO, UPReal, up_eval, up_first_diff, up_sort_key
 from shrinkwrap.silver import (
     BruteSummary,
@@ -583,3 +591,98 @@ class TestClauseCounts:
         counts = _clause_counts([(c,) for c in trees], isolated, U6)
         assert counts == naive_clause_counts([(c,) for c in trees], isolated, U6)
         assert "3b" not in counts
+
+
+def _subsets(pool, smallest, largest):
+    return [
+        frozenset(c)
+        for size in range(smallest, largest + 1)
+        for c in itertools.combinations(pool, size)
+    ]
+
+
+def _first_holders(choices, u):
+    return {next((c for c in trees if u in c), None) for trees in choices}
+
+
+class TestCoverClasses:
+    """Cover-class counts against one verdict per candidate, on seeded
+    random pools of 3-5 reals that hold u."""
+
+    def pool(self, rng):
+        size = rng.randint(3, 5)
+        u = rand_upreal(rng, alphabet=2)
+        pool = {u}
+        while len(pool) < size:
+            pool.add(rand_upreal(rng, alphabet=2))
+        return u, sorted(pool, key=up_sort_key)
+
+    def isolated(self, rng, pool, u):
+        sets = _subsets(pool, 0, 2)
+        picked = rng.sample(sets, rng.randint(1, len(sets)))
+        kind = rng.randrange(3)
+        if kind == 1:
+            picked = [c for c in picked if u not in c] or [frozenset()]
+        elif kind == 2:
+            picked = [c for c in picked if u in c] or [frozenset({u})]
+        return picked
+
+    def check(self, choices, iso_sets, u):
+        counts = _clause_counts(choices, iso_sets, u)
+        assert counts == naive_clause_counts(choices, iso_sets, u)
+        assert sum(counts.values()) == len(choices) ** 2 * len(iso_sets) ** 2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_uniform_choices(self, seed):
+        rng = random.Random(seed)
+        u, pool = self.pool(rng)
+        trees = _subsets(pool, 1, 2)
+        choices = [(c,) for c in rng.sample(trees, rng.randint(1, len(trees)))]
+        self.check(choices, self.isolated(rng, pool, u), u)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_default_special_choices(self, seed):
+        rng = random.Random(100 + seed)
+        u, pool = self.pool(rng)
+        trees = _subsets(pool, 1, 2)
+        pairs = [(d, s) for d in trees for s in trees]
+        choices = rng.sample(pairs, rng.randint(1, min(len(pairs), 60)))
+        self.check(choices, self.isolated(rng, pool, u), u)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_holder_decides(self, seed):
+        rng = random.Random(200 + seed)
+        u, pool = self.pool(rng)
+        holders = [c for c in _subsets(pool, 1, 2) if u in c]
+        first = rng.choice(holders)
+        choices = [(first, s) for s in holders if s != first]
+        iso_sets = self.isolated(rng, pool, u)
+        self.check(choices, iso_sets, u)
+        assert set(_clause_counts(choices, iso_sets, u)) <= {"3a", "3b"}
+
+    def test_empty_choices(self):
+        u, pool = self.pool(random.Random(300))
+        assert _clause_counts([], _subsets(pool, 0, 1), u) == {}
+        self.check([], _subsets(pool, 0, 1), u)
+
+    def test_classifies_each_cover_class_once(self, monkeypatch):
+        """A return to one verdict per candidate pair would make
+        choices**2 * 4 calls, here thousands; cover classes make at most
+        covers**2 * 4."""
+        rng = random.Random(400)
+        u, pool = self.pool(rng)
+        trees = _subsets(pool, 1, 2)
+        choices = [(d, s) for d in trees for s in trees]
+        iso_sets = _subsets(pool, 0, 1)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _violated_clause(*args)
+
+        monkeypatch.setattr(shrinkwrap.silver, "_violated_clause", counting)
+        counts = _clause_counts(choices, iso_sets, u)
+        covers = len(_first_holders(choices, u))
+        covered = sum(1 for trees in choices if any(u in c for c in trees))
+        assert len(calls) <= covers**2 * 4 < covered**2 * 4
+        assert counts == naive_clause_counts(choices, iso_sets, u)
