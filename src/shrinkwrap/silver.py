@@ -507,8 +507,9 @@ def brute_obstruction(
     special one assigned at a single word, which is the coarsest non-
     constant family shape.  The verdict of a candidate depends on its
     assignment only through its first tree holding u, so the sweep is
-    exhaustive for these shapes, and it classifies each cover class once.  The candidates are counted in closed form
-    and checked against the sweep cap before any of them is listed.
+    exhaustive for these shapes, and it classifies each cover class once.
+    The candidates are counted in closed form and checked against the
+    sweep cap before any of them is listed.
     """
     if max_branches < 0:
         raise ValueError(f"max_branches must be nonnegative, got {max_branches}")

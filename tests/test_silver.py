@@ -601,10 +601,6 @@ def _subsets(pool, smallest, largest):
     ]
 
 
-def _first_holders(choices, u):
-    return {next((c for c in trees if u in c), None) for trees in choices}
-
-
 class TestCoverClasses:
     """Cover-class counts against one verdict per candidate, on seeded
     random pools of 3-5 reals that hold u."""
@@ -617,20 +613,18 @@ class TestCoverClasses:
             pool.add(rand_upreal(rng, alphabet=2))
         return u, sorted(pool, key=up_sort_key)
 
-    def isolated(self, rng, pool, u):
-        sets = _subsets(pool, 0, 2)
-        picked = rng.sample(sets, rng.randint(1, len(sets)))
-        kind = rng.randrange(3)
-        if kind == 1:
-            picked = [c for c in picked if u not in c] or [frozenset()]
-        elif kind == 2:
-            picked = [c for c in picked if u in c] or [frozenset({u})]
-        return picked
-
-    def check(self, choices, iso_sets, u):
-        counts = _clause_counts(choices, iso_sets, u)
-        assert counts == naive_clause_counts(choices, iso_sets, u)
-        assert sum(counts.values()) == len(choices) ** 2 * len(iso_sets) ** 2
+    def check(self, rng, choices, pool, u):
+        """Against the oracle with a mixed isolated list, one without u and
+        one where every set holds u."""
+        picked = rng.sample(_subsets(pool, 0, 2), rng.randint(2, 8))
+        for iso_sets in (
+            picked,
+            [c for c in picked if u not in c] or [frozenset()],
+            [c for c in picked if u in c] or [frozenset({u})],
+        ):
+            counts = _clause_counts(choices, iso_sets, u)
+            assert counts == naive_clause_counts(choices, iso_sets, u)
+            assert sum(counts.values()) == len(choices) ** 2 * len(iso_sets) ** 2
 
     @pytest.mark.parametrize("seed", range(8))
     def test_uniform_choices(self, seed):
@@ -638,7 +632,7 @@ class TestCoverClasses:
         u, pool = self.pool(rng)
         trees = _subsets(pool, 1, 2)
         choices = [(c,) for c in rng.sample(trees, rng.randint(1, len(trees)))]
-        self.check(choices, self.isolated(rng, pool, u), u)
+        self.check(rng, choices, pool, u)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_default_special_choices(self, seed):
@@ -647,7 +641,7 @@ class TestCoverClasses:
         trees = _subsets(pool, 1, 2)
         pairs = [(d, s) for d in trees for s in trees]
         choices = rng.sample(pairs, rng.randint(1, min(len(pairs), 60)))
-        self.check(choices, self.isolated(rng, pool, u), u)
+        self.check(rng, choices, pool, u)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_first_holder_decides(self, seed):
@@ -656,14 +650,13 @@ class TestCoverClasses:
         holders = [c for c in _subsets(pool, 1, 2) if u in c]
         first = rng.choice(holders)
         choices = [(first, s) for s in holders if s != first]
-        iso_sets = self.isolated(rng, pool, u)
-        self.check(choices, iso_sets, u)
-        assert set(_clause_counts(choices, iso_sets, u)) <= {"3a", "3b"}
+        self.check(rng, choices, pool, u)
+        assert set(_clause_counts(choices, _subsets(pool, 0, 1), u)) <= {"3a", "3b"}
 
     def test_empty_choices(self):
         u, pool = self.pool(random.Random(300))
         assert _clause_counts([], _subsets(pool, 0, 1), u) == {}
-        self.check([], _subsets(pool, 0, 1), u)
+        self.check(random.Random(301), [], pool, u)
 
     def test_classifies_each_cover_class_once(self, monkeypatch):
         """A return to one verdict per candidate pair would make
@@ -682,7 +675,7 @@ class TestCoverClasses:
 
         monkeypatch.setattr(shrinkwrap.silver, "_violated_clause", counting)
         counts = _clause_counts(choices, iso_sets, u)
-        covers = len(_first_holders(choices, u))
+        covers = len({next((c for c in trees if u in c), None) for trees in choices})
         covered = sum(1 for trees in choices if any(u in c for c in trees))
         assert len(calls) <= covers**2 * 4 < covered**2 * 4
         assert counts == naive_clause_counts(choices, iso_sets, u)
