@@ -11,8 +11,6 @@ from math import comb
 
 import pytest
 
-import shrinkwrap.silver
-
 from gen import (
     naive_clause_counts,
     naive_sv_validate,
@@ -659,8 +657,8 @@ class TestCoverClasses:
         self.check(random.Random(301), [], pool, u)
 
     def test_classifies_each_cover_class_once(self, monkeypatch):
-        """A return to one verdict per candidate pair would make
-        choices**2 * 4 calls, here thousands; cover classes make at most
+        """One verdict per pair of covered families would make
+        covered**2 * 4 calls, here thousands; cover classes make at most
         covers**2 * 4."""
         rng = random.Random(400)
         u, pool = self.pool(rng)
@@ -673,7 +671,7 @@ class TestCoverClasses:
             calls.append(args)
             return _violated_clause(*args)
 
-        monkeypatch.setattr(shrinkwrap.silver, "_violated_clause", counting)
+        monkeypatch.setattr("shrinkwrap.silver._violated_clause", counting)
         counts = _clause_counts(choices, iso_sets, u)
         covers = len({next((c for c in trees if u in c), None) for trees in choices})
         covered = sum(1 for trees in choices if any(u in c for c in trees))
