@@ -283,14 +283,6 @@ class BranchTree:
         return BranchTree(kept)
 
 
-def bt_intersect(t1: BranchTree, t2: BranchTree) -> Optional[BranchTree]:
-    """Common branches of the two trees, pruned to a tree, or ``None``."""
-    common = t1.branches & t2.branches
-    if not common:
-        return None
-    return BranchTree(common)
-
-
 def bt_separation_level(t1: BranchTree, t2: BranchTree) -> Optional[int]:
     """Least level past every pairwise agreement, for disjoint branch sets.
 

@@ -1,27 +1,29 @@
-"""Exit levels and the dominating rule a wrapper gives rise to.
+"""The dominating rule a wrapper gives rise to, and the battery check.
 
 The first-difference function of a point sequence sends a sequence x to the
 row of levels where x first differs from each point.  A wrapper bounds that
-row almost everywhere: index n gets a covering tree (branches lying in some
+row almost everywhere: index n gets a cover (the branches lying in some
 assigned tree at every in-scope pair position involving n), a separation
 bound harvested from the wrapper's disjoint tree pairs, and the fallback n
-itself; the maximum of the three is the dominating value at n.  A plain
-sequence of trees, one per point, supports a simpler rule without the
-separation bound, provided the trees pass through their points and are
-pairwise disjoint wherever the points differ.
+itself.  The dominating value of x at n is the maximum of the bound, n, and
+x's exit level from the cover: 0 when x is a branch, else one past its
+longest agreement with a branch.  A plain sequence of trees, one per point,
+supports a simpler rule without the separation bound, provided the trees
+pass through their points and are pairwise disjoint wherever the points
+differ.
 
 The checker runs a finite battery of sequences against either rule.  It
 records where the first difference still beats the rule and flags the two
 configurations the domination argument rules out: a failure pair n1 < n2
 with an in-scope pair position and first difference at n1 at most n2, and,
-when every pair of indices is covered, a failure at an index whose covering
-tree the sequence exits.
+when every pair of indices is covered, a failure at an index whose cover
+the sequence exits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from shrinkwrap.core import (
     BranchTree,
@@ -30,82 +32,6 @@ from shrinkwrap.core import (
     up_first_diff,
 )
 from shrinkwrap.wrapper import ShrinkWrapper
-
-
-def exit_level(tree: BranchTree, x: UPReal) -> int:
-    """Least level whose initial segment of x is not a node; 0 for branches."""
-    if x in tree.branches:
-        return 0
-    return 1 + max(up_first_diff(x, b) for b in tree.branches)
-
-
-def fx(reals: Sequence[UPReal], x: UPReal, n: int) -> int:
-    """First difference of x against the n-th point; 0 when they are equal."""
-    if not 0 <= n < len(reals):
-        raise ValueError(f"index {n} out of range for {len(reals)} points")
-    xn = reals[n]
-    if x == xn:
-        return 0
-    return up_first_diff(x, xn)
-
-
-def big_t(wrapper: ShrinkWrapper, n: int) -> BranchTree:
-    """Covering tree at index n.
-
-    A branch survives when every in-scope pair position involving n assigns
-    it to some word's tree.  Kept as a branch set, so the result is pruned:
-    nodes live only below surviving branches.
-    """
-    return _cover(wrapper.scope.pairs(), n, _family_trees(wrapper))
-
-
-def sep_bound(wrapper: ShrinkWrapper, n2: int) -> int:
-    """Least level by which every disjoint tree pair aimed at n2 has split.
-
-    Ranges over in-scope pair positions whose larger index is n2 and over
-    word pairs selecting disjoint branch sets.  No such pair means no
-    constraint, hence 0.
-    """
-    return _sep_bound(wrapper.scope.pairs(), n2, _family_trees(wrapper))
-
-
-def _family_trees(wrapper: ShrinkWrapper) -> Callable[[int, int], dict[BranchTree, int]]:
-    # Each family's distinct trees, computed on first use and then reused.
-    seen: dict[tuple[int, int], dict[BranchTree, int]] = {}
-
-    def trees(nt: int, n: int) -> dict[BranchTree, int]:
-        if (nt, n) not in seen:
-            seen[(nt, n)] = wrapper.family(nt, n).distinct_trees()
-        return seen[(nt, n)]
-
-    return trees
-
-
-def _cover(pairs: Iterable[tuple[int, int, int]], n: int, trees) -> BranchTree:
-    unions = [
-        frozenset().union(*(tree.branches for tree in trees(nt, n)))
-        for nt, a, b in pairs
-        if n in (a, b)
-    ]
-    if not unions:
-        raise ValueError(f"no in-scope pair position involves index {n}")
-    common = frozenset.intersection(*unions)
-    if not common:
-        raise ValueError(f"covering branch sets at index {n} have empty intersection")
-    return BranchTree(common)
-
-
-def _sep_bound(pairs: Iterable[tuple[int, int, int]], n2: int, trees) -> int:
-    bound = 0
-    for nt, a, b in pairs:
-        if b != n2:
-            continue
-        for t1 in trees(nt, a):
-            for t2 in trees(nt, b):
-                level = bt_separation_level(t1, t2)
-                if level is not None:
-                    bound = max(bound, level)
-    return bound
 
 
 # Longest window a sequence is packed to, which bounds the memory a long
@@ -149,22 +75,6 @@ def _pack(seqs: set[UPReal]) -> tuple[dict[UPReal, int], int, int]:
 
     keys = {x: int.from_bytes(pack(w), "big") for x, w in windows.items()}
     return keys, 8 * width * length, 8 * width
-
-
-def g_full(wrapper: ShrinkWrapper, x: UPReal, n: int) -> int:
-    """Dominating value at n from a wrapper: exit, separation bound, or n."""
-    return max(
-        exit_level(big_t(wrapper, n), x),
-        sep_bound(wrapper, n),
-        n,
-    )
-
-
-def g_simple(trees: Sequence[BranchTree], x: UPReal, n: int) -> int:
-    """Dominating value at n from a plain tree sequence: exit or n."""
-    if not 0 <= n < len(trees):
-        raise ValueError(f"index {n} out of range for {len(trees)} trees")
-    return max(exit_level(trees[n], x), n)
 
 
 def check_hypotheses_simple(
@@ -233,18 +143,37 @@ def check_domination(
             raise ValueError(
                 f"sequence length {n_reals} does not match scope {wrapper.scope.n_reals}"
             )
-        # One list of pair positions and one distinct_trees() call per
-        # family serve every index.
-        pairs = list(wrapper.scope.pairs())
-        family_trees = _family_trees(wrapper)
-        covers = [_cover(pairs, n, family_trees) for n in range(n_reals)]
-        bounds = [_sep_bound(pairs, n, family_trees) for n in range(n_reals)]
-        in_scope = {(a, b) for _, a, b in pairs}
+        wrapper.check_total()
+        # One pass over the pair positions reads each family's distinct
+        # trees once: their branch union joins both indices' cover lists,
+        # and each disjoint tree pair raises the larger index's bound.
+        unions = [[] for _ in range(n_reals)]
+        bounds = [0] * n_reals
+        in_scope = set()
+        for nt, a, b in wrapper.scope.pairs():
+            trees_a = wrapper.family(nt, a).distinct_trees()
+            trees_b = wrapper.family(nt, b).distinct_trees()
+            unions[a].append(frozenset().union(*(t.branches for t in trees_a)))
+            unions[b].append(frozenset().union(*(t.branches for t in trees_b)))
+            for t1 in trees_a:
+                for t2 in trees_b:
+                    level = bt_separation_level(t1, t2)
+                    if level is not None:
+                        bounds[b] = max(bounds[b], level)
+            in_scope.add((a, b))
+        cover_sets = []
+        for n, sets in enumerate(unions):
+            if not sets:
+                raise ValueError(f"no in-scope pair position involves index {n}")
+            common = frozenset.intersection(*sets)
+            if not common:
+                raise ValueError(f"covering branch sets at index {n} have empty intersection")
+            cover_sets.append(common)
         enforce_pointwise = wrapper.scope.covers_all_pairs()
     else:
         if len(trees) != n_reals:
             raise ValueError("need exactly one tree per point")
-        covers = list(trees)
+        cover_sets = [tree.branches for tree in trees]
         bounds = [0] * n_reals
         in_scope = {
             (a, b) for a in range(n_reals) for b in range(a + 1, n_reals)
@@ -252,18 +181,18 @@ def check_domination(
         enforce_pointwise = True
 
     battery = tuple(battery)
-    cover_sets = [cover.branches for cover in covers]
     keys, total, symbol = _pack(set(xs).union(battery, *cover_sets))
     point_keys = [keys[y] for y in xs]
     cover_keys = [[keys[b] for b in branches] for branches in cover_sets]
     floors = [max(bound, n) for n, bound in enumerate(bounds)]
     rows = []
     for x in battery:
-        # fx and exit_level from XORs of packed windows: the highest set
-        # bit of kx ^ ky lies in the first position where x and y differ,
-        # and the least XOR over a cover's branches marks the branch x
-        # follows longest.  A zero XOR means the windows agree, which the
-        # cap allows for distinct sequences; those take the exact scan.
+        # First differences and exit levels from XORs of packed windows:
+        # the highest set bit of kx ^ ky lies in the first position where x
+        # and y differ, and the least XOR over a cover's branches marks the
+        # branch x follows longest.  A zero XOR means the windows agree,
+        # which the cap allows for distinct sequences; those take the exact
+        # scan.
         kx = keys[x]
         f_values = tuple(
             (total - d.bit_length()) // symbol if d else 0 if x == y else up_first_diff(x, y)

@@ -182,15 +182,6 @@ def stem_or_path(p: HorizonPerfectTree) -> Node:
     return next(_words(l, 1 << i))
 
 
-def hpt_stem(p: HorizonPerfectTree) -> Node:
-    """Minimal branching node.  A tree may run out of splits before the
-    horizon; that is an error here, unlike :func:`stem_or_path`."""
-    t = stem_or_path(p)
-    if not p.is_branching(t):
-        raise ValueError("no branching node within the horizon")
-    return t
-
-
 def _splits_upto(p: HorizonPerfectTree, n: int) -> Iterator[tuple[int, int, int]]:
     """Branching nodes with at most n branching proper initial segments,
     as (length, that count, mask) level by level.
@@ -204,13 +195,6 @@ def _splits_upto(p: HorizonPerfectTree, n: int) -> Iterator[tuple[int, int, int]
         yield from ((l, k, m & splits) for k, m in enumerate(below))
         nxt = [m & ~splits | (k and below[k - 1] & splits) for k, m in enumerate(below)]
         below = [(m | m << (1 << l)) & p.levels[l + 1] for m in nxt]
-
-
-def hpt_branching_nodes(p: HorizonPerfectTree, k: int) -> frozenset[Node]:
-    """Branching nodes with exactly k branching proper initial segments."""
-    return frozenset(
-        t for l, order, mask in _splits_upto(p, k) if order == k for t in _words(l, mask)
-    )
 
 
 def hpt_leq_n(q: HorizonPerfectTree, p: HorizonPerfectTree, n: int) -> bool:

@@ -555,20 +555,6 @@ def _cone_split(
     )
 
 
-def separate_stems(t1: BranchTree, t2: BranchTree) -> tuple[BranchTree, BranchTree]:
-    """Restrict two trees below incomparable nodes.
-
-    The witness pair is the lexicographically least pair of differing
-    branches, scanning both branch lists in pointwise order.  Fails only
-    when both trees are the same singleton.
-    """
-    for x in t1.sorted_branches():
-        for y in t2.sorted_branches():
-            if x != y:
-                return _cone_split(t1, t2, x, y)
-    raise ValueError("cannot separate two copies of the same singleton")
-
-
 def build_padded_wrapper(
     reals: Sequence[UPReal],
     scope: Optional[WrapperScope] = None,
@@ -581,8 +567,8 @@ def build_padded_wrapper(
     every other word falls back to a filler singleton shared by the two
     indices and recorded in both isolated sets.  When the two padded trees
     collide they are cut back to incomparable cones below the indices' own
-    points, the same stem separation the two-tree primitive performs.  With
-    an empty decoy pool this is exactly :func:`build_wrapper`.
+    points, one level past their first difference.  With an empty decoy
+    pool this is exactly :func:`build_wrapper`.
     """
     xs = tuple(reals)
     scope = scope or full_scope(len(xs))

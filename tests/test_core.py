@@ -22,7 +22,6 @@ from shrinkwrap.core import (
     ZERO,
     BranchTree,
     UPReal,
-    bt_intersect,
     bt_separation_level,
     growth,
     pair_index,
@@ -420,13 +419,6 @@ class TestBranchTree:
             got = t.restrict(node).branches
             expect = {b for b in t.branches if b.initial_segment(len(node)) == node}
             assert got == expect
-
-    def test_intersect_is_branch_set_intersection(self):
-        a, b, c = ZERO, R([1], [0]), R([2], [0])
-        t1 = BranchTree.of(a, b)
-        t2 = BranchTree.of(b, c)
-        assert bt_intersect(t1, t2).branches == frozenset({b})
-        assert bt_intersect(BranchTree.of(a), BranchTree.of(c)) is None
 
     def test_separation_level_examples(self):
         assert bt_separation_level(BranchTree.of(ZERO), BranchTree.of(R([1], [0]))) == 1

@@ -1,4 +1,5 @@
-"""Exit levels, the dominating rules, and the battery checker."""
+"""Exit levels, the dominating rules, and the battery checker, all read
+through ``check_domination``."""
 
 from __future__ import annotations
 
@@ -12,17 +13,7 @@ from gen import mutate_at_level, naive_check_domination, rand_upreal
 from shrinkwrap import codec, domination
 from shrinkwrap.cli import run
 from shrinkwrap.core import ZERO, BranchTree, UPReal, up_first_diff
-from shrinkwrap.domination import (
-    _WINDOW_CAP,
-    big_t,
-    check_domination,
-    check_hypotheses_simple,
-    exit_level,
-    fx,
-    g_full,
-    g_simple,
-    sep_bound,
-)
+from shrinkwrap.domination import _WINDOW_CAP, check_domination, check_hypotheses_simple
 from shrinkwrap.wrapper import (
     ShrinkWrapper,
     TreeFamily,
@@ -41,22 +32,38 @@ def T(*branches):
     return BranchTree(frozenset(branches))
 
 
+def index0_rows(tree, battery):
+    """Tree-provider rows over one point.  The floor at index 0 is 0, so
+    ``g_values[0]`` is the battery entry's exit level from the tree."""
+    return check_domination([ZERO], battery, trees=[tree]).rows
+
+
+def exit_levels(tree, battery):
+    return [row.g_values[0] for row in index0_rows(tree, battery)]
+
+
+def singleton_rows(xs, battery):
+    """Tree-provider rows with one singleton tree per point."""
+    return check_domination(xs, battery, trees=[T(x) for x in xs]).rows
+
+
 class TestExitLevel:
     def test_branches_exit_at_zero(self):
         t = T(ZERO, R([1]))
-        assert exit_level(t, ZERO) == 0
-        assert exit_level(t, R([1], [0])) == 0
+        rows = index0_rows(t, [ZERO, R([1], [0])])
+        assert [(row.g_values[0], row.in_tree[0]) for row in rows] == [(0, True), (0, True)]
 
     def test_frozen_examples(self):
-        assert exit_level(T(ZERO), R([1])) == 1
-        assert exit_level(T(ZERO, R([0, 0, 1])), R([0, 1])) == 2
+        assert exit_levels(T(ZERO), [R([1])]) == [1]
+        assert exit_levels(T(ZERO, R([0, 0, 1])), [R([0, 1])]) == [2]
 
     def test_zero_exactly_on_branches(self):
         rng = random.Random(21)
         for _ in range(200):
             t = BranchTree(frozenset(rand_upreal(rng) for _ in range(3)))
             x = rand_upreal(rng)
-            assert (exit_level(t, x) == 0) == (x in t.branches)
+            (row,) = index0_rows(t, [x])
+            assert (row.g_values[0] == 0) == row.in_tree[0] == (x in t.branches)
 
     def test_monotone_in_the_branch_set_off_the_paths(self):
         rng = random.Random(22)
@@ -66,34 +73,26 @@ class TestExitLevel:
             x = rand_upreal(rng)
             if x in big:
                 continue
-            assert exit_level(BranchTree(small), x) <= exit_level(BranchTree(big), x)
+            assert exit_levels(BranchTree(small), [x]) <= exit_levels(BranchTree(big), [x])
 
     def test_first_diff_sits_one_below_singleton_exit(self):
         rng = random.Random(23)
         xs = [rand_upreal(rng) for _ in range(6)]
-        for _ in range(200):
-            x = rand_upreal(rng)
-            for n, xn in enumerate(xs):
-                if x == xn:
-                    continue
-                assert fx(xs, x, n) == exit_level(BranchTree.of(xn), x) - 1
+        battery = [rand_upreal(rng) for _ in range(200)]
+        for xn in xs:
+            for row in singleton_rows([xn], battery):
+                if row.x != xn:
+                    assert row.f_values[0] == row.g_values[0] - 1
 
 
 class TestFx:
     def test_equal_point_gives_zero(self):
-        xs = [R([1, 2])]
-        assert fx(xs, R([1, 2]), 0) == 0
+        (row,) = singleton_rows([R([1, 2])], [R([1, 2])])
+        assert row.f_values == (0,)
 
     def test_frozen_examples(self):
-        xs = [ZERO]
-        assert fx(xs, R([1]), 0) == 0
-        assert fx(xs, R([0, 0, 0, 1]), 0) == 3
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            fx([ZERO], ZERO, 1)
-        with pytest.raises(ValueError):
-            fx([ZERO], ZERO, -1)
+        rows = singleton_rows([ZERO], [R([1]), R([0, 0, 0, 1])])
+        assert [row.f_values for row in rows] == [(0,), (3,)]
 
 
 def three_point_wrapper(families):
@@ -101,12 +100,20 @@ def three_point_wrapper(families):
     return ShrinkWrapper(WrapperScope(3, 3), families, (frozenset(),) * 3)
 
 
+THREE = (ZERO, R([1]), R([2]))
+
+
 class TestBigT:
+    """Covers, read off the ``in_tree`` rows of the wrapper provider."""
+
     def test_constant_families_give_their_tree(self):
         t = T(ZERO, R([1]))
         w = pair_wrapper_families(t, t)
-        assert big_t(w, 0) == t
-        assert big_t(w, 1) == t
+        battery = [ZERO, R([1]), R([2]), R([0, 1])]
+        report = check_domination([ZERO, R([1])], battery, wrapper=w)
+        assert [row.in_tree for row in report.rows] == [
+            (x in t.branches,) * 2 for x in battery
+        ]
 
     def test_branch_sets_intersect_across_positions(self):
         a, b, c = ZERO, R([1]), R([2])
@@ -119,14 +126,16 @@ class TestBigT:
             (2, 2): TreeFamily.constant(2, T(c)),
         }
         w = three_point_wrapper(fams)
-        assert big_t(w, 0) == T(b)
+        report = check_domination(THREE, [a, b, c], wrapper=w)
+        assert [row.in_tree[0] for row in report.rows] == [False, True, False]
 
     def test_direct_build_covers_its_point(self):
         rng = random.Random(31)
         xs = [rand_upreal(rng) for _ in range(4)]
         w = build_wrapper(xs)
-        for n, x in enumerate(xs):
-            assert x in big_t(w, n).branches
+        report = check_domination(xs, xs, wrapper=w)
+        for n, row in enumerate(report.rows):
+            assert row.in_tree[n]
 
     def test_index_without_pair_position_rejected(self):
         w = ShrinkWrapper(
@@ -137,8 +146,9 @@ class TestBigT:
             },
             (frozenset(),) * 3,
         )
-        with pytest.raises(ValueError):
-            big_t(w, 2)
+        with pytest.raises(ValueError) as e:
+            check_domination(THREE, [ZERO], wrapper=w)
+        assert str(e.value) == "no in-scope pair position involves index 2"
 
     def test_empty_intersection_rejected(self):
         a, b, c = ZERO, R([1]), R([2])
@@ -151,8 +161,9 @@ class TestBigT:
             (2, 2): TreeFamily.constant(2, T(c)),
         }
         w = three_point_wrapper(fams)
-        with pytest.raises(ValueError):
-            big_t(w, 0)
+        with pytest.raises(ValueError) as e:
+            check_domination(THREE, [ZERO], wrapper=w)
+        assert str(e.value) == "covering branch sets at index 0 have empty intersection"
 
 
 def pair_wrapper_families(t1, t2):
@@ -163,56 +174,67 @@ def pair_wrapper_families(t1, t2):
     )
 
 
+def resident_floor(wrapper, xs, n):
+    """The dominating value at n of a probe inside n's cover: its exit
+    level is 0, so the value is the larger of the separation bound and n."""
+    (row,) = check_domination(xs, [xs[n]], wrapper=wrapper).rows
+    assert row.in_tree[n]
+    return row.g_values[n]
+
+
 class TestSepBound:
     def test_vacuous_when_no_disjoint_pairs(self):
         x = R([1, 2])
         w = build_wrapper([x, x])
-        assert sep_bound(w, 0) == 0
-        assert sep_bound(w, 1) == 0
+        assert resident_floor(w, [x, x], 0) == 0
+        assert resident_floor(w, [x, x], 1) == 1
 
     def test_single_disjoint_pair(self):
-        w = build_wrapper([ZERO, R([1])])
-        assert sep_bound(w, 1) == 1
+        xs = [ZERO, R([1])]
+        assert resident_floor(build_wrapper(xs), xs, 1) == 1
+        xs = [ZERO, R([0, 0, 0, 1])]
+        w = build_wrapper(xs)
+        assert resident_floor(w, xs, 0) == 0  # the bound lands on the larger index
+        assert resident_floor(w, xs, 1) == 4
 
     def test_max_over_positions(self):
+        c = R([0, 0, 1])  # index 2's cover
         fams = {
             (0, 0): TreeFamily.constant(0, T(ZERO)),
-            (0, 1): TreeFamily.constant(0, T(R([9]))),
+            (0, 1): TreeFamily.constant(0, T(R([0, 0, 0, 0, 1]))),
             (1, 0): TreeFamily.constant(1, T(ZERO)),
-            (1, 2): TreeFamily.constant(1, T(R([1]))),
-            (2, 1): TreeFamily.constant(2, T(R([0, 1]))),
-            (2, 2): TreeFamily.constant(2, T(R([0, 2]))),
+            (1, 2): TreeFamily.constant(1, T(c)),
+            (2, 1): TreeFamily.constant(2, T(R([0, 0, 0, 0, 1]))),
+            (2, 2): TreeFamily.constant(2, T(c, R([0, 0, 0, 0, 2]))),
         }
         w = three_point_wrapper(fams)
-        assert sep_bound(w, 2) == 2  # levels 1 and 2 across the two positions
+        xs = [ZERO, R([0, 0, 0, 0, 1]), c]
+        assert resident_floor(w, xs, 2) == 5  # levels 3 and 5 across the two positions
 
 
 class TestDominatingValues:
     def test_g_full_on_a_resident_point(self):
         x = R([1, 2])
         w = build_wrapper([x, x])
-        assert g_full(w, x, 0) == 0
-        assert g_full(w, x, 1) == 1
+        (row,) = check_domination([x, x], [x], wrapper=w).rows
+        assert row.g_values == (0, 1)
 
     def test_g_full_is_the_stated_max(self):
         xs = [ZERO, R([1]), R([0, 0, 0, 0, 1])]
         w = build_wrapper(xs)
-        for n in range(3):
-            for x in (*xs, R([3]), R([0, 0, 7])):
-                want = max(
-                    exit_level(big_t(w, n), x), sep_bound(w, n), n
-                )
-                assert g_full(w, x, n) == want
-                assert g_full(w, x, n) >= n
-        assert g_full(w, ZERO, 2) == 5  # exits the far point's tree at level 5
+        battery = [*xs, R([3]), R([0, 0, 7])]
+        report = check_domination(xs, battery, wrapper=w)
+        want = naive_check_domination(xs, battery, wrapper=w)
+        for row, want_row in zip(report.rows, want.rows, strict=True):
+            assert row.g_values == want_row.g_values
+            assert all(g >= n for n, g in enumerate(row.g_values))
+        assert report.rows[0].g_values[2] == 5  # ZERO exits the far point's tree at level 5
 
     def test_g_simple_examples(self):
-        trees = [T(ZERO), T(R([0, 0, 0, 1]))]
-        assert g_simple(trees, ZERO, 0) == 0
-        assert g_simple(trees, R([1]), 1) == max(1, 1)
-        assert g_simple(trees, ZERO, 1) == 4
-        with pytest.raises(ValueError):
-            g_simple(trees, ZERO, 2)
+        xs = [ZERO, R([0, 0, 0, 1])]
+        trees = [T(x) for x in xs]
+        report = check_domination(xs, [ZERO, R([1])], trees=trees)
+        assert [row.g_values for row in report.rows] == [(0, 4), (1, 1)]
 
 
 class TestSimpleHypotheses:
@@ -318,22 +340,6 @@ class TestCheckDomination:
         assert row.pointwise_failures == (0,)
         assert row.violating_pairs == ()
 
-    def test_rows_match_the_per_index_definitions(self):
-        rng = random.Random(44)
-        for trial in range(6):
-            xs = [rand_upreal(rng, alphabet=3) for _ in range(5)]
-            if trial % 2:
-                xs[3] = xs[1]
-            decoys = [rand_upreal(rng, alphabet=3) for _ in range(2 + trial)]
-            scope = WrapperScope(5, 10 if trial < 4 else 7)
-            w = build_padded_wrapper(xs, scope=scope, decoys=decoys, seed=trial)
-            report = check_domination(xs, battery_for(w, xs, rng), wrapper=w)
-            for row in report.rows:
-                x = row.x
-                assert row.f_values == tuple(fx(xs, x, n) for n in range(5))
-                assert row.g_values == tuple(g_full(w, x, n) for n in range(5))
-                assert row.in_tree == tuple(x in big_t(w, n).branches for n in range(5))
-
     def test_each_family_is_scanned_once(self, monkeypatch):
         rng = random.Random(45)
         xs = [rand_upreal(rng) for _ in range(6)]
@@ -349,7 +355,7 @@ class TestCheckDomination:
         check_domination(xs, xs, wrapper=w)
         assert len(scanned) == len(w.families)
 
-    def test_missing_family_error_matches_big_t(self):
+    def test_missing_family_error_names_the_pair_position(self):
         w = ShrinkWrapper(
             WrapperScope(3, 3),
             {
@@ -360,11 +366,9 @@ class TestCheckDomination:
             },
             (frozenset(),) * 3,
         )
-        with pytest.raises(ValueError) as direct:
-            big_t(w, 0)
-        with pytest.raises(ValueError) as batch:
-            check_domination([ZERO, R([1]), R([2])], [ZERO], wrapper=w)
-        assert str(batch.value) == str(direct.value)
+        with pytest.raises(ValueError) as e:
+            check_domination(THREE, [ZERO], wrapper=w)
+        assert str(e.value) == "missing family for pair position 1, index 0"
 
     def test_provider_arguments_validated(self):
         xs = [ZERO, R([1])]
@@ -527,8 +531,9 @@ class TestCheckDominationOracle:
         finally:
             tracemalloc.stop()
         (row,) = report.rows
-        assert row.f_values == tuple(fx(xs, probe, n) for n in range(3)) == (0, 100, 0)
-        assert row.g_values == tuple(g_simple(trees, probe, n) for n in range(3))
+        (want,) = naive_check_domination(xs, [probe], trees=trees).rows
+        assert row.f_values == want.f_values == (0, 100, 0)
+        assert row.g_values == want.g_values
         assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: every module imports only names it uses, states its
 checks with explicit raises rather than ``assert``, which ``python -O``
-strips, and leaves canonical form to the ``UPReal`` constructor; and
+strips, and leaves canonical form to the ``UPReal`` constructor; the
+package's ``__all__`` lists exactly the names ``__init__.py`` imports; and
 every entry point that the benchmark's tracer names still exists.
 
 Parsed with ``ast`` so the check needs nothing beyond the standard library.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,6 +81,41 @@ def test_detector_sees_unused_and_string_annotation_uses():
         "    return os.path.join('a')\n"
     )
     assert unused_imports(source) == ["Sequence (line 3)", "itertools (line 2)"]
+
+
+def export_mismatches(source: str) -> list[str]:
+    """Where ``__all__`` and the imported names disagree: names imported
+    but not listed, listed but not imported, and listed more than once."""
+    tree = ast.parse(source)
+    (listed,) = (
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    imported = set(imported_names(tree))
+    counts = Counter(listed)
+    return sorted(
+        [f"{name} not listed" for name in imported - counts.keys()]
+        + [f"{name} not imported" for name in counts.keys() - imported]
+        + [f"{name} listed {n} times" for name, n in counts.items() if n > 1]
+    )
+
+
+def test_all_lists_exactly_the_imports():
+    assert export_mismatches((SRC / "__init__.py").read_text()) == []
+
+
+def test_detector_sees_unlisted_unimported_and_repeated_exports():
+    source = (
+        "from __future__ import annotations\n"
+        "from pkg.a import kept, unlisted\n"
+        "import pkg.b as b\n"
+        "__all__ = ['kept', 'b', 'gone', 'kept']\n"
+    )
+    assert export_mismatches(source) == [
+        "gone not imported", "kept listed 2 times", "unlisted not listed"
+    ]
 
 
 def assert_statements(source: str) -> list[int]:

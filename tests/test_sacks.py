@@ -13,6 +13,7 @@ from gen import (
     naive_gap,
     naive_hpt_check,
     naive_leq_n,
+    naive_orders,
     rand_hpt,
     rand_rmap,
 )
@@ -23,9 +24,7 @@ from shrinkwrap.sacks import (
     RMap,
     fusion_intersect,
     fusion_union,
-    hpt_branching_nodes,
     hpt_leq_n,
-    hpt_stem,
     stem_or_path,
     verify_fusion_helper,
 )
@@ -129,41 +128,60 @@ class TestHorizonPerfectTree:
 
 class TestStem:
     def test_full_tree_stems_at_the_root(self):
-        assert hpt_stem(HorizonPerfectTree.full(3)) == ()
+        p = HorizonPerfectTree.full(3)
+        assert stem_or_path(p) == ()
+        assert p.is_branching(())
 
     def test_fixed_prefix_then_full(self):
-        assert hpt_stem(stem_then_full(4, (0, 1))) == (0, 1)
+        p = stem_then_full(4, (0, 1))
+        assert stem_or_path(p) == (0, 1)
+        assert p.is_branching((0, 1))
 
-    def test_branchless_tree_is_an_error_but_has_a_path(self):
+    def test_branchless_tree_has_a_path_but_no_stem(self):
         p = single_path(3, (1, 0))
-        with pytest.raises(ValueError):
-            hpt_stem(p)
         assert stem_or_path(p) == (1, 0, 0)
+        assert not p.is_branching((1, 0, 0))
+
+
+def cut(p, nodes):
+    """p without the subtree below the 1-child of each given branching node."""
+    gone = {t + (1,) for t in nodes}
+    lengths = {len(t) for t in gone}
+    return HorizonPerfectTree(
+        p.horizon, frozenset(s for s in p.nodes if not any(s[:i] in gone for i in lengths))
+    )
+
+
+def order_of(p, t):
+    """The number of branching proper initial segments of t, read through
+    hpt_leq_n: the least n at which losing one of t's splits breaks it."""
+    q = cut(p, [t])
+    return next(n for n in range(len(t) + 1) if not hpt_leq_n(q, p, n))
 
 
 class TestBranchingNodes:
     def test_full_depth_three(self):
         p = HorizonPerfectTree.full(3)
-        assert hpt_branching_nodes(p, 0) == {()}
-        assert hpt_branching_nodes(p, 1) == {(0,), (1,)}
-        assert hpt_branching_nodes(p, 2) == set(
-            itertools.product((0, 1), repeat=2)
-        )
-        assert hpt_branching_nodes(p, 3) == frozenset()
+        orders = {t: order_of(p, t) for t in p.branching_nodes()}
+        assert orders == {
+            (): 0, (0,): 1, (1,): 1, **dict.fromkeys(itertools.product((0, 1), repeat=2), 2)
+        }
 
     def test_stem_tree(self):
-        assert hpt_branching_nodes(stem_then_full(3, (0,)), 0) == {(0,)}
+        p = stem_then_full(3, (0,))
+        assert order_of(p, (0,)) == 0
+        assert not p.is_branching(())
 
     def test_orders_partition_the_branching_nodes(self):
         rng = random.Random(5)
         for _ in range(20):
             p = rand_hpt(rng, 8)
-            seen = set()
+            orders = naive_orders(p)
+            assert {t: order_of(p, t) for t in p.branching_nodes()} == orders
             for k in range(9):
-                level = hpt_branching_nodes(p, k)
-                assert not (level & seen)
-                seen |= level
-            assert seen == p.branching_nodes()
+                # keeping every split of order k passes at k, whatever goes below
+                deeper = [t for t, order in orders.items() if order == k + 1]
+                assert hpt_leq_n(cut(p, deeper), p, k)
 
 
 class TestLeqN:
@@ -238,13 +256,11 @@ class TestAgainstWholeTreeRecounts:
                 rand_hpt(rng, horizon),
             )
             for n in range(-1, 6):
-                assert hpt_branching_nodes(p, n) == naive_branching_nodes(p, n)
                 for q in others:
                     assert hpt_leq_n(q, p, n) == naive_leq_n(q, p, n)
 
     def test_negative_orders_see_nothing(self):
         p = HorizonPerfectTree.full(3)
-        assert hpt_branching_nodes(p, -1) == frozenset()
         assert hpt_leq_n(p.below((0,)), p, -1)
         assert not hpt_leq_n(p, p.below((0,)), -1)
 
@@ -519,7 +535,7 @@ class TestLargestCommonSegmentClaim:
                         )
                         for s in itertools.product((0, 1), repeat=k)
                     }
-                    for t in hpt_branching_nodes(p_n, k):
+                    for t in naive_branching_nodes(p_n, k):
                         assert t in meets
 
 

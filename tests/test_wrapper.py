@@ -20,6 +20,7 @@ from gen import (
     rand_prefix_table,
     rand_upreal,
 )
+from shrinkwrap import wrapper
 from shrinkwrap.core import ZERO, BranchTree, UPReal, pair_of, up_first_diff
 from shrinkwrap.wrapper import (
     ShrinkWrapper,
@@ -29,7 +30,6 @@ from shrinkwrap.wrapper import (
     build_wrapper,
     classify_pair,
     full_scope,
-    separate_stems,
     verify_condition4,
     verify_wrapper,
 )
@@ -455,7 +455,15 @@ class TestBuilders:
         assert build_padded_wrapper(xs, seed=3) == build_wrapper(xs)
         assert build_padded_wrapper(xs, decoys=xs, seed=3) == build_wrapper(xs)
 
-    def test_padded_passes_verifiers_and_actually_pads(self):
+    def test_padded_passes_verifiers_and_actually_pads(self, monkeypatch):
+        splits = []
+        cone_split = wrapper._cone_split
+
+        def counting(*args):
+            splits.append(args)
+            return cone_split(*args)
+
+        monkeypatch.setattr(wrapper, "_cone_split", counting)
         rng = random.Random(10)
         padded_seen = False
         for trial in range(20):
@@ -473,6 +481,7 @@ class TestBuilders:
             ):
                 padded_seen = True
         assert padded_seen
+        assert splits  # the collision path ran under both verifiers
 
     def test_padded_deterministic_for_seed(self):
         rng = random.Random(11)
@@ -499,32 +508,23 @@ class TestBuilders:
 
 
 class TestSeparateStems:
-    def test_least_differing_pair_drives_the_split(self):
-        a, b = R([1]), R([2])
-        t1 = T(ZERO, a)
-        t2 = T(ZERO, b)
-        r1, r2 = separate_stems(t1, t2)
-        # least differing pair is (zero, b): cones below (0,) and (2,)
-        assert r1.branches == frozenset({ZERO})
-        assert r2.branches == frozenset({b})
+    """The stem separation ``build_padded_wrapper`` applies when two padded
+    trees collide."""
 
     def test_results_sit_in_incomparable_cones(self):
         rng = random.Random(77)
         for _ in range(100):
             t1 = BranchTree(frozenset(rand_upreal(rng) for _ in range(rng.randrange(1, 4))))
             t2 = BranchTree(frozenset(rand_upreal(rng) for _ in range(rng.randrange(1, 4))))
-            if t1.branches == t2.branches and len(t1.branches) == 1:
+            x, y = rng.choice(t1.sorted_branches()), rng.choice(t2.sorted_branches())
+            if x == y:
                 continue
-            r1, r2 = separate_stems(t1, t2)
-            assert r1.branches <= t1.branches
-            assert r2.branches <= t2.branches
+            r1, r2 = wrapper._cone_split(t1, t2, x, y)
+            assert x in r1.branches <= t1.branches
+            assert y in r2.branches <= t2.branches
             # below incomparable nodes every cross pair splits at one level
-            diffs = {up_first_diff(x, y) for x in r1.branches for y in r2.branches}
-            assert len(diffs) == 1
-
-    def test_same_singleton_rejected(self):
-        with pytest.raises(ValueError):
-            separate_stems(T(ZERO), T(R([0], [0])))
+            diffs = {up_first_diff(u, v) for u in r1.branches for v in r2.branches}
+            assert diffs == {up_first_diff(x, y)}
 
 
 class TestClassifyAgainstOracle:
