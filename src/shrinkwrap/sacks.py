@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import InitVar, dataclass
 from functools import cached_property, reduce
-from operator import and_, or_
+from operator import and_, invert, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from shrinkwrap.core import Node
@@ -94,10 +94,16 @@ class HorizonPerfectTree:
             if mask < 0 or mask >> (1 << l):
                 raise ValueError(f"level {l} has bits past its {1 << l} words")
         # Shortest fault first, then lowest index: an orphan, or a short node without a child.
+        splits = []
         for l, mask in enumerate(levels):
             up = levels[l - 1] if l else 1
             orphans = mask & ~(up | up << (1 << l >> 1))
-            kids = or_(*_halves(levels[l + 1], l)) if l < self.horizon else mask
+            if l < self.horizon:
+                zero, one = _halves(levels[l + 1], l)
+                kids = zero | one
+                splits.append(zero & one)
+            else:
+                kids = mask
             bad = orphans | mask & ~kids
             if bad:
                 i = (bad & -bad).bit_length() - 1
@@ -108,6 +114,8 @@ class HorizonPerfectTree:
         if not levels[0]:
             raise ValueError("tree must contain the root")
         object.__setattr__(self, "levels", tuple(levels))
+        splits.append(0)
+        self.__dict__["splits"] = tuple(splits)
 
     @classmethod
     def full(cls, horizon: int) -> "HorizonPerfectTree":
@@ -120,14 +128,16 @@ class HorizonPerfectTree:
         """The node set, built on first read."""
         return frozenset(t for l, mask in enumerate(self.levels) for t in _words(l, mask))
 
+    @cached_property
+    def splits(self) -> tuple[int, ...]:
+        """Mask of the branching nodes at each length, 0 at the horizon.
+        The constructor fills it in from the halves it checks."""
+        return tuple(and_(*_halves(m, l)) for l, m in enumerate(self.levels[1:])) + (0,)
+
     def _has(self, t: Node) -> bool:
         if len(t) > self.horizon or not set(t) <= {0, 1}:
             return False
         return bool(self.levels[len(t)] >> (_position(t) ^ 1 << len(t)) & 1)
-
-    def _splits(self, l: int) -> int:
-        """Mask of the branching nodes of length l."""
-        return and_(*_halves(self.levels[l + 1], l)) if l < self.horizon else 0
 
     def children(self, t: Node) -> tuple[Node, ...]:
         return tuple(t + (b,) for b in (0, 1) if self._has(t + (b,)))
@@ -136,7 +146,7 @@ class HorizonPerfectTree:
         return bool(self._has(t + (0,)) and self._has(t + (1,)))
 
     def branching_nodes(self) -> frozenset[Node]:
-        return frozenset(t for l in range(self.horizon) for t in _words(l, self._splits(l)))
+        return frozenset(t for l, mask in enumerate(self.splits) for t in _words(l, mask))
 
     def below(self, t: Node) -> "HorizonPerfectTree":
         """The subtree of nodes comparable with ``t``."""
@@ -163,36 +173,41 @@ class HorizonPerfectTree:
         maximal nodes have no strict descendants at all.
         """
         good = 0  # from the horizon up: nodes that branch or have a good child
+        splits = self.splits
         for l in range(self.horizon, -1, -1):
-            good = self._splits(l) | or_(*_halves(good, l))
+            good = splits[l] | or_(*_halves(good, l))
             if self.levels[l] & ~good:
                 bad = l
         return self.horizon + 1 - bad
 
 
 def _subset(q: HorizonPerfectTree, p: HorizonPerfectTree) -> bool:
-    return not any(a & ~b for a, b in zip(q.levels, p.levels))
+    return not any(map(and_, q.levels, map(invert, p.levels)))
 
 
 def stem_or_path(p: HorizonPerfectTree) -> Node:
     """First branching node, or the maximal node of a branchless tree."""
+    splits, levels = p.splits, p.levels
     i = l = 0
-    while l < p.horizon and not p._splits(l) >> i & 1:  # step to the only child
-        i, l = i + (0 if p.levels[l + 1] >> i & 1 else 1 << l), l + 1
-    return next(_words(l, 1 << i))
+    while l < p.horizon and not splits[l] >> i & 1:  # step to the only child
+        i, l = i + (0 if levels[l + 1] >> i & 1 else 1 << l), l + 1
+    return tuple([i >> k & 1 for k in range(l)])
 
 
-def _splits_upto(p: HorizonPerfectTree, n: int) -> Iterator[tuple[int, int, int]]:
+def _splits_upto(p: HorizonPerfectTree, n: int) -> Iterator[tuple[int, int]]:
     """Branching nodes with at most n branching proper initial segments,
-    as (length, that count, mask) level by level.
+    as (length, mask) level by level.
 
     Carries masks down from the root and drops a node below its n-th
-    split, so only the part of the tree above the reported splits is kept.
+    split, so only the part of the tree above the reported splits is kept,
+    and stops at the first level where nothing is carried.
     """
     below = [1] + [0] * n if n >= 0 else []  # below[k]: nodes under k splits
-    for l in range(p.horizon):
-        splits = p._splits(l)
-        yield from ((l, k, m & splits) for k, m in enumerate(below))
+    for l, splits in enumerate(p.splits[:-1]):
+        carried = reduce(or_, below, 0)
+        if not carried:
+            return
+        yield l, carried & splits
         nxt = [m & ~splits | (k and below[k - 1] & splits) for k, m in enumerate(below)]
         below = [(m | m << (1 << l)) & p.levels[l + 1] for m in nxt]
 
@@ -203,7 +218,8 @@ def hpt_leq_n(q: HorizonPerfectTree, p: HorizonPerfectTree, n: int) -> bool:
         raise ValueError("trees live at different horizons")
     if not _subset(q, p):
         return False
-    return all(not mask & ~q._splits(l) for l, _, mask in _splits_upto(p, n))
+    q_splits = q.splits
+    return all(not mask & ~q_splits[l] for l, mask in _splits_upto(p, n))
 
 
 @dataclass(frozen=True)

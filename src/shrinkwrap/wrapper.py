@@ -297,6 +297,9 @@ class ShrinkWrapper:
         try:
             return self.families[(nt, n)]
         except KeyError:
+            scope = self.scope
+            if 0 <= nt < scope.n_pairs and n in pair_of(nt) and n < scope.n_reals:
+                raise ValueError(f"missing family for pair position {nt}, index {n}") from None
             raise ValueError(f"({nt}, {n}) is outside the wrapper scope") from None
 
     def tree(self, nt: int, n: int, s: Node) -> BranchTree:

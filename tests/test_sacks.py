@@ -556,6 +556,54 @@ def forged_tree(horizon, nodes):
     return p
 
 
+def stored_splits(p):
+    """The split masks the constructor left on p, or None if it left none."""
+    return p.__dict__.get("splits")
+
+
+class TestSplitMasks:
+    """The branching-node masks a tree keeps, one per length, against the
+    set-based branching nodes of ``gen``."""
+
+    def expected(self, p):
+        return level_masks(p.horizon, naive_branching(p.nodes))
+
+    def test_every_construction_keeps_the_oracle_masks(self):
+        rng = random.Random(171)
+        kinds = set()
+        for _ in range(150):
+            horizon = rng.randrange(9)
+            p = rand_hpt(rng, horizon, rng.random())
+            q = pruned(rng, p)
+            built = {
+                "nodes": p,
+                "levels": HorizonPerfectTree(horizon, levels=p.levels),
+                "full": HorizonPerfectTree.full(horizon),
+                "below": p.below(rng.choice(sorted(p.nodes))),
+                "union": fusion_union(RMap(1, {(): p, (0,): p, (1,): q}), 1),
+            }
+            if hpt_leq_n(q, p, 0):
+                built["intersect"] = fusion_intersect([p, q])
+            rmap = rand_rmap(rng, 3, max(horizon, 6))
+            report = verify_fusion_helper(rmap)
+            built["rmap"] = rmap.at(rng.choice(sorted(rmap.trees)))
+            built["chain"] = report.chain[-1]
+            built["chain intersect"] = fusion_intersect(report.chain[1:])
+            for kind, tree in built.items():
+                stored = stored_splits(tree)
+                assert stored == self.expected(tree), kind
+                assert stored == type(tree).splits.func(tree), kind
+                kinds.add(kind)
+        assert len(kinds) == 9
+
+    def test_forged_tree_computes_them_on_first_read(self):
+        nodes = {(), (0,), (1,), (0, 0), (0, 1), (1, 1)}
+        p = forged_tree(2, nodes)
+        assert stored_splits(p) is None
+        assert p.splits == (1, 1, 0) == self.expected(HorizonPerfectTree(2, nodes))
+        assert stored_splits(p) == (1, 1, 0)
+
+
 class TestBrokenTreeInAMap:
     def test_union_revalidates_every_tree(self):
         full = HorizonPerfectTree.full(2)

@@ -259,6 +259,31 @@ class TestClassifyPair:
         with pytest.raises(ValueError):
             classify_pair(w, (x,), 0, (), ())
 
+    def test_missing_family_named_apart_from_out_of_scope_index(self):
+        x = R([2])
+        t = TreeFamily.constant(0, T(x))
+        # in scope but absent: (1, 0) of a partial wrapper, as check_total names it
+        partial = ShrinkWrapper(
+            WrapperScope(3, 3),
+            {(0, 0): t, (0, 1): t, (2, 1): TreeFamily.constant(2, T(x))},
+            (frozenset(),) * 3,
+        )
+        with pytest.raises(ValueError) as e:
+            classify_pair(partial, (x, x, x), 1, (0,), (0,))
+        assert str(e.value) == "missing family for pair position 1, index 0"
+        with pytest.raises(ValueError) as e:
+            partial.check_total()
+        assert str(e.value) == "missing family for pair position 1, index 0"
+        # pair position 1 names index 2, past the two reals of an over-wide scope
+        wide = ShrinkWrapper(
+            WrapperScope(2, 2),
+            {(0, 0): t, (0, 1): t, (1, 0): TreeFamily.constant(1, T(x))},
+            (frozenset(),) * 2,
+        )
+        with pytest.raises(ValueError) as e:
+            classify_pair(wide, (x, x), 1, (0,), (0,))
+        assert str(e.value) == "(1, 2) is outside the wrapper scope"
+
 
 def oracle_classify(c1, c2, iso1, iso2, x1, x2):
     """Recompute the verdict tag from the definitions by pairwise scans."""
