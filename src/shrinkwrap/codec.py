@@ -17,7 +17,7 @@ from operator import attrgetter, itemgetter
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-from shrinkwrap.core import BranchTree, Node, UPReal, up_sort_key
+from shrinkwrap.core import BIT_DIGITS, BranchTree, Node, UPReal, up_sort_key
 from shrinkwrap.domination import DominationReport, DominationRow
 from shrinkwrap.sacks import FusionReport, HorizonPerfectTree, RMap
 from shrinkwrap.silver import (
@@ -99,7 +99,6 @@ def _as_str(obj: Any, path: str) -> str:
 
 _DOCUMENT = ("kind", "version", "payload")
 
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
 _LITERALS = {True: "true", False: "false"}
 
 
@@ -370,13 +369,13 @@ def _entries_parts(families: dict, level: int) -> list[str]:
         head = f'{sep}{seg[0]}{_dumps(nt)}{seg[1]}{_dumps(n)}{seg[2]}"'
         # TreeFamily stores its leaves in lexicographic order, so a stable
         # sort by length gives the (length, word) order, and its prefixes
-        # are 0/1 ints, so one translate writes a word.
+        # are bytes 0 and 1, so one translate writes a word.
         for prefix, tree in sorted(families[(nt, n)].leaves, key=lambda leaf: len(leaf[0])):
             # Keyed by the branch set, a frozenset, which keeps its hash.
             text = trees.get(tree.branches)
             if text is None:
                 text = trees[tree.branches] = _TREE.write(tree, level + 2)
-            entries += (head + bytes(prefix).translate(_BITS).decode() + word_end, text)
+            entries += (head + prefix.translate(BIT_DIGITS).decode() + word_end, text)
     if not entries:
         return ["[]"]
     entries[0] = "[" + inner + entries[0][len(sep):]

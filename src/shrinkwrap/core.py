@@ -24,8 +24,17 @@ from typing import Iterable, Optional, Union
 Node = tuple[int, ...]
 
 
+#: Letters 0 and 1 become the digits "0" and "1", and any other byte "2",
+#: which ``int(..., 2)`` rejects: a binary word's text in one translate.
+BIT_DIGITS = bytes([48, 49] + [50] * 254)
+
+
 def _check_word(values: Iterable[int], what: str) -> tuple[int, ...]:
     out = tuple(values)
+    # Past a few letters two C passes decide the common case faster than
+    # the loop, which also names the first bad entry; below, the loop wins.
+    if len(out) > 16 and set(map(type, out)) <= {int} and min(out) >= 0:
+        return out
     for v in out:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ValueError(f"{what} entries must be nonnegative integers, got {v!r}")

@@ -24,15 +24,11 @@ from functools import cached_property, reduce
 from operator import and_, invert, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from shrinkwrap.core import Node
+from shrinkwrap.core import BIT_DIGITS, Node
 
 #: Largest horizon a tree may have.  Level ``l`` takes ``2**l`` bits, so a
 #: tree at this horizon takes at most 256 KiB however few nodes it has.
 MAX_HORIZON = 20
-
-# Letters 0 and 1 become the digits "0" and "1"; any other byte becomes
-# "2", which int(..., 2) rejects.
-_DIGITS = bytes([48, 49] + [50] * 254)
 
 
 def _position(t: Node) -> int:
@@ -40,7 +36,7 @@ def _position(t: Node) -> int:
     word's bit in its level mask, tagged with its length.  ValueError
     unless every letter is 0 or 1."""
     try:
-        return int(b"1" + bytes(t[::-1]).translate(_DIGITS), 2)
+        return int(b"1" + bytes(t[::-1]).translate(BIT_DIGITS), 2)
     except (TypeError, ValueError):  # a letter such as 2 or -1, or a bit given as 1.0
         if not set(t) <= {0, 1}:
             raise ValueError(f"{t!r} is not a binary word") from None

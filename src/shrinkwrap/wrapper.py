@@ -31,21 +31,21 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from functools import cached_property
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from shrinkwrap.core import (
+    BIT_DIGITS,
     BranchTree,
     Node,
     UPReal,
     bt_separation_level,
-    growth,
     pair_of,
-    shape_code,
     up_first_diff,
     up_sort_key,
 )
-
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,14 @@ class TreeFamily:
 
     Stored as the leaves of a reduced trie: ``leaves`` is a prefix-free
     partition of the width-length words, each class holding one tree, with
-    no two sibling leaf classes holding equal trees.  The reduced form is
-    unique for a given assignment, so structural equality of families
-    coincides with pointwise equality.
+    no two sibling leaf classes holding equal trees.  Each class prefix is
+    bytes, one byte 0 or 1 per letter, and the leaves are in lexicographic
+    order.  The reduced form is unique for a given assignment, so structural
+    equality of families coincides with pointwise equality.
     """
 
     width: int
-    leaves: tuple[tuple[Node, BranchTree], ...]
+    leaves: tuple[tuple[bytes, BranchTree], ...]
 
     def __post_init__(self):
         if self.width < 0:
@@ -106,26 +107,24 @@ class TreeFamily:
         # extension of a prefix follows it directly, so the first
         # overlapping neighbours are the first overlapping pair overall, a
         # repeated prefix overlaps itself, and sibling classes are adjacent.
-        order = sorted(range(len(bits)), key=bits.__getitem__)
+        leaves = sorted(zip(bits, trees), key=itemgetter(0))
         merges = False
-        for i, j in zip(order, order[1:]):
-            p, q = bits[i], bits[j]
+        for (p, s), (q, t) in zip(leaves, leaves[1:]):
             if q.startswith(p):
                 _check_repeats(bits)
                 raise ValueError(f"overlapping class prefixes {tuple(p)!r} and {tuple(q)!r}")
-            if len(p) == len(q) and p[:-1] == q[:-1] and trees[i] == trees[j]:
+            if len(p) == len(q) and p[:-1] == q[:-1] and s == t:
                 merges = True
         # A class of length l holds 2**(width - l) words.
         if sum(map((1 << self.width).__rshift__, map(len, bits))) != 1 << self.width:
             raise ValueError("class prefixes do not cover every word")
-        leaves = zip(map(tuple, map(bits.__getitem__, order)), map(trees.__getitem__, order))
         if merges:
             leaves = sorted(_reduce(dict(leaves)).items())
         object.__setattr__(self, "leaves", tuple(leaves))
 
     @classmethod
     def constant(cls, width: int, tree: BranchTree) -> "TreeFamily":
-        return cls(width, (((), tree),))
+        return cls(width, ((b"", tree),))
 
     @classmethod
     def from_assignments(
@@ -136,54 +135,61 @@ class TreeFamily:
         # pass; a later spelling of the same word overrides an earlier one.
         table: dict[bytes, BranchTree] = {b"": default}
         for word, tree in dict(overrides).items():
-            word = tuple(word)
+            if type(word) is not bytes:
+                word = tuple(word)
             if len(word) != width:
                 raise ValueError("overrides must be full-length words")
             bits = _bit_bytes(word)
             if bits is None:
-                raise ValueError(f"override {word!r} is not a binary word")
-            _split_in(table, bits)
+                raise ValueError(f"override {tuple(word)!r} is not a binary word")
+            # The class holding the word gives up one sibling per level below it.
+            holder = next(p for p in table if bits.startswith(p))
+            held = table.pop(holder)
+            table.update({bits[:k] + _FLIP[bits[k]]: held for k in range(len(holder), width)})
             table[bits] = tree
-        return cls(width, tuple(table.items()))
+        return cls(width, table.items())
 
     def tree_at(self, s: Node) -> BranchTree:
         s = tuple(s)
         if len(s) != self.width or any(b not in (0, 1) for b in s):
             raise ValueError(f"need a binary word of length {self.width}")
+        word = bytes(b == 1 for b in s)
         for prefix, tree in self.leaves:
-            if s[: len(prefix)] == prefix:
+            if word.startswith(prefix):
                 return tree
         raise AssertionError("reduced trie failed to cover a word")
 
-    def classes(self) -> Iterator[tuple[Node, BranchTree, int]]:
-        """Yield (class prefix, tree, class size) over the trie leaves."""
-        for prefix, tree in self.leaves:
-            yield prefix, tree, 1 << (self.width - len(prefix))
+    def distinct_trees(self) -> Mapping[BranchTree, int]:
+        """Each assigned tree with the number of words mapped to it: a
+        read-only view of one walk over the leaves, made on first use."""
+        return MappingProxyType(self._tree_counts)
 
-    def distinct_trees(self) -> dict[BranchTree, int]:
-        """Each assigned tree with the number of words mapped to it."""
+    @cached_property
+    def _tree_counts(self) -> dict[BranchTree, int]:
         out: dict[BranchTree, int] = {}
-        for _, tree, size in self.classes():
-            out[tree] = out.get(tree, 0) + size
+        for prefix, tree in self.leaves:
+            out[tree] = out.get(tree, 0) + (1 << (self.width - len(prefix)))
         return out
 
     def representative(self, tree: BranchTree) -> Node:
         """Lexicographically least full word assigned the given tree."""
-        best = None
-        for prefix, leaf_tree, _ in self.classes():
+        # Over prefix-free classes in lexicographic order, the first class
+        # holding the tree has the least all-zero completion.
+        for prefix, leaf_tree in self.leaves:
             if leaf_tree == tree:
-                word = prefix + (0,) * (self.width - len(prefix))
-                if best is None or word < best:
-                    best = word
-        if best is None:
-            raise ValueError("tree is not assigned by this family")
-        return best
+                return tuple(prefix) + (0,) * (self.width - len(prefix))
+        raise ValueError("tree is not assigned by this family")
+
+
+def _binary(word: bytes) -> int:
+    """The value of a word of bytes 0 and 1 read as a binary numeral."""
+    return int(b"0" + word.translate(BIT_DIGITS), 2)
 
 
 def _bit_bytes(word: tuple | bytes) -> Optional[bytes]:
     """The word as one byte 0 or 1 per letter, or None unless every letter
     equals 0 or 1.  A bit given as True or 1.0 becomes the byte 1, so the
-    family stores it as the int 1, which the codec writes as a "0"/"1" word."""
+    family stores it as 1, which the codec writes as a "0"/"1" word."""
     try:
         bits = bytes(word)  # one C pass when every letter is an int in range
     except (TypeError, ValueError):  # a letter such as 1.0, -1 or "1"
@@ -196,25 +202,13 @@ def _bit_bytes(word: tuple | bytes) -> Optional[bytes]:
 _FLIP = (b"\x01", b"\x00")
 
 
-def _split_in(table: dict[bytes, BranchTree], word: bytes) -> None:
-    # Refine the prefix partition in place so that `word` becomes its own
-    # class: the class holding it gives up one sibling per level below it.
-    holder = next(p for p in table if word.startswith(p))
-    tree = table.pop(holder)
-    for k in range(len(holder), len(word)):
-        table[word[:k] + _FLIP[word[k]]] = tree
-    table[word] = tree
-
-
-def _class_bits(leaves: Iterable, width: int) -> tuple[list[bytes], list[BranchTree]]:
+def _class_bits(leaves: Iterable, width: int) -> tuple[tuple[bytes, ...], tuple[BranchTree, ...]]:
     # Each class prefix as bytes, checked, and its tree, in the order given.
-    # Prefixes that are all bytes already, as the codec reads them, are
-    # checked in one pass over their concatenation.
-    given: list = []
-    trees: list[BranchTree] = []
-    for prefix, tree in leaves:
-        given.append(prefix)
-        trees.append(tree)
+    # Prefixes that are all bytes already, as the codec and from_assignments
+    # give them, are checked in one pass over their concatenation.
+    # A leaf that is not a pair fails to unzip (ValueError or TypeError).
+    leaves = tuple(leaves)
+    given, trees = zip(*leaves, strict=True) if leaves else ((), ())
     if (
         set(map(type, given)) == {bytes}
         and not b"".join(given).translate(None, b"\x00\x01")
@@ -230,10 +224,10 @@ def _class_bits(leaves: Iterable, width: int) -> tuple[list[bytes], list[BranchT
             _check_repeats(bits)
             raise ValueError(f"bad class prefix {tuple(prefix)!r} for width {width}")
         bits.append(word)
-    return bits, trees
+    return tuple(bits), trees
 
 
-def _check_repeats(bits: list[bytes]) -> None:
+def _check_repeats(bits: Sequence[bytes]) -> None:
     # The first class prefix given twice, in the order given.
     seen = set()
     for word in bits:
@@ -242,7 +236,7 @@ def _check_repeats(bits: list[bytes]) -> None:
         seen.add(word)
 
 
-def _reduce(table: Mapping[Node, BranchTree]) -> dict[Node, BranchTree]:
+def _reduce(table: Mapping[bytes, BranchTree]) -> dict[bytes, BranchTree]:
     out = dict(table)
     merged = True
     while merged:
@@ -250,7 +244,7 @@ def _reduce(table: Mapping[Node, BranchTree]) -> dict[Node, BranchTree]:
         for prefix in sorted(out, key=len, reverse=True):
             if not prefix or prefix not in out:
                 continue
-            sibling = prefix[:-1] + (1 - prefix[-1],)
+            sibling = prefix[:-1] + _FLIP[prefix[-1]]
             if sibling in out and out[sibling] == out[prefix]:
                 tree = out.pop(prefix)
                 out.pop(sibling)
@@ -427,17 +421,16 @@ def verify_wrapper(wrapper: ShrinkWrapper, reals: Sequence[UPReal]) -> WrapperRe
             fam = wrapper.family(nt, n)
             distinct[n] = fam.distinct_trees()
             # law 1: growth obedience, once per trie leaf
-            for prefix, tree, _ in fam.classes():
+            for prefix, tree in fam.leaves:
                 tail = nt - len(prefix)
-                value = int(b"0" + bytes(prefix).translate(_DIGITS), 2)
-                index = (1 << nt) - 1 + (value << tail) + n
+                index = (1 << nt) - 1 + (_binary(prefix) << tail) + n
                 if not tree.obeys(index):
                     violations.append(
                         Violation(
                             "1",
                             nt,
                             n,
-                            prefix + (0,) * tail,
+                            tuple(prefix) + (0,) * tail,
                             None,
                             f"tree exceeds the growth allowance at index {index}",
                         )
@@ -546,16 +539,31 @@ def full_scope(n_reals: int) -> WrapperScope:
     return WrapperScope(n_reals, n_reals * (n_reals - 1) // 2)
 
 
-def _cone_split(
-    t1: BranchTree, t2: BranchTree, x: UPReal, y: UPReal
-) -> tuple[BranchTree, BranchTree]:
-    # Restrict each tree to the cone below its witness, one level past the
-    # first difference of the witnesses; the two cones are incomparable.
-    level = up_first_diff(x, y)
-    return (
-        t1.restrict(x.initial_segment(level + 1)),
-        t2.restrict(y.initial_segment(level + 1)),
-    )
+def _cone_cutter(
+    values: Iterable[UPReal],
+) -> Callable[[BranchTree, BranchTree, UPReal, UPReal], tuple[BranchTree, BranchTree]]:
+    """A cut of two colliding trees ``t1`` and ``t2`` through witnesses ``x``
+    and ``y``: each tree restricted to the cone below its witness, one level
+    past the witnesses' first difference, so the two cones are
+    incomparable.  Every branch and witness must be one of ``values``; they
+    are grouped by their first letters once per cut length, so a cut is one
+    set intersection per tree."""
+    values = set(values)
+    by_length: dict[int, dict[Node, set[UPReal]]] = {}
+
+    def cone(tree: BranchTree, x: UPReal, length: int) -> BranchTree:
+        groups = by_length.get(length)
+        if groups is None:
+            groups = by_length[length] = {}
+            for v in values:
+                groups.setdefault(v.initial_segment(length), set()).add(v)
+        return BranchTree(tree.branches & groups[x.initial_segment(length)])
+
+    def split(t1: BranchTree, t2: BranchTree, x: UPReal, y: UPReal):
+        length = up_first_diff(x, y) + 1
+        return cone(t1, x, length), cone(t2, y, length)
+
+    return split
 
 
 def build_padded_wrapper(
@@ -572,6 +580,11 @@ def build_padded_wrapper(
     collide they are cut back to incomparable cones below the indices' own
     points, one level past their first difference.  With an empty decoy
     pool this is exactly :func:`build_wrapper`.
+
+    The random choices draw what ``random.Random(seed)`` draws for
+    ``randrange(2)`` per letter of the two words, ``shuffle`` of the pool
+    and ``choice`` of the filler, in that order, so the wrapper for a seed
+    stays the same.
     """
     xs = tuple(reals)
     scope = scope or full_scope(len(xs))
@@ -579,46 +592,48 @@ def build_padded_wrapper(
     if not pool:
         return build_wrapper(xs, scope)
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     fresh_value = 1 + max(
         (max(x.prefix + x.period) for x in (*xs, *pool)), default=0
     )
+    # The set operations below keep the pool's own objects, so a filler
+    # candidate is ranked by identity, without hashing a UPReal again.
+    pool_set = frozenset(pool)
+    rank = {id(d): i for i, d in enumerate(pool)}
+    # A padded tree holds its own point and pool values only.
+    cone_split = _cone_cutter((*xs, *pool))
 
     families: dict[tuple[int, int], TreeFamily] = {}
     isolated = [set((x,)) for x in xs]
 
     for nt, a, b in scope.pairs():
-        word_a = tuple(rng.randrange(2) for _ in range(nt))
-        word_b = tuple(rng.randrange(2) for _ in range(nt))
-        budget_a = growth(shape_code(word_a, a), 0)
-        budget_b = growth(shape_code(word_b, b), 0)
-        same = xs[a] == xs[b]
-        if same:
-            budget = min(budget_a, budget_b)
-            extra = list(pool)
-            rng.shuffle(extra)
-            tree_a = tree_b = BranchTree(frozenset({xs[a], *extra[: budget - 1]}))
+        words = _draw_bits(getrandbits, 2 * nt)
+        word_a, word_b = words[:nt], words[nt:]
+        # growth(shape_code(word, n), 0) for a word of bytes
+        budget_a = (1 << nt) + _binary(word_a) + a
+        budget_b = (1 << nt) + _binary(word_b) + b
+        extra = list(pool)
+        _shuffle(getrandbits, extra)
+        if xs[a] == xs[b]:
+            tree_a = tree_b = _padded_tree(xs[a], pool_set, extra, min(budget_a, budget_b))
         else:
-            extra = list(pool)
-            rng.shuffle(extra)
-            tree_a = BranchTree(frozenset({xs[a], *extra[: budget_a - 1]}))
-            rng.shuffle(extra)
-            tree_b = BranchTree(frozenset({xs[b], *extra[: budget_b - 1]}))
+            tree_a = _padded_tree(xs[a], pool_set, extra, budget_a)
+            _shuffle(getrandbits, extra)
+            tree_b = _padded_tree(xs[b], pool_set, extra, budget_b)
             if tree_a.branches & tree_b.branches:
-                tree_a, tree_b = _cone_split(tree_a, tree_b, xs[a], xs[b])
+                tree_a, tree_b = cone_split(tree_a, tree_b, xs[a], xs[b])
 
         if nt == 0:
             families[(0, a)] = TreeFamily.constant(0, tree_a)
             families[(0, b)] = TreeFamily.constant(0, tree_b)
             continue
 
-        # Filler singleton for the remaining words, legal for both indices.
-        candidates = [
-            d
-            for d in pool
-            if d not in tree_a.branches and d not in tree_b.branches
-        ]
-        if candidates:
-            filler = rng.choice(candidates)
+        # Filler singleton for the remaining words, legal for both indices:
+        # a pool value neither tree holds, chosen in pool order.
+        free = pool_set.difference(tree_a.branches, tree_b.branches)
+        if free:
+            candidates = sorted(map(rank.__getitem__, map(id, free)))
+            filler = pool[candidates[_below(getrandbits, len(candidates))]]
         else:
             filler = UPReal((), (fresh_value,))
             fresh_value += 1
@@ -633,3 +648,53 @@ def build_padded_wrapper(
         )
 
     return ShrinkWrapper(scope, families, tuple(frozenset(s) for s in isolated))
+
+
+def _padded_tree(
+    x: UPReal, pool_set: frozenset[UPReal], shuffled: list[UPReal], budget: int
+) -> BranchTree:
+    # The point and the first budget - 1 values of the shuffled pool.  A
+    # budget past the pool takes the pool's own set, whose hashes are kept.
+    if budget > len(shuffled):
+        return BranchTree(pool_set.union((x,)))
+    return BranchTree(frozenset({x, *shuffled[: budget - 1]}))
+
+
+# randrange(2) draws getrandbits(2), the top two bits of one 32-bit output,
+# and draws again while they read 2 or 3: it keeps an output whose top byte
+# is below 128, and its letter is that byte's bit 6.
+_LETTER = bytes(b >> 6 for b in range(256))
+_REDRAWN = bytes(range(128, 256))
+
+
+def _draw_bits(getrandbits, count: int) -> bytes:
+    """``bytes(rng.randrange(2) for _ in range(count))``, drawing the same
+    outputs.  ``getrandbits(32 * m)`` is the next m outputs, the first in
+    the low bits; a batch as long as the letters still missing never draws
+    past the last letter."""
+    word = b""
+    while len(word) < count:
+        need = count - len(word)
+        tops = getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+        word += tops.translate(_LETTER, _REDRAWN)
+    return word
+
+
+def _below(getrandbits, n: int) -> int:
+    """``rng._randbelow(n)``, as ``rng.choice`` draws an index below ``n``."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _shuffle(getrandbits, x: list) -> None:
+    """``rng.shuffle(x)``: the same draws, with ``_randbelow``'s rejection
+    inline (``k = n.bit_length()``, drawn again while at least ``n``)."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]

@@ -17,7 +17,7 @@ import random
 from math import lcm
 
 from shrinkwrap.codec import CodecError
-from shrinkwrap.core import BranchTree, UPReal, up_sort_key
+from shrinkwrap.core import BranchTree, UPReal, growth, pair_of, shape_code, up_sort_key
 from shrinkwrap.domination import DominationReport, DominationRow
 from shrinkwrap.sacks import MAX_HORIZON, FusionReport, HorizonPerfectTree, RMap, stem_or_path
 from shrinkwrap.silver import BruteSummary, GroundUniverse, ObstructionReport, SilverTree
@@ -333,7 +333,7 @@ def naive_law1(wrapper: ShrinkWrapper) -> list:
             widths = [len({row[l] for row in rows}) for l in range(len(tree.branches))]
             broken = []
             for tail in itertools.product((0, 1), repeat=nt - len(prefix)):
-                word = prefix + tail
+                word = tuple(prefix) + tail
                 index = (1 << nt) - 1 + int("".join(map(str, word)) or "0", 2) + n
                 if any(width > index + l + 1 for l, width in enumerate(widths)):
                     broken.append((index, word))
@@ -417,6 +417,88 @@ def naive_from_assignments(width: int, default, overrides) -> tuple:
             table[bits[:k] + (1 - bits[k],)] = held
         table[bits] = tree
     return naive_tree_family(width, table.items())
+
+
+def naive_draw_word(rng: random.Random, length: int) -> tuple:
+    """The padded builder's word draw as first written: one
+    ``randrange(2)`` per letter."""
+    return tuple(rng.randrange(2) for _ in range(length))
+
+
+def naive_shuffle(rng: random.Random, x: list) -> list:
+    """The padded builder's pool shuffle as first written."""
+    rng.shuffle(x)
+    return x
+
+
+def naive_choice(rng: random.Random, seq: list):
+    """The padded builder's filler choice as first written."""
+    return rng.choice(seq)
+
+
+def naive_build_padded_wrapper(reals, decoys, seed: int) -> ShrinkWrapper:
+    """The padded builder over the full scope as first written: words drawn
+    by :func:`naive_draw_word`, the pool shuffled by :func:`naive_shuffle`,
+    growth budgets from ``shape_code``, and filler candidates found by a
+    membership test per pool value and per tree, then
+    :func:`naive_choice`."""
+    xs = tuple(reals)
+    n_pairs = len(xs) * (len(xs) - 1) // 2
+    scope = WrapperScope(len(xs), n_pairs)
+    pool = sorted(set(decoys) - set(xs), key=up_sort_key)
+    if not pool:
+        families = {
+            (nt, n): TreeFamily.constant(nt, BranchTree.of(xs[n]))
+            for nt in range(n_pairs) for n in pair_of(nt)
+        }
+        return ShrinkWrapper(scope, families, tuple(frozenset({x}) for x in xs))
+    rng = random.Random(seed)
+    fresh_value = 1 + max(max(x.prefix + x.period) for x in (*xs, *pool))
+    families = {}
+    isolated = [{x} for x in xs]
+
+    def cone(t, x, level):
+        return BranchTree(frozenset(
+            b for b in t.branches if unroll(b, level + 1) == unroll(x, level + 1)
+        ))
+
+    for nt in range(n_pairs):
+        a, b = pair_of(nt)
+        word_a = naive_draw_word(rng, nt)
+        word_b = naive_draw_word(rng, nt)
+        budget_a = growth(shape_code(word_a, a), 0)
+        budget_b = growth(shape_code(word_b, b), 0)
+        if xs[a] == xs[b]:
+            extra = naive_shuffle(rng, list(pool))
+            tree_a = tree_b = BranchTree(
+                frozenset({xs[a], *extra[: min(budget_a, budget_b) - 1]})
+            )
+        else:
+            extra = naive_shuffle(rng, list(pool))
+            tree_a = BranchTree(frozenset({xs[a], *extra[: budget_a - 1]}))
+            naive_shuffle(rng, extra)
+            tree_b = BranchTree(frozenset({xs[b], *extra[: budget_b - 1]}))
+            if tree_a.branches & tree_b.branches:
+                level = naive_first_diff(xs[a], xs[b])
+                tree_a, tree_b = cone(tree_a, xs[a], level), cone(tree_b, xs[b], level)
+        if nt == 0:
+            families[(0, a)] = TreeFamily.constant(0, tree_a)
+            families[(0, b)] = TreeFamily.constant(0, tree_b)
+            continue
+        candidates = [
+            d for d in pool if d not in tree_a.branches and d not in tree_b.branches
+        ]
+        if candidates:
+            filler = naive_choice(rng, candidates)
+        else:
+            filler = UPReal((), (fresh_value,))
+            fresh_value += 1
+        isolated[a].add(filler)
+        isolated[b].add(filler)
+        filler_tree = BranchTree.of(filler)
+        families[(nt, a)] = TreeFamily.from_assignments(nt, filler_tree, {word_a: tree_a})
+        families[(nt, b)] = TreeFamily.from_assignments(nt, filler_tree, {word_b: tree_b})
+    return ShrinkWrapper(scope, families, tuple(frozenset(s) for s in isolated))
 
 
 def rand_overrides(rng: random.Random, width: int, default: int) -> list:

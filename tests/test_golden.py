@@ -110,6 +110,8 @@ GOLDEN = {
     "report-obstruction-witnesses": "c26f86d5ad2261ad400c34c857813cd731ff8e6c32cc246dc7803a59f38ddc62",
     "report-brute": "210340d47a7837ce04e475294f88e71b92df8faa5a2048b4c273ce438d46f826",
     "cli-build-decoys": "75dc771be517effac3eefa0752dc93e04e5dacf4f018cd8f3fbd5466687bfa0b",
+    "cli-build-decoys-dup20": "319a319132fbf9a700312d181bc1c7675be0a99a2c152d4ba2449a45398f4033",
+    "cli-build-decoys-fresh": "b4fc8c953240f2398921e4404178eba0048980f5f0a38ef77b11d6410aa12a4a",
 }
 
 ARTIFACTS = artifacts()
@@ -128,11 +130,34 @@ def test_every_kind_and_report_type_is_pinned():
     }
 
 
+def build_digest(tmp_path, monkeypatch, xs, decoys, seed):
+    reals, pool, out = (tmp_path / f for f in ("xs.json", "d.json", "w.json"))
+    reals.write_bytes(encode(xs))
+    pool.write_bytes(encode(decoys))
+    monkeypatch.setenv("SHRINKWRAP_SEED", str(seed))
+    assert run(["build", "--reals", str(reals), "--decoys", str(pool), "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def test_build_with_decoys_matches_golden_digest(tmp_path, monkeypatch):
-    reals, decoys, out = (tmp_path / f for f in ("xs.json", "d.json", "w.json"))
-    reals.write_bytes(encode(seeded_reals(41, 6, alphabet=3)))
-    decoys.write_bytes(encode(seeded_reals(42, 12, alphabet=3)))
-    monkeypatch.setenv("SHRINKWRAP_SEED", "37")
-    assert run(["build", "--reals", str(reals), "--decoys", str(decoys), "--out", str(out)]) == 0
-    data = out.read_bytes()
-    assert hashlib.sha256(data).hexdigest() == GOLDEN["cli-build-decoys"]
+    xs, decoys = seeded_reals(41, 6, alphabet=3), seeded_reals(42, 12, alphabet=3)
+    assert build_digest(tmp_path, monkeypatch, xs, decoys, 37) == GOLDEN["cli-build-decoys"]
+
+
+# Two repeated points put equal points at pair positions 11 and 18, so the
+# builder shares one padded tree there.  With 20 decoys the late pair
+# positions' budgets take the whole pool, and with two (plus one decoy equal
+# to a point, which the pool drops) nearly every filler is a fresh value.
+DUP_XS = seeded_reals(43, 5, alphabet=3)
+DUP_XS += (DUP_XS[1], DUP_XS[3])
+
+
+@pytest.mark.parametrize(
+    "name,decoys",
+    [
+        ("cli-build-decoys-dup20", seeded_reals(44, 20, alphabet=3)),
+        ("cli-build-decoys-fresh", seeded_reals(45, 2, alphabet=3) + DUP_XS[:1]),
+    ],
+)
+def test_build_with_repeated_points_matches_golden_digest(tmp_path, monkeypatch, name, decoys):
+    assert build_digest(tmp_path, monkeypatch, DUP_XS, decoys, 38) == GOLDEN[name]

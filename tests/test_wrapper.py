@@ -8,11 +8,15 @@ from collections import Counter
 import pytest
 
 from gen import (
+    naive_build_padded_wrapper,
     naive_check_partition,
+    naive_choice,
+    naive_draw_word,
     naive_equal,
     naive_first_diff,
     naive_from_assignments,
     naive_law1,
+    naive_shuffle,
     naive_tree_family,
     rand_branch_tree,
     rand_family_leaves,
@@ -21,6 +25,7 @@ from gen import (
     rand_upreal,
 )
 from shrinkwrap import wrapper
+from shrinkwrap.codec import encode
 from shrinkwrap.core import ZERO, BranchTree, UPReal, pair_of, up_first_diff
 from shrinkwrap.wrapper import (
     ShrinkWrapper,
@@ -41,6 +46,12 @@ def R(prefix, period=(0,)):
 
 def T(*branches):
     return BranchTree(frozenset(branches))
+
+
+def as_bytes(leaves) -> tuple:
+    """An oracle's leaves with each int-tuple prefix in the bytes form
+    TreeFamily stores."""
+    return tuple((bytes(prefix), tree) for prefix, tree in leaves)
 
 
 def pair_wrapper(t1, t2, iso0=frozenset(), iso1=frozenset()):
@@ -67,11 +78,14 @@ class TestTreeFamily:
         assert fam.tree_at((1, 0, 0)) == T(ZERO)
         # path decomposition: one leaf per level plus the special word
         assert len(fam.leaves) == 4
+        assert [prefix for prefix, _ in fam.leaves] == [
+            b"\x00\x00", b"\x00\x01\x00", b"\x00\x01\x01", b"\x01"
+        ]
 
     def test_reduction_merges_equal_siblings(self):
         fam = TreeFamily(2, (((0,), T(ZERO)), ((1, 0), T(ZERO)), ((1, 1), T(ZERO))))
         assert len(fam.leaves) == 1
-        assert fam.leaves[0][0] == ()
+        assert fam.leaves[0][0] == b""
 
     def test_reduction_gives_unique_form(self):
         special = T(R([1]))
@@ -84,6 +98,48 @@ class TestTreeFamily:
             TreeFamily(2, (((0,), T(ZERO)),))  # does not cover (1,*)
         with pytest.raises(ValueError):
             TreeFamily(2, (((), T(ZERO)), ((1,), T(ZERO))))  # overlap
+
+    @pytest.mark.parametrize("one", [1, True, 1.0])
+    def test_tree_at_takes_any_bit_that_equals_one(self, one):
+        special = T(R([1]))
+        fam = TreeFamily.from_assignments(2, T(ZERO), {(1, 0): special})
+        assert fam.tree_at((one, 0)) == fam.tree_at([one, 0.0]) == special
+        assert fam.tree_at((0, one)) == T(ZERO)
+        with pytest.raises(ValueError, match="need a binary word of length 2"):
+            fam.tree_at((2, 0))
+
+    def test_words_handed_out_are_int_tuples(self):
+        special = T(R([1]))
+        fam = TreeFamily.from_assignments(3, T(ZERO), {(True, 0, 1.0): special})
+        for word in (fam.representative(special), fam.representative(T(ZERO))):
+            assert type(word) is tuple and {type(b) for b in word} == {int}
+        assert fam.representative(special) == (1, 0, 1)
+        assert fam.representative(T(ZERO)) == (0, 0, 0)
+        with pytest.raises(ValueError, match="tree is not assigned"):
+            fam.representative(T(R([2])))
+
+    def test_distinct_trees_is_read_only(self):
+        special = T(R([1]))
+        fam = TreeFamily.from_assignments(2, T(ZERO), {(1, 1): special})
+        counts = fam.distinct_trees()
+        with pytest.raises(TypeError):
+            counts[special] = 4
+        with pytest.raises(TypeError):
+            del counts[T(ZERO)]
+        copy = dict(counts)
+        copy[special] = 4
+        assert fam.distinct_trees() == {T(ZERO): 3, special: 1}
+
+    @pytest.mark.parametrize("leaves", [
+        ((b"", T(ZERO), 1),),
+        ((b"",),),
+        (5,),
+        ((b"\x00", T(ZERO)), (b"\x01",)),
+        ((b"\x00", T(ZERO)), (b"\x01", T(ZERO), 2)),
+    ])
+    def test_a_leaf_that_is_not_a_pair_fails(self, leaves):
+        with pytest.raises((TypeError, ValueError)):
+            TreeFamily(1 if len(leaves) > 1 else 0, leaves)
 
     @pytest.mark.parametrize("letter", [2, -1, 256, 0.5, 2.0, "1", None])
     def test_prefix_letters_must_be_bits(self, letter):
@@ -116,8 +172,8 @@ class TestTreeFamily:
 
     def test_one_pass_build_matches_oracle(self):
         """The one sort and one neighbour pass against the letter-by-letter,
-        pairwise, merge-to-a-fixed-point oracle: the same leaves, down to the
-        type of every bit, or the same error."""
+        pairwise, merge-to-a-fixed-point oracle: the same leaves, each prefix
+        stored as bytes, or the same error."""
         rng = random.Random(1111)
         outcomes = Counter()
 
@@ -130,7 +186,7 @@ class TestTreeFamily:
         for _ in range(4000):
             width = rng.randrange(7)
             leaves = rand_family_leaves(rng, width)
-            want = outcome(lambda: naive_tree_family(width, leaves))
+            want = outcome(lambda: as_bytes(naive_tree_family(width, leaves)))
             assert outcome(lambda: TreeFamily(width, leaves).leaves) == want, (width, leaves)
             kind = want[1].split()[0] if want[0] == "error" else "ok"
             if kind == "ok" and len(naive_tree_family(width, leaves)) < len(leaves):
@@ -142,7 +198,7 @@ class TestTreeFamily:
 
     def test_from_assignments_matches_oracle(self):
         """Overrides split over bytes against the tuple split of the oracle:
-        the same leaves, down to the type of every bit, or the same error."""
+        the same leaves, each prefix stored as bytes, or the same error."""
         rng = random.Random(1313)
         outcomes = Counter()
 
@@ -157,7 +213,7 @@ class TestTreeFamily:
             default = rng.randrange(3)
             pairs = rand_overrides(rng, width, default)
             overrides = dict(pairs)
-            want = outcome(lambda: naive_from_assignments(width, default, overrides))
+            want = outcome(lambda: as_bytes(naive_from_assignments(width, default, overrides)))
             got = outcome(lambda: TreeFamily.from_assignments(width, default, overrides).leaves)
             assert got == want, (width, default, pairs)
             if want[0] == "error":
@@ -436,6 +492,23 @@ class TestLaw1Oracle:
         assert broken >= 50 and obeying >= 50
 
 
+class TestViolationWords:
+    def test_every_violation_word_is_an_int_tuple(self):
+        rng = random.Random(1903)
+        seen = Counter()
+        for _ in range(120):
+            w, xs = rand_law1_wrapper(rng)
+            for report in (verify_wrapper(w, xs), verify_condition4(w)):
+                for v in report.violations:
+                    for word in (v.s1, v.s2):
+                        if word is not None:
+                            assert type(word) is tuple, v
+                            assert {type(b) for b in word} <= {int}, v
+                            assert len(word) == v.ntilde, v
+                            seen[v.condition] += 1
+        assert set(seen) == {"1", "3", "4"} and min(seen.values()) > 20, seen
+
+
 class TestScopeClosedForms:
     def test_scopes_match_the_pair_enumeration(self):
         for n_reals in range(14):
@@ -482,13 +555,18 @@ class TestBuilders:
 
     def test_padded_passes_verifiers_and_actually_pads(self, monkeypatch):
         splits = []
-        cone_split = wrapper._cone_split
+        cone_cutter = wrapper._cone_cutter
 
-        def counting(*args):
-            splits.append(args)
-            return cone_split(*args)
+        def counting(values):
+            cone_split = cone_cutter(values)
 
-        monkeypatch.setattr(wrapper, "_cone_split", counting)
+            def split(*args):
+                splits.append(args)
+                return cone_split(*args)
+
+            return split
+
+        monkeypatch.setattr(wrapper, "_cone_cutter", counting)
         rng = random.Random(10)
         padded_seen = False
         for trial in range(20):
@@ -515,6 +593,51 @@ class TestBuilders:
         assert build_padded_wrapper(xs, decoys=decoys, seed=7) == build_padded_wrapper(
             xs, decoys=decoys, seed=7
         )
+
+    def test_draws_follow_the_random_stream(self):
+        """Each word, pool permutation and filler index the builder draws
+        equals what randrange(2), shuffle and choice draw from the same
+        generator, and leaves it in the same state."""
+        control = random.Random(1901)
+        for seed in range(300):
+            old, new = random.Random(seed), random.Random(seed)
+            for _ in range(6):
+                width = control.randrange(65)
+                word = wrapper._draw_bits(new.getrandbits, 2 * width)
+                assert word == bytes(naive_draw_word(old, width) + naive_draw_word(old, width))
+                size = control.randrange(26)
+                pool = list(range(size))
+                mine = list(pool)
+                wrapper._shuffle(new.getrandbits, mine)
+                assert mine == naive_shuffle(old, pool)
+                if size:
+                    assert mine[wrapper._below(new.getrandbits, size)] == naive_choice(old, pool)
+                assert new.getstate() == old.getstate()
+
+    def test_padded_build_matches_first_version(self):
+        """The builder against its first version, which scans the pool by
+        membership and draws through randrange, shuffle and choice: the
+        same artifact bytes, over repeated points and pools small enough
+        to leave no filler candidate."""
+        rng = random.Random(1902)
+        seen = Counter()
+        for trial in range(60):
+            xs = [rand_upreal(rng, alphabet=3) for _ in range(rng.randrange(2, 8))]
+            if trial % 3 == 0:
+                xs[-1] = xs[0]
+                seen["repeated point"] += 1
+            decoys = [rand_upreal(rng, alphabet=3) for _ in range(rng.choice((1, 2, 6, 20)))]
+            if trial % 4 == 0:
+                decoys.append(xs[1])  # a decoy equal to a point leaves the pool
+            seed = rng.randrange(1 << 31)
+            got = build_padded_wrapper(xs, decoys=decoys, seed=seed)
+            want = naive_build_padded_wrapper(xs, decoys, seed)
+            assert encode(got) == encode(want), (trial, seed)
+            values = max(max(x.prefix + x.period) for x in (*xs, *decoys))
+            fillers = {y for part in got.isolated for y in part} - set(xs)
+            seen["fresh filler"] += any(max(y.period) > values for y in fillers)
+            seen["pool filler"] += any(y in decoys for y in fillers)
+        assert min(seen.values()) >= 10, seen
 
     def test_long_prefix_decoy_grows_separation_level(self):
         # The only decoy lands in index 1's tree (budget 2 vs 1 for index 0)
@@ -544,9 +667,12 @@ class TestSeparateStems:
             x, y = rng.choice(t1.sorted_branches()), rng.choice(t2.sorted_branches())
             if x == y:
                 continue
-            r1, r2 = wrapper._cone_split(t1, t2, x, y)
+            r1, r2 = wrapper._cone_cutter(t1.branches | t2.branches)(t1, t2, x, y)
             assert x in r1.branches <= t1.branches
             assert y in r2.branches <= t2.branches
+            length = up_first_diff(x, y) + 1
+            assert r1 == t1.restrict(x.initial_segment(length))
+            assert r2 == t2.restrict(y.initial_segment(length))
             # below incomparable nodes every cross pair splits at one level
             diffs = {up_first_diff(u, v) for u in r1.branches for v in r2.branches}
             assert diffs == {up_first_diff(x, y)}
