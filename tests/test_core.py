@@ -83,10 +83,10 @@ class TestUPReal:
     @pytest.mark.parametrize("length", [0, 3, 16, 17, 40])
     @pytest.mark.parametrize("bad", [-1, True, False, 1.0, "1", None])
     def test_first_bad_entry_is_named_in_short_and_long_words(self, length, bad):
-        word = (2,) * length + (bad, -2)
-        with pytest.raises(ValueError) as e:
-            UPReal(word, (0,))
-        assert str(e.value) == f"prefix entries must be nonnegative integers, got {bad!r}"
+        for word in ((2,) * length + (bad,), (2,) * length + (bad, -2)):
+            with pytest.raises(ValueError) as e:
+                UPReal(word, (0,))
+            assert str(e.value) == f"prefix entries must be nonnegative integers, got {bad!r}"
         assert UPReal((), (3,) * length + (4,)).period == (3,) * length + (4,)
 
     def test_first_diff_equal_sequences_none(self):
