@@ -3,7 +3,7 @@
 Acceptance check 9 compares two encodes made by the same code, so a writer
 that drifted would still pass it.  These digests were computed once and
 must not change while the artifact format is version 1: every kind, every
-report type and one ``shrinkwrap build --decoys`` artifact.  A failure here
+report type and three ``shrinkwrap build --decoys`` artifacts.  A failure here
 means the bytes on disk changed, not merely that a value did.
 """
 
@@ -146,8 +146,9 @@ def test_build_with_decoys_matches_golden_digest(tmp_path, monkeypatch):
 
 # Two repeated points put equal points at pair positions 11 and 18, so the
 # builder shares one padded tree there.  With 20 decoys the late pair
-# positions' budgets take the whole pool, and with two (plus one decoy equal
-# to a point, which the pool drops) nearly every filler is a fresh value.
+# positions' budgets take the whole pool, so some leave no filler candidate;
+# with two (plus one decoy equal to a point, which the pool drops) nearly
+# every filler is a fresh value.
 DUP_XS = seeded_reals(43, 5, alphabet=3)
 DUP_XS += (DUP_XS[1], DUP_XS[3])
 
