@@ -51,17 +51,20 @@ class SilverTree:
     fixed: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "split_levels", frozenset(self.split_levels))
+        # Levels and bits that equal ints, such as 1.0 or True, are stored
+        # as those ints: stem, sv_leftmost and the codec index with them.
+        def level(l):
+            return int(l) if _is_level(l, self.horizon) else l
+
         fixed = self.fixed
         if isinstance(fixed, Mapping):
             fixed = fixed.items()
-        object.__setattr__(self, "fixed", tuple(sorted(tuple(p) for p in fixed)))
+        fixed = [(level(l), int(b) if b in (0, 1) else b) for l, b in fixed]
+        object.__setattr__(self, "split_levels", frozenset(map(level, self.split_levels)))
+        object.__setattr__(self, "fixed", tuple(sorted(fixed)))
 
     def fixed_map(self) -> dict[int, int]:
         return dict(self.fixed)
-
-    def splits_at(self, level: int) -> bool:
-        return level >= self.horizon or level in self.split_levels
 
     def stem(self) -> Node:
         """Fixed bits up to the first splitting level."""
@@ -92,7 +95,7 @@ def sv_validate(p: SilverTree) -> bool:
     """Do the declared split levels and fixed values form a Silver tree?"""
     if p.horizon < 0:
         return False
-    if not all(0 <= l < p.horizon for l in p.split_levels):
+    if not all(_is_level(l, p.horizon) for l in p.split_levels):
         return False
     fixed = dict(p.fixed)
     if len(fixed) != len(p.fixed):
@@ -100,8 +103,7 @@ def sv_validate(p: SilverTree) -> bool:
     # The fixed levels must be exactly the levels below the horizon that do
     # not split.  Counting first keeps the work linear in the representation,
     # however large the declared horizon.
-    splits = sum(1 for l in p.split_levels if _is_level(l, p.horizon))
-    if len(fixed) + splits != p.horizon:
+    if len(fixed) + len(p.split_levels) != p.horizon:
         return False
     if not all(_is_level(l, p.horizon) and l not in p.split_levels for l in fixed):
         return False
@@ -320,13 +322,11 @@ def _stage_obstruction(universe: GroundUniverse, silver_p: SilverTree) -> _Obstr
             "splitting level below the horizon"
         )
     ntilde = pair_index((2 * n, 2 * n + 1))
+    # The two branches differ only at n, so both flatten to u, which
+    # adversarial_pair puts at index 2n for r0 and at 2n + 1 for r1.
     r0 = sv_leftmost(silver_p, stem + (0,))
     r1 = sv_leftmost(silver_p, stem + (1,))
-    if not (up_eval(r0, n) == 0 and up_eval(r1, n) == 1):
-        raise AssertionError("the staged branches do not split at the stem")
     u = flatten(r0, n)
-    if u != flatten(r1, n):
-        raise AssertionError("the staged branches flatten to different sequences")
     if u == ZERO:
         raise ValueError(
             "the flattened branch is the zero sequence; the tree's fixed part "
@@ -334,10 +334,6 @@ def _stage_obstruction(universe: GroundUniverse, silver_p: SilverTree) -> _Obstr
         )
     if u in universe:
         raise ValueError("the flattened branch lies in the ground universe")
-    if adversarial_sequence(r0, n + 1)[2 * n] != u:
-        raise AssertionError(f"adversarial index {2 * n} is not the flattened branch")
-    if adversarial_sequence(r1, n + 1)[2 * n + 1] != u:
-        raise AssertionError(f"adversarial index {2 * n + 1} is not the flattened branch")
     return _ObstructionContext(n, ntilde, r0, r1, u)
 
 
@@ -416,18 +412,11 @@ def obstruct(
             f"scope too small: the staged pair needs index {odd} at pair "
             f"position {ctx.ntilde}"
         )
-    fam1 = wrapper.family(ctx.ntilde, even)
-    fam2 = wrapper.family(ctx.ntilde, odd)
-    s1 = t1 = None
-    for tree in fam1.distinct_trees():
-        if ctx.u in tree.branches:
-            s1, t1 = fam1.representative(tree), tree
-            break
-    s2 = t2 = None
-    for tree in fam2.distinct_trees():
-        if ctx.u in tree.branches:
-            s2, t2 = fam2.representative(tree), tree
-            break
+    covers = []
+    for fam in (wrapper.family(ctx.ntilde, even), wrapper.family(ctx.ntilde, odd)):
+        tree = next((t for t in fam.distinct_trees() if ctx.u in t.branches), None)
+        covers.append((None if tree is None else fam.representative(tree), tree))
+    (s1, t1), (s2, t2) = covers
     clause, index, reason = _violated_clause(
         t1.branches if t1 is not None else frozenset(),
         t2.branches if t2 is not None else frozenset(),

@@ -154,10 +154,8 @@ class TreeFamily:
         if len(s) != self.width or any(b not in (0, 1) for b in s):
             raise ValueError(f"need a binary word of length {self.width}")
         word = bytes(b == 1 for b in s)
-        for prefix, tree in self.leaves:
-            if word.startswith(prefix):
-                return tree
-        raise AssertionError("reduced trie failed to cover a word")
+        # The constructor checked that the classes cover every word.
+        return next(tree for prefix, tree in self.leaves if word.startswith(prefix))
 
     def distinct_trees(self) -> Mapping[BranchTree, int]:
         """Each assigned tree with the number of words mapped to it: a

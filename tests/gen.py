@@ -221,12 +221,13 @@ def naive_sv_validate(p: SilverTree) -> bool:
     below the horizon less the split levels, built in full."""
     if p.horizon < 0:
         return False
-    if not all(0 <= l < p.horizon for l in p.split_levels):
+    levels = set(range(p.horizon))
+    if not p.split_levels <= levels:
         return False
     fixed = dict(p.fixed)
     if len(fixed) != len(p.fixed):
         return False
-    if set(fixed) != set(range(p.horizon)) - p.split_levels:
+    if set(fixed) != levels - p.split_levels:
         return False
     return all(b in (0, 1) for b in fixed.values())
 

@@ -33,7 +33,7 @@ from shrinkwrap.cli import run
 from shrinkwrap.codec import CodecError, decode, encode, infer_kind
 from shrinkwrap.core import ZERO, BranchTree, UPReal
 from shrinkwrap.domination import check_domination
-from shrinkwrap.sacks import HorizonPerfectTree, RMap, verify_fusion_helper
+from shrinkwrap.sacks import HorizonPerfectTree, RMap, fusion_intersect, verify_fusion_helper
 from shrinkwrap.silver import (
     GroundUniverse,
     ObstructionReport,
@@ -824,14 +824,20 @@ class TestCli:
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
         assert run(["verify", "--wrapper", out1, "--reals", reals]) == 0
 
-    def test_seed_must_be_unsigned(self, paths, monkeypatch):
+    def test_seed_must_be_unsigned(self, paths, monkeypatch, capsys):
         tmp, save = paths
         reals = save("xs.json", XS)
         decoys = save("d.json", (R([1, 1]),))
-        monkeypatch.setenv("SHRINKWRAP_SEED", "abc")
-        code = run(["build", "--reals", reals, "--decoys", decoys,
-                    "--out", str(tmp / "w.json")])
-        assert code == 2
+        # "\u00b2" and "\u0661" pass str.isdigit; int() reads the second as 1.
+        for raw in ("abc", "\u00b2", "\u0661"):
+            monkeypatch.setenv("SHRINKWRAP_SEED", raw)
+            code = run(["build", "--reals", reals, "--decoys", decoys,
+                        "--out", str(tmp / "w.json")])
+            assert code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: SHRINKWRAP_SEED must be an unsigned integer, got {raw!r}\n"
+            assert not (tmp / "w.json").exists()
 
     def test_dominate_with_wrapper(self, paths):
         tmp, save = paths
@@ -883,10 +889,21 @@ class TestCli:
         assert elapsed < 1.0, f"dominate took {elapsed:.2f}s"
 
     def test_fusion_pass(self, paths, capsys):
+        # The whole output, against the line built from the library's own
+        # chain collapse, on seeded maps of every depth up to 4.
         tmp, save = paths
-        rmap = save("rmap.json", rand_rmap(random.Random(6), 3, 9))
-        assert run(["fusion", "--rmap", rmap]) == 0
-        assert "PASS" in capsys.readouterr().out
+        rng = random.Random(6)
+        for depth in range(5):
+            for _ in range(8):
+                rmap = rand_rmap(rng, depth, rng.randint(9, 12))
+                report = verify_fusion_helper(rmap)
+                assert report.passed
+                inter = fusion_intersect(report.chain[1:] or report.chain)
+                assert run(["fusion", "--rmap", save("rmap.json", rmap)]) == 0
+                assert capsys.readouterr().out == (
+                    f"fusion helper over depth {depth}: PASS; intersection keeps "
+                    f"gap {inter.gap()} within horizon {inter.horizon}\n"
+                )
 
     def test_fusion_reports_comparable_stems(self, paths, capsys):
         tmp, save = paths

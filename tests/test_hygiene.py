@@ -1,6 +1,7 @@
 """Source hygiene: every module imports only names it uses, states its
 checks with explicit raises rather than ``assert``, which ``python -O``
-strips, and leaves canonical form to the ``UPReal`` constructor; the
+strips, raises ``AssertionError`` only where a ROADMAP item owns the check,
+and leaves canonical form to the ``UPReal`` constructor; the
 package's ``__all__`` lists exactly the names ``__init__.py`` imports; and
 every entry point that the benchmark's tracer names still exists.
 
@@ -137,6 +138,58 @@ def test_detector_sees_nested_asserts_but_not_raises():
         "assert f\n"
     )
     assert sorted(assert_statements(source)) == [3, 5]
+
+
+def invariant_raises(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each ``raise AssertionError``: a
+    check that no input should reach, outside every verdict and exit code."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+#: Each function allowed to raise AssertionError, with the ROADMAP item
+#: that owns the check.  An invariant that its caller or its own
+#: construction already settles is deleted rather than listed.
+INVARIANT_OWNERS = {
+    ("silver", "brute_obstruction"): "item 1: survivors counted, not derived",
+}
+
+
+def test_invariant_raises_have_owners():
+    found = {
+        (path.stem, where)
+        for path in SOURCES
+        for where, _ in invariant_raises(path.read_text())
+    }
+    assert found == set(INVARIANT_OWNERS)
+
+
+def test_detector_sees_invariant_raises_by_function():
+    source = (
+        "class C:\n"
+        "    def m(self):\n"
+        "        raise AssertionError('in a method')\n"
+        "def f(x):\n"
+        "    def g():\n"
+        "        raise AssertionError\n"
+        "    if x:\n"
+        "        raise ValueError('not an invariant')\n"
+        "    raise\n"
+        "raise AssertionError('at module level')\n"
+    )
+    assert invariant_raises(source) == [("C.m", 3), ("f.g", 6), ("", 10)]
 
 
 def names_of(source: str, target: str) -> list[int]:

@@ -629,7 +629,7 @@ class TestFusionIntersect:
             assert report.passed
             tail = report.chain[1:]
             out = fusion_intersect(tail)
-            assert out == tail[-1]
+            assert out is tail[-1]
             for p in tail:
                 assert out.nodes <= p.nodes
             assert out.gap() <= max(p.gap() for p in tail)

@@ -18,6 +18,7 @@ from gen import (
     rand_silver,
     rand_upreal,
 )
+from shrinkwrap.codec import decode, encode
 from shrinkwrap.core import ZERO, UPReal, up_eval, up_first_diff, up_sort_key
 from shrinkwrap.silver import (
     BruteSummary,
@@ -69,6 +70,11 @@ class TestValidate:
 
     def test_value_outside_alphabet(self):
         assert not sv_validate(SilverTree(2, frozenset({1}), {0: 2}))
+
+    def test_split_level_between_levels(self):
+        # 0.5 is no level, so it cannot be a splitting one.
+        assert not sv_validate(SilverTree(1, frozenset({0.5}), {0: 1}))
+        assert not sv_validate(SilverTree(3, frozenset({0, 0.5}), {1: 0, 2: 1}))
 
     def test_split_level_past_horizon(self):
         assert not sv_validate(SilverTree(3, frozenset({3}), {0: 0, 1: 0, 2: 0}))
@@ -134,6 +140,23 @@ def test_validate_matches_the_set_based_check():
     assert [p for p in cases if sv_validate(p) != naive_sv_validate(p)] == []
     verdicts = [naive_sv_validate(p) for p in cases]
     assert 50 < sum(verdicts) < len(verdicts) - 50
+
+
+def test_accepted_representations_work_everywhere():
+    # Levels and bits given as floats or booleans that sv_validate accepts
+    # are stored as ints, so every consumer of a valid tree can use it.
+    cases = validate_cases() + [
+        SilverTree(2, frozenset({1.0}), {0: 1}),
+        SilverTree(2, frozenset({1}), {0.0: 1}),
+        SilverTree(2, frozenset({1}), {0: 1.0}),
+        SilverTree(2, frozenset({1}), {0: True}),
+    ]
+    for p in filter(sv_validate, cases):
+        assert len(p.stem()) <= p.horizon
+        assert sv_leftmost(p).period == (0,)
+        if p.split_levels:
+            assert homogenize(p, 0, lambda cone: cone) == p
+        assert decode(encode(p), "silver-tree") == p
 
 
 class TestStemAndNodes:
@@ -203,6 +226,9 @@ class TestLeftmost:
             assert up_eval(r0, n) == 0 and up_eval(r1, n) == 1
             assert up_first_diff(r0, r1) == n
             assert flatten(r0, n) == flatten(r1, n)
+            # The staged pair: both sides of pair n are that flattened branch.
+            assert adversarial_sequence(r0, n + 1)[2 * n] == flatten(r0, n)
+            assert adversarial_sequence(r1, n + 1)[2 * n + 1] == flatten(r0, n)
 
 
 class TestReplaceBelow:
