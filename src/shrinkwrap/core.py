@@ -10,7 +10,8 @@ checkable on a desk.
 The module also fixes the index coding used throughout the package: a
 growth rule ``growth(i, l)``, a bijection between naturals and unordered
 pairs of naturals, and a code for (binary word, natural) arguments.  These
-three are pinned, and every operation calls them directly.
+three are pinned.  Law 1 and the padded budgets in :mod:`shrinkwrap.wrapper`
+read shape codes off binary values; tests pin that they match :func:`shape_code`.
 """
 
 from __future__ import annotations
@@ -178,12 +179,19 @@ def pair_index(pair: Iterable[int]) -> int:
     """Position of an unordered pair of naturals in the fixed enumeration.
 
     Pairs {a, b} with a < b are ordered by (b, a); the index is
-    b(b-1)/2 + a.
+    b(b-1)/2 + a.  An element equal to an int, such as ``True`` or ``2.0``,
+    is read as that int.
     """
-    items = sorted(set(pair))
+    given = tuple(pair)
+    try:
+        items = {int(v) for v in given}
+    except (TypeError, ValueError, OverflowError):
+        items = None
+    if items is None or items != set(given):
+        raise ValueError(f"pair elements must equal naturals, got {list(given)!r}")
     if len(items) != 2:
-        raise ValueError(f"need two distinct naturals, got {list(pair)!r}")
-    a, b = items
+        raise ValueError(f"need two distinct naturals, got {list(given)!r}")
+    a, b = sorted(items)
     if a < 0:
         raise ValueError("pair elements must be nonnegative")
     return b * (b - 1) // 2 + a

@@ -395,77 +395,64 @@ def classify_pair(
 
 
 def verify_wrapper(wrapper: ShrinkWrapper, reals: Sequence[UPReal]) -> WrapperReport:
-    """Check the three defining laws over the whole scope.
+    """Check the three defining laws over the whole scope, one pair
+    position at a time."""
+    xs = _check_sequence(wrapper, reals)
+    wrapper.check_total()
+    family, iso = wrapper.family, wrapper.isolated
+    return _report(
+        v
+        for nt, a, b in wrapper.scope.pairs()
+        for v in _pair_laws(nt, a, b, family(nt, a), family(nt, b), iso[a], iso[b], xs[a], xs[b])
+    )
 
-    Law 3 is checked once per pair of distinct assigned trees; the verdict
-    for a word pair depends only on the trees the words select, so this is
-    exhaustive.  Reported word witnesses are representatives of their
-    classes.
+
+def _pair_laws(
+    nt: int,
+    a: int,
+    b: int,
+    fam_a: TreeFamily,
+    fam_b: TreeFamily,
+    iso_a: frozenset[UPReal],
+    iso_b: frozenset[UPReal],
+    x_a: UPReal,
+    x_b: UPReal,
+) -> Iterator[Violation]:
+    """The law 1-3 violations at pair position ``nt`` of indices ``a`` and
+    ``b``, from their families, isolated sets and points.
 
     Law 1 is checked once per trie leaf, at the all-zero tail of its class:
     over the words of one length that word has the least shape code, and a
     tree that obeys an index obeys every larger one.  That code is read off
     the prefix's binary value, and the word is spelled out only for a
-    violation.
+    violation.  Law 3 is checked once per pair of distinct assigned trees;
+    the verdict for a word pair depends only on the trees the words select,
+    so this is exhaustive.  Reported words are the least of their classes.
     """
-    xs = _check_sequence(wrapper, reals)
-    wrapper.check_total()
-    violations: list[Violation] = []
-
-    for nt, a, b in wrapper.scope.pairs():
-        # Each family's distinct trees, once per pair position.
-        distinct: dict[int, dict[BranchTree, int]] = {}
-        for n in (a, b):
-            fam = wrapper.family(nt, n)
-            distinct[n] = fam.distinct_trees()
-            # law 1: growth obedience, once per trie leaf
-            for prefix, tree in fam.leaves:
-                tail = nt - len(prefix)
-                index = (1 << nt) - 1 + (_binary(prefix) << tail) + n
-                if not tree.obeys(index):
-                    violations.append(
-                        Violation(
-                            "1",
-                            nt,
-                            n,
-                            tuple(prefix) + (0,) * tail,
-                            None,
-                            f"tree exceeds the growth allowance at index {index}",
-                        )
-                    )
-            # law 2: some word's tree passes through the point
-            if not any(xs[n] in tree.branches for tree in distinct[n]):
-                violations.append(
-                    Violation(
-                        "2",
-                        nt,
-                        n,
-                        None,
-                        None,
-                        "no word's tree passes through the sequence point",
-                    )
+    trees_a, trees_b = fam_a.distinct_trees(), fam_b.distinct_trees()
+    for n, fam, trees, x in ((a, fam_a, trees_a, x_a), (b, fam_b, trees_b, x_b)):
+        for prefix, tree in fam.leaves:
+            tail = nt - len(prefix)
+            index = (1 << nt) - 1 + (_binary(prefix) << tail) + n
+            if not tree.obeys(index):
+                yield Violation(
+                    "1",
+                    nt,
+                    n,
+                    tuple(prefix) + (0,) * tail,
+                    None,
+                    f"tree exceeds the growth allowance at index {index}",
                 )
-        fam1 = wrapper.family(nt, a)
-        fam2 = wrapper.family(nt, b)
-        for t1 in distinct[a]:
-            for t2 in distinct[b]:
-                tag, _, _, reason = _classify_trees(
-                    t1, t2, wrapper.isolated[a], wrapper.isolated[b], xs[a], xs[b]
-                )
-                if tag == "violation":
-                    violations.append(
-                        Violation(
-                            "3",
-                            nt,
-                            None,
-                            fam1.representative(t1),
-                            fam2.representative(t2),
-                            reason,
-                        )
-                    )
-
-    violations.sort(key=lambda v: (v.ntilde, v.condition, v.n or 0, v.s1 or (), v.s2 or ()))
-    return WrapperReport(not violations, tuple(violations))
+        if not any(x in tree.branches for tree in trees):
+            yield Violation(
+                "2", nt, n, None, None, "no word's tree passes through the sequence point"
+            )
+    for t1, t2 in itertools.product(trees_a, trees_b):
+        tag, _, _, reason = _classify_trees(t1, t2, iso_a, iso_b, x_a, x_b)
+        if tag == "violation":
+            yield Violation(
+                "3", nt, None, fam_a.representative(t1), fam_b.representative(t2), reason
+            )
 
 
 def verify_condition4(wrapper: ShrinkWrapper) -> WrapperReport:
@@ -476,42 +463,46 @@ def verify_condition4(wrapper: ShrinkWrapper) -> WrapperReport:
     shared by two or more words therefore has to be an isolated singleton.
     """
     wrapper.check_total()
-    violations: list[Violation] = []
-    for nt, a, b in wrapper.scope.pairs():
-        for n in (a, b):
-            fam = wrapper.family(nt, n)
-            distinct = fam.distinct_trees()
-            iso = wrapper.isolated[n]
+    return _report(
+        v
+        for nt, a, b in wrapper.scope.pairs()
+        for n in (a, b)
+        for v in _index_law4(nt, n, wrapper.family(nt, n), wrapper.isolated[n])
+    )
 
-            def is_isolated_singleton(tree: BranchTree) -> bool:
-                return len(tree.branches) == 1 and next(iter(tree.branches)) in iso
 
-            for tree, count in distinct.items():
-                if count >= 2 and not is_isolated_singleton(tree):
-                    violations.append(
-                        Violation(
-                            "4",
-                            nt,
-                            n,
-                            fam.representative(tree),
-                            None,
-                            "words sharing a tree need an isolated singleton",
-                        )
-                    )
-            for t1, t2 in itertools.combinations(distinct, 2):
-                if t1.branches & t2.branches:
-                    violations.append(
-                        Violation(
-                            "4",
-                            nt,
-                            n,
-                            fam.representative(t1),
-                            fam.representative(t2),
-                            "distinct trees of one index overlap without being isolated",
-                        )
-                    )
-    violations.sort(key=lambda v: (v.ntilde, v.n or 0, v.s1 or (), v.s2 or ()))
-    return WrapperReport(not violations, tuple(violations))
+def _index_law4(nt: int, n: int, fam: TreeFamily, iso: frozenset[UPReal]) -> Iterator[Violation]:
+    """The law-4 violations of index ``n``'s family at pair position ``nt``."""
+    distinct = fam.distinct_trees()
+    for tree, count in distinct.items():
+        if count >= 2 and not (len(tree.branches) == 1 and tree.branches <= iso):
+            yield Violation(
+                "4",
+                nt,
+                n,
+                fam.representative(tree),
+                None,
+                "words sharing a tree need an isolated singleton",
+            )
+    for t1, t2 in itertools.combinations(distinct, 2):
+        if t1.branches & t2.branches:
+            yield Violation(
+                "4",
+                nt,
+                n,
+                fam.representative(t1),
+                fam.representative(t2),
+                "distinct trees of one index overlap without being isolated",
+            )
+
+
+def _report(violations: Iterable[Violation]) -> WrapperReport:
+    """The report of the violations, ordered by pair position, condition,
+    index and words; a missing index reads as 0 and a missing word as ()."""
+    rows = sorted(
+        violations, key=lambda v: (v.ntilde, v.condition, v.n or 0, v.s1 or (), v.s2 or ())
+    )
+    return WrapperReport(not rows, tuple(rows))
 
 
 def build_wrapper(

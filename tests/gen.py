@@ -344,6 +344,110 @@ def naive_law1(wrapper: ShrinkWrapper) -> list:
     return sorted(out)
 
 
+def _naive_member(x, branches) -> bool:
+    return any(naive_equal(x, y) for y in branches)
+
+
+def _naive_meets(c1, c2) -> bool:
+    return any(_naive_member(x, c2) for x in c1)
+
+
+def _naive_same(c1, c2) -> bool:
+    return all(_naive_member(x, c2) for x in c1) and all(_naive_member(y, c1) for y in c2)
+
+
+def naive_words(fam: TreeFamily) -> list:
+    """(word, tree) for every word of the family's width, in lexicographic
+    order; each word's tree is the one whose class prefix the word starts
+    with."""
+    return [
+        (word, next(tree for prefix, tree in fam.leaves if word[: len(prefix)] == tuple(prefix)))
+        for word in itertools.product((0, 1), repeat=fam.width)
+    ]
+
+
+def _naive_pair_reason(c1, c2, iso1, iso2, x1, x2):
+    """Why two branch sets at one pair position break law 3, or None: they
+    may be disjoint, one isolated singleton of both indices, or equal sets
+    that pass through neither point or through two equal points."""
+    if not _naive_meets(c1, c2):
+        return None
+    if not _naive_same(c1, c2):
+        return "branch sets overlap without being equal or a shared isolated singleton"
+    only = next(iter(c1))
+    if len(c1) == 1 and _naive_member(only, iso1) and _naive_member(only, iso2):
+        return None
+    if (_naive_member(x1, c1) or _naive_member(x2, c2)) and not naive_equal(x1, x2):
+        return "equal branch sets pass through one of the points but the points differ"
+    return None
+
+
+def _naive_sorted_report(rows: list) -> WrapperReport:
+    # Rows by pair position, condition, index and words; a missing index or
+    # word sorts first.
+    rows = sorted(rows, key=lambda v: (v.ntilde, v.condition, v.n or 0, v.s1 or (), v.s2 or ()))
+    return WrapperReport(not rows, tuple(rows))
+
+
+def naive_verify_wrapper(wrapper: ShrinkWrapper, reals) -> WrapperReport:
+    """The report of laws 1-3, word by word.  Law-1 rows come from
+    :func:`naive_law1`.  Law 2 asks every word's tree for the point, and law
+    3 classifies every word pair by naive membership; each breaking tree
+    pair is reported at its lexicographically least word pair."""
+    xs = tuple(reals)
+    rows = [
+        Violation("1", nt, n, word, None, f"tree exceeds the growth allowance at index {index}")
+        for nt, n, word, index in naive_law1(wrapper)
+    ]
+    for nt in range(wrapper.scope.n_pairs):
+        a, b = pair_of(nt)
+        words = {n: naive_words(wrapper.families[(nt, n)]) for n in (a, b)}
+        for n in (a, b):
+            if not any(_naive_member(xs[n], tree.branches) for _, tree in words[n]):
+                rows.append(Violation(
+                    "2", nt, n, None, None, "no word's tree passes through the sequence point"
+                ))
+        reported = set()
+        for (s1, t1), (s2, t2) in itertools.product(words[a], words[b]):
+            reason = _naive_pair_reason(
+                t1.branches, t2.branches, wrapper.isolated[a], wrapper.isolated[b], xs[a], xs[b]
+            )
+            if reason is not None and (t1, t2) not in reported:
+                reported.add((t1, t2))
+                rows.append(Violation("3", nt, None, s1, s2, reason))
+    return _naive_sorted_report(rows)
+
+
+def naive_condition4(wrapper: ShrinkWrapper) -> WrapperReport:
+    """The report of law 4, word by word: any two distinct words of one
+    index's family must select one isolated singleton of that index or
+    disjoint branch sets.  Each breaking tree pair, or tree shared by two
+    words, is reported at its lexicographically least word pair; a shared
+    tree names its first word only."""
+    rows = []
+    for nt in range(wrapper.scope.n_pairs):
+        for n in pair_of(nt):
+            iso = wrapper.isolated[n]
+            reported = set()
+            for (s1, t1), (s2, t2) in itertools.combinations(naive_words(wrapper.families[(nt, n)]), 2):
+                c1, c2 = t1.branches, t2.branches
+                same = _naive_same(c1, c2)
+                if same and len(c1) == 1 and _naive_member(next(iter(c1)), iso):
+                    continue
+                if not _naive_meets(c1, c2) or frozenset((t1, t2)) in reported:
+                    continue
+                reported.add(frozenset((t1, t2)))
+                if same:
+                    rows.append(Violation(
+                        "4", nt, n, s1, None, "words sharing a tree need an isolated singleton"
+                    ))
+                else:
+                    rows.append(Violation(
+                        "4", nt, n, s1, s2, "distinct trees of one index overlap without being isolated"
+                    ))
+    return _naive_sorted_report(rows)
+
+
 def naive_check_partition(table, width: int) -> None:
     """Prefix-partition check by comparing every pair of class prefixes."""
     prefixes = sorted(table)

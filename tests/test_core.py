@@ -287,6 +287,19 @@ class TestCoders:
     def test_pair_rejects_degenerate(self):
         with pytest.raises(ValueError):
             pair_index({3, 3})
+        # a one-shot iterator is read once, so its message names both elements
+        with pytest.raises(ValueError, match=r"^need two distinct naturals, got \[3, 3\]$"):
+            pair_index(iter([3, 3]))
+
+    def test_pair_elements_must_equal_naturals(self):
+        assert pair_index(iter([1, 3])) == 4
+        assert pair_index((True, 2.0)) == pair_index((1, 2)) == 2
+        assert type(pair_index((0.0, 2.0))) is int
+        for bad in [(0.5, 2), (2, 2.5), ("1", 2), (None, 2), (float("inf"), 2), (float("nan"), 2)]:
+            with pytest.raises(ValueError, match="^pair elements must equal naturals"):
+                pair_index(bad)
+        with pytest.raises(ValueError, match="^pair elements must be nonnegative$"):
+            pair_index((-1, 2))
 
     def test_pair_enumeration_order(self):
         # Pairs {a,b}, a<b, ordered lexicographically by (b, a).

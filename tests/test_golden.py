@@ -3,7 +3,8 @@
 Acceptance check 9 compares two encodes made by the same code, so a writer
 that drifted would still pass it.  These digests were computed once and
 must not change while the artifact format is version 1: every kind, every
-report type and three ``shrinkwrap build --decoys`` artifacts.  A failure here
+report type, a failing report of each wrapper verifier and three
+``shrinkwrap build --decoys`` artifacts.  A failure here
 means the bytes on disk changed, not merely that a value did.
 """
 
@@ -28,7 +29,14 @@ from shrinkwrap.silver import (
     brute_obstruction,
     obstruct,
 )
-from shrinkwrap.wrapper import build_padded_wrapper, build_wrapper, verify_wrapper
+from shrinkwrap.wrapper import (
+    ShrinkWrapper,
+    TreeFamily,
+    build_padded_wrapper,
+    build_wrapper,
+    verify_condition4,
+    verify_wrapper,
+)
 
 
 def R(prefix, period=(0,)):
@@ -60,6 +68,19 @@ def broken_wrapper_report():
     return verify_wrapper(padded_wrapper(), seeded_reals(24, 5, alphabet=3))
 
 
+def broken_condition4_report():
+    # The padded wrapper with each isolated set cut back to its own point, so
+    # every filler tree that several words share fails law 4, and with index
+    # 1's padded tree at pair position 4 grown by its filler, so the two
+    # overlap.
+    w = padded_wrapper()
+    filler = w.family(4, 1).tree_at((0, 0, 0, 0))
+    fat = BranchTree(w.family(4, 1).tree_at((0, 1, 0, 1)).branches | filler.branches)
+    families = {**w.families, (4, 1): TreeFamily.from_assignments(4, filler, {(0, 1, 0, 1): fat})}
+    isolated = tuple(frozenset({x}) for x in PADDED_XS)
+    return verify_condition4(ShrinkWrapper(w.scope, families, isolated))
+
+
 def artifacts():
     """(name, value, kind) for every artifact the golden digests cover."""
     rng = random.Random(31)
@@ -72,6 +93,7 @@ def artifacts():
         ("rmap", rand_rmap(random.Random(4), 3, 9), None),
         ("report-wrapper-pass", verify_wrapper(build_wrapper(XS), XS), None),
         ("report-wrapper-fail", broken_wrapper_report(), None),
+        ("report-condition4-fail", broken_condition4_report(), None),
         (
             "report-domination",
             check_domination(
@@ -104,6 +126,7 @@ GOLDEN = {
     "rmap": "7b88f5fe65f9eaa58ee3b281b9eb5be07df29c63eff5952258a3f38a8ed74fef",
     "report-wrapper-pass": "46dfef51b8734bc7fa0c0e6466ce7269ad7a9427c79cb8694846866655ea92d2",
     "report-wrapper-fail": "dea4daf99eda4d179b1b9eeb1d8a2faaeb22a01f7f8f481edfc847d4847040b0",
+    "report-condition4-fail": "35615b277092cb30e403532943ca0728f8a2ad92400af6c85cba053b25ea4d67",
     "report-domination": "49b044d07ed2d8124d18bf04968b40e8da8bab6b4e7ec29a0a40ae80704e59ab",
     "report-fusion": "c7726db16ac8b153ae3c33d29f882997a7615a773bd0ac544fdadda7797db372",
     "report-obstruction": "ffc0df54d1b7b8583b6b26836cade6a522a18c137ccb08e3bf9a2efc7b1af907",

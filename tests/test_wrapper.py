@@ -11,6 +11,7 @@ from gen import (
     naive_build_padded_wrapper,
     naive_check_partition,
     naive_choice,
+    naive_condition4,
     naive_draw_word,
     naive_equal,
     naive_first_diff,
@@ -18,6 +19,7 @@ from gen import (
     naive_law1,
     naive_shuffle,
     naive_tree_family,
+    naive_verify_wrapper,
     rand_branch_tree,
     rand_family_leaves,
     rand_overrides,
@@ -30,6 +32,8 @@ from shrinkwrap.core import ZERO, BranchTree, UPReal, pair_of, up_first_diff
 from shrinkwrap.wrapper import (
     ShrinkWrapper,
     TreeFamily,
+    Violation,
+    WrapperReport,
     WrapperScope,
     build_padded_wrapper,
     build_wrapper,
@@ -446,6 +450,53 @@ class TestVerifyWrapper:
         # the main verifier does not require the fourth law
         assert not any(v.condition == "4" for v in verify_wrapper(bad, xs).violations)
 
+    def test_one_position_breaking_laws_1_to_3_reports_every_row(self):
+        # Pair position 1 joins indices 0 and 2 at width 1.  Index 0's tree
+        # at word 0 is too wide at level 0 and misses x0; index 2's at word 0
+        # is too wide as well and overlaps it; both indices take {x2} at
+        # word 1, an equal pair through x2, which differs from x0.
+        xs = [ZERO, R([1]), R([2])]
+        w = build_wrapper(xs)
+        wide0 = T(R([3]), R([4]), R([5]))
+        wide2 = T(R([3]), R([6]), R([7]), R([8]), R([9]))
+        families = {
+            **w.families,
+            (1, 0): TreeFamily.from_assignments(1, wide0, {(1,): T(xs[2])}),
+            (1, 2): TreeFamily.from_assignments(1, wide2, {(1,): T(xs[2])}),
+        }
+        report = verify_wrapper(ShrinkWrapper(w.scope, families, w.isolated), xs)
+        assert report == WrapperReport(False, (
+            Violation("1", 1, 0, (0,), None, "tree exceeds the growth allowance at index 1"),
+            Violation("1", 1, 2, (0,), None, "tree exceeds the growth allowance at index 3"),
+            Violation("2", 1, 0, None, None, "no word's tree passes through the sequence point"),
+            Violation(
+                "3", 1, None, (0,), (0,),
+                "branch sets overlap without being equal or a shared isolated singleton",
+            ),
+            Violation(
+                "3", 1, None, (1,), (1,),
+                "equal branch sets pass through one of the points but the points differ",
+            ),
+        ))
+
+    def test_one_index_breaking_both_condition4_messages_reports_every_row(self):
+        # At pair position 2, width 2, index 1 gives words 00 and 01 one
+        # two-branch tree, word 10 a tree overlapping it and word 11 a tree
+        # apart from both.
+        xs = [ZERO, R([1]), R([2])]
+        w = build_wrapper(xs)
+        fam = TreeFamily(2, (
+            ((0,), T(ZERO, R([3]))), ((1, 0), T(R([3]), R([4]))), ((1, 1), T(R([5]))),
+        ))
+        report = verify_condition4(ShrinkWrapper(w.scope, {**w.families, (2, 1): fam}, w.isolated))
+        assert report == WrapperReport(False, (
+            Violation("4", 2, 1, (0, 0), None, "words sharing a tree need an isolated singleton"),
+            Violation(
+                "4", 2, 1, (0, 0), (1, 0),
+                "distinct trees of one index overlap without being isolated",
+            ),
+        ))
+
 
 def rand_law1_wrapper(rng: random.Random) -> tuple[ShrinkWrapper, list[UPReal]]:
     """A total wrapper of width at most 6 with random class partitions and
@@ -507,6 +558,52 @@ class TestViolationWords:
                             assert len(word) == v.ntilde, v
                             seen[v.condition] += 1
         assert set(seen) == {"1", "3", "4"} and min(seen.values()) > 20, seen
+
+
+def rand_oracle_case(rng: random.Random) -> tuple[ShrinkWrapper, list[UPReal]]:
+    """A direct or padded wrapper over at most 4 points, so every width is at
+    most 5, often with some families, isolated sets or points replaced by
+    random ones over a small pool, which breaks every law in both ways."""
+    xs = [rand_upreal(rng, alphabet=3, max_prefix=3, max_period=2) for _ in range(rng.randint(2, 4))]
+    decoys = [rand_upreal(rng, alphabet=3, max_prefix=3, max_period=2) for _ in range(rng.randint(0, 12))]
+    if rng.random() < 0.25:
+        w = build_wrapper(xs)
+    else:
+        w = build_padded_wrapper(xs, decoys=decoys, seed=rng.randrange(1000))
+    pool = (xs + decoys)[:6]
+    families, isolated = dict(w.families), list(w.isolated)
+    # Replaced families share three trees, so equal tree pairs are common.
+    trees = [T(*rng.sample(pool, rng.randint(1, min(4, len(pool))))) for _ in range(3)]
+    for key in rng.sample(sorted(families), rng.randint(0, min(3, len(families)))):
+        table = {(): None}
+        for _ in range(rng.randrange(key[0] + 1)):
+            p = rng.choice([p for p in table if len(p) < key[0]])
+            del table[p]
+            table.update({p + (0,): None, p + (1,): None})
+        families[key] = TreeFamily(key[0], tuple((p, rng.choice(trees)) for p in table))
+    for n in range(len(xs)):
+        if rng.random() < 0.2:
+            isolated[n] = frozenset(rng.sample(pool, rng.randrange(3)))
+    points = list(xs)
+    if rng.random() < 0.2:
+        points[rng.randrange(len(xs))] = rng.choice(pool)
+    return ShrinkWrapper(w.scope, families, tuple(isolated)), points
+
+
+class TestVerifierOracle:
+    def test_reports_match_the_word_by_word_oracle(self):
+        rng = random.Random(2101)
+        seen = Counter()
+        for _ in range(200):
+            w, xs = rand_oracle_case(rng)
+            for got, want in (
+                (verify_wrapper(w, xs), naive_verify_wrapper(w, xs)),
+                (verify_condition4(w), naive_condition4(w)),
+            ):
+                assert got == want
+                seen.update((v.condition, v.reason[:20]) for v in got.violations)
+                seen["passed"] += got.passed
+        assert len(seen) == 7 and min(seen.values()) >= 10, seen
 
 
 class TestScopeClosedForms:
