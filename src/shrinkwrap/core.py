@@ -201,11 +201,8 @@ def pair_of(nt: int) -> tuple[int, int]:
     """Inverse of :func:`pair_index`; returns the pair as (smaller, larger)."""
     if nt < 0:
         raise ValueError("pair position must be nonnegative")
+    # With nt = b(b-1)/2 + a and 0 <= a < b, (2b-1)**2 <= 1 + 8nt < (2b+1)**2.
     b = (1 + isqrt(1 + 8 * nt)) // 2
-    while b * (b - 1) // 2 > nt:
-        b -= 1
-    while (b + 1) * b // 2 <= nt:
-        b += 1
     a = nt - b * (b - 1) // 2
     return (a, b)
 

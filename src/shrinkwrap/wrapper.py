@@ -341,37 +341,28 @@ def _check_sequence(wrapper: ShrinkWrapper, reals: Sequence[UPReal]) -> tuple[UP
 
 
 def _classify_trees(
-    t1: BranchTree,
-    t2: BranchTree,
+    c1: frozenset[UPReal],
+    c2: frozenset[UPReal],
     iso1: frozenset[UPReal],
     iso2: frozenset[UPReal],
     x1: UPReal,
     x2: UPReal,
-) -> tuple[str, Optional[UPReal], Optional[int], Optional[str]]:
-    """Shared classification core; precedence is 3b, then 3c, then 3a."""
-    c1, c2 = t1.branches, t2.branches
-    if c1 == c2 and len(c1) == 1:
-        point = next(iter(c1))
-        if point in iso1 and point in iso2:
-            return "3b", point, None, None
-    level = bt_separation_level(t1, t2)
-    if level is not None:
-        return "3c", None, level, None
-    if c1 == c2:
-        if (x1 in c1 or x2 in c2) and x1 != x2:
-            return (
-                "violation",
-                None,
-                None,
-                "equal branch sets pass through one of the points but the points differ",
-            )
-        return "3a", None, None, None
-    return (
-        "violation",
-        None,
-        None,
-        "branch sets overlap without being equal or a shared isolated singleton",
-    )
+) -> tuple[str, Optional[str]]:
+    """The law-3 tag of two branch sets and, for a violation, its reason.
+
+    Unequal sets are disjoint (3c) or overlap; equal ones, never empty, are
+    a shared isolated singleton (3b), or else legal (3a) unless they pass
+    through one of two different points.
+    """
+    if c1 != c2:
+        if c1.isdisjoint(c2):
+            return "3c", None
+        return "violation", "branch sets overlap without being equal or a shared isolated singleton"
+    if len(c1) == 1 and c1 <= iso1 and c1 <= iso2:
+        return "3b", None
+    if (x1 in c1 or x2 in c1) and x1 != x2:
+        return "violation", "equal branch sets pass through one of the points but the points differ"
+    return "3a", None
 
 
 def classify_pair(
@@ -388,9 +379,11 @@ def classify_pair(
     n1, n2 = pair_of(ntilde)
     t1 = wrapper.tree(ntilde, n1, s1)
     t2 = wrapper.tree(ntilde, n2, s2)
-    tag, witness, level, reason = _classify_trees(
-        t1, t2, wrapper.isolated[n1], wrapper.isolated[n2], xs[n1], xs[n2]
+    tag, reason = _classify_trees(
+        t1.branches, t2.branches, wrapper.isolated[n1], wrapper.isolated[n2], xs[n1], xs[n2]
     )
+    witness = next(iter(t1.branches)) if tag == "3b" else None
+    level = bt_separation_level(t1, t2) if tag == "3c" else None
     return PairVerdict(tag, ntilde, tuple(s1), tuple(s2), witness, level, reason)
 
 
@@ -448,7 +441,7 @@ def _pair_laws(
                 "2", nt, n, None, None, "no word's tree passes through the sequence point"
             )
     for t1, t2 in itertools.product(trees_a, trees_b):
-        tag, _, _, reason = _classify_trees(t1, t2, iso_a, iso_b, x_a, x_b)
+        tag, reason = _classify_trees(t1.branches, t2.branches, iso_a, iso_b, x_a, x_b)
         if tag == "violation":
             yield Violation(
                 "3", nt, None, fam_a.representative(t1), fam_b.representative(t2), reason
