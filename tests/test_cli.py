@@ -98,6 +98,11 @@ class TestEncoding:
         with pytest.raises(CodecError, match="infer"):
             infer_kind(7)
 
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(CodecError) as e:
+            encode(ZERO, "bogus")
+        assert str(e.value) == "$: unknown kind 'bogus'"
+
 
 # Strings mixing ASCII, escapes, quotes and non-ASCII: a lone surrogate and
 # an astral character, which encodes as a surrogate pair.
@@ -395,6 +400,13 @@ class TestDecodeErrors:
         doc["payload"]["F"].append(doc["payload"]["F"][0])
         self.check(json.dumps(doc), "duplicate leaf")
 
+    def test_rmap_duplicate_word(self):
+        doc = json.loads(encode(rand_rmap(random.Random(1), 1, 3)))
+        assert [leaf["s"] for leaf in doc["payload"]["trees"]] == ["", "0", "1"]
+        doc["payload"]["trees"][2]["s"] = "0"
+        message = "$.payload.trees[2].s: duplicate word '0'"
+        self.check(json.dumps(doc), "^" + re.escape(message) + "$")
+
     def test_tree_needs_branches(self):
         doc = {"kind": "trees", "version": 1, "payload": [{"branches": []}]}
         self.check(json.dumps(doc), "at least one branch")
@@ -668,9 +680,25 @@ class TestWrapperDecodeOracle:
         assert got == want
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_clean_documents(self, seed):
+    def test_clean_documents(self, seed, monkeypatch):
         data = padded_document(seed)
-        assert decode(data) == naive_dec_wrapper(json.loads(data)["payload"], "$.payload")
+        want = decode(data)
+        assert want == naive_dec_wrapper(json.loads(data)["payload"], "$.payload")
+        # Entries sorted by word interleave the families, so the
+        # entry-by-entry reader decodes them.
+        doc = json.loads(data)
+        doc["payload"]["F"].sort(key=lambda e: (e["s"], e["pair_index"], e["n"]))
+        text = json.dumps(doc)
+        read = []
+        checked = codec._dec_entries_checked
+
+        def counting(entries, path):
+            read.append(path)
+            return checked(entries, path)
+
+        monkeypatch.setattr(codec, "_dec_entries_checked", counting)
+        assert decode(text) == want == naive_dec_wrapper(json.loads(text)["payload"], "$.payload")
+        assert read == ["$.payload.F"]
 
     def test_each_distinct_tree_is_built_once(self, monkeypatch):
         rng = random.Random(12)
@@ -812,6 +840,33 @@ class TestCli:
         assert run(["verify", "--wrapper", out, "--reals", reals]) == 1
         captured = capsys.readouterr().out
         assert "condition" in captured and "FAIL" in captured
+
+    def test_verify_prints_each_law_3_reason(self, paths, capsys):
+        # Pair 0: index 1's tree meets index 0's without equalling it.
+        # Pair 1: both indices share a tree through their two points.
+        tmp, save = paths
+        reals = save("xs.json", XS)
+        w = build_wrapper(XS)
+        shared = TreeFamily.constant(1, T(ZERO, R([0, 1])))
+        families = {
+            **w.families,
+            (0, 1): TreeFamily.constant(0, T(ZERO, R([1]))),
+            (1, 0): shared,
+            (1, 2): shared,
+        }
+        bad = save("w.json", ShrinkWrapper(w.scope, families, w.isolated))
+        assert run(["verify", "--wrapper", bad, "--reals", reals, "--cond4"]) == 1
+        assert capsys.readouterr().out == (
+            "condition 3, pair 0, word '', word '': branch sets overlap without being equal"
+            " or a shared isolated singleton\n"
+            "condition 3, pair 1, word 0, word 0: equal branch sets pass through one of the"
+            " points but the points differ\n"
+            "condition 4, pair 1, index 0, word 0: words sharing a tree need an isolated"
+            " singleton\n"
+            "condition 4, pair 1, index 2, word 0: words sharing a tree need an isolated"
+            " singleton\n"
+            "wrapper over 4 sequences, 6 pair positions: FAIL (4 violations)\n"
+        )
 
     def test_build_with_decoys_is_seed_stable(self, paths, monkeypatch):
         tmp, save = paths

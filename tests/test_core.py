@@ -313,6 +313,14 @@ class TestCoders:
             assert a < b
             assert pair_index((a, b)) == nt
 
+    def test_pair_round_trip_on_big_ints(self):
+        # The closed form, with no correction step, on the first and last
+        # pair of each larger index b next to a power of two.
+        for k in range(1, 301):
+            for b in (2**k - 1, 2**k, 2**k + 1):
+                for a in {0, b - 1}:
+                    assert pair_of(pair_index((a, b))) == (a, b)
+
     def test_word_code_examples(self):
         assert word_code(()) == 0
         assert word_code((0,)) == 1

@@ -397,6 +397,10 @@ class TestRMap:
         full = HorizonPerfectTree.full(4)
         with pytest.raises(ValueError):
             RMap(1, {(): full, (0,): full})
+        # the right count of words, with (2,) in place of (1,)
+        with pytest.raises(ValueError) as e:
+            RMap(1, {(): full, (0,): full, (2,): full})
+        assert str(e.value) == "need exactly one tree per word up to the depth"
 
     def test_needs_one_horizon(self):
         with pytest.raises(ValueError):

@@ -322,6 +322,12 @@ class TestHomogenize:
         with pytest.raises(ValueError, match="neither split nor uniformly fixed"):
             homogenize(FULL3, 0, lambda cone: cone - {(1, 1)})
 
+    def test_shrinker_dropping_an_inner_node_leaves_stray_nodes(self):
+        # The cone root's 0-child goes, but the nodes below it stay.
+        with pytest.raises(ValueError) as e:
+            homogenize(FULL3, 0, lambda cone: cone - {(0,)})
+        assert str(e.value) == "node set carries stray nodes"
+
     def test_split_order_out_of_range(self):
         with pytest.raises(ValueError, match="order"):
             homogenize(P6, 2, lambda cone: cone)

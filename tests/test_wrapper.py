@@ -26,7 +26,7 @@ from gen import (
     rand_prefix_table,
     rand_upreal,
 )
-from shrinkwrap import wrapper
+from shrinkwrap import core, wrapper
 from shrinkwrap.codec import encode
 from shrinkwrap.core import ZERO, BranchTree, UPReal, pair_of, up_first_diff
 from shrinkwrap.wrapper import (
@@ -344,6 +344,12 @@ class TestClassifyPair:
             classify_pair(wide, (x, x), 1, (0,), (0,))
         assert str(e.value) == "(1, 2) is outside the wrapper scope"
 
+    def test_family_width_must_be_the_pair_position(self):
+        t = TreeFamily.constant(0, T(R([2])))
+        with pytest.raises(ValueError) as e:
+            ShrinkWrapper(WrapperScope(3, 3), {(0, 0): t, (0, 1): t, (1, 0): t}, (frozenset(),) * 3)
+        assert str(e.value) == "family at pair position 1 has width 0"
+
 
 def oracle_classify(c1, c2, iso1, iso2, x1, x2):
     """Recompute the verdict tag from the definitions by pairwise scans."""
@@ -431,6 +437,42 @@ class TestVerifyWrapper:
         monkeypatch.setattr(TreeFamily, "distinct_trees", counting)
         verify_wrapper(w, xs)
         assert len(scanned) == len(w.families)
+
+    def test_verifiers_compute_no_separation_level(self, monkeypatch):
+        # Distinct points: every padded tree is disjoint from the other
+        # index's trees, so law 3 tags those pairs 3c; only classify_pair
+        # reports their separation level.
+        rng = random.Random(46)
+        xs = [rand_upreal(rng) for _ in range(5)]
+        assert len(set(xs)) == 5
+        w = build_padded_wrapper(xs, decoys=[rand_upreal(rng) for _ in range(8)], seed=4)
+        disjoint = [
+            (nt, w.family(nt, a).representative(t1), w.family(nt, b).representative(t2), t1, t2)
+            for nt, a, b in w.scope.pairs()
+            for t1 in w.family(nt, a).distinct_trees()
+            for t2 in w.family(nt, b).distinct_trees()
+            if t1.branches.isdisjoint(t2.branches)
+        ]
+        # the pair with the most branches, at least one padded tree among them
+        nt, s1, s2, t1, t2 = max(disjoint, key=lambda p: len(p[3].branches | p[4].branches))
+        assert len(t1.branches | t2.branches) > 2
+        calls = []
+
+        def counting(x, y):
+            calls.append((x, y))
+            return up_first_diff(x, y)
+
+        monkeypatch.setattr(wrapper, "up_first_diff", counting)
+        monkeypatch.setattr(core, "up_first_diff", counting)
+        assert verify_wrapper(w, xs).passed
+        assert verify_condition4(w).passed
+        assert calls == []
+        v = classify_pair(w, xs, nt, s1, s2)
+        assert v.tag == "3c"
+        assert calls
+        assert v.separation_level == 1 + max(
+            naive_first_diff(x, y) for x in t1.branches for y in t2.branches
+        )
 
     def test_sequence_length_must_match_scope(self):
         xs = [ZERO, R([1])]
