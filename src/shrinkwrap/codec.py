@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 import json
-import marshal
-from itertools import groupby, repeat
-from operator import attrgetter, itemgetter
+from itertools import chain, groupby, repeat
+from operator import attrgetter
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from shrinkwrap.core import BIT_DIGITS, BranchTree, Node, UPReal, up_sort_key
 from shrinkwrap.domination import DominationReport, DominationRow
@@ -131,6 +130,20 @@ def _flat(values, level: int) -> str:
     return _items(texts, level)
 
 
+def _flat_column(rows: list, level: int) -> list[str]:
+    """_flat of each of many lists.  When the lists are tuples and all their
+    items are ints, or all booleans, each distinct tuple is written once:
+    equal tuples then have equal texts, while (1,) and (True,), which are
+    equal, are written apart."""
+    types = set(map(type, chain.from_iterable(rows)))
+    if set(map(type, rows)) <= {tuple} and (types <= {int} or types <= {bool}):
+        texts = dict.fromkeys(rows)
+        for row in texts:
+            texts[row] = _flat(row, level)
+        return list(map(texts.__getitem__, rows))
+    return [_flat(row, level) for row in rows]
+
+
 def _enc_word(s: Node) -> str:
     return "".join(map(str, s))
 
@@ -231,6 +244,7 @@ def _made(make: Callable, path: str, *values):
 class _Field(NamedTuple):
     write: Callable[[Any, int], str]
     read: Callable[[Any, str], Any]
+    many: Optional[Callable[[list, int], list[str]]] = None  # writes many values at once
 
 
 class _Record:
@@ -276,6 +290,8 @@ def _many(field: _Field) -> Callable[[list, int], list[str]]:
     """A writer of many values of a field, one text each."""
     if isinstance(field, _Record):
         return field.write_many
+    if field.many:
+        return field.many
     write = field.write
     return lambda values, level: [write(v, level) for v in values]
 
@@ -289,7 +305,7 @@ def _list(field: _Field) -> _Field:
 
 
 def _sorted_set(field: _Field, key=None) -> _Field:
-    write, read = _list(field)
+    write, read, _ = _list(field)
     return _Field(
         lambda values, level: write(sorted(values, key=key), level),
         lambda obj, path: frozenset(read(obj, path)),
@@ -345,28 +361,38 @@ _HPT = _Record(
 # --------------------------------------------------------------- wrappers
 #
 # A wrapper's F entries hold almost all of its bytes.  They are written as
-# parts: each distinct tree is rendered once and is one shared part.  They
-# are read column by column, each distinct tree object decoded once; a
-# document that fails a column check is read again entry by entry.
+# parts: each distinct tree is rendered once and is one shared part.  A
+# document in exactly that layout is read back at the cost of its distinct
+# trees (_dec_canonical); any other document is parsed whole and read entry
+# by entry.
 
 _SCOPE = _Record(WrapperScope, (("N", _INT), ("Ntilde", _INT)), N="n_reals", Ntilde="n_pairs")
 _ENTRY = _Record(
     lambda *fields: fields, (("pair_index", _INT), ("n", _INT), ("s", _WORD), ("tree", _TREE))
 )
-_ENTRY_COLUMNS = tuple(map(itemgetter, _ENTRY.keys))
+_ISOLATED = _list(_REALS)
+
+
+@functools.cache
+def _entry_texts(level: int) -> tuple[str, ...]:
+    """The fixed text of a list of entries at this level: before the first
+    pair_index, between a tree and the next pair_index, before n, before a
+    word, after a word, and after the last tree."""
+    seg = _template(_ENTRY.keys, level + 1).split("%s")
+    inner = "\n" + "  " * (level + 1)
+    last = seg[4] + "\n" + "  " * level + "]"
+    return "[" + inner + seg[0], seg[4] + "," + inner + seg[0], seg[1], seg[2] + '"', '"' + seg[3], last
 
 
 def _entries_parts(families: dict, level: int) -> list[str]:
     # An entry's tree is its last field, and one shared part: a padded
     # family's filler tree fills almost every leaf.  Each family's head is
     # formatted once, up to its words.
-    seg = _template(_ENTRY.keys, level + 1).split("%s")
-    inner = "\n" + "  " * (level + 1)
-    sep, word_end = seg[4] + "," + inner, '"' + seg[3]
+    first, sep, n_key, word_start, word_end, last = _entry_texts(level)
     trees: dict[frozenset[UPReal], str] = {}
     entries: list[str] = []
     for (nt, n) in sorted(families):
-        head = f'{sep}{seg[0]}{_dumps(nt)}{seg[1]}{_dumps(n)}{seg[2]}"'
+        head = f"{sep}{_dumps(nt)}{n_key}{_dumps(n)}{word_start}"
         # TreeFamily stores its leaves in lexicographic order, so a stable
         # sort by length gives the (length, word) order, and its prefixes
         # are bytes 0 and 1, so one translate writes a word.
@@ -378,52 +404,16 @@ def _entries_parts(families: dict, level: int) -> list[str]:
             entries += (head + prefix.translate(BIT_DIGITS).decode() + word_end, text)
     if not entries:
         return ["[]"]
-    entries[0] = "[" + inner + entries[0][len(sep):]
-    entries.append(seg[4] + "\n" + "  " * level + "]")
+    entries[0] = first + entries[0][len(sep):]
+    entries.append(last)
     return entries
 
 
-def _dec_entries(obj: Any, path: str) -> dict[tuple[int, int], Iterable[tuple]]:
-    """Each family's (class prefix, tree) leaves, in document order, to be
-    read once.  A prefix is bytes, or a tuple if the entries were read one
-    by one; TreeFamily takes either."""
-    entries = _as_list(obj, path)
-    try:
-        nts, ns, words, tree_objs = (list(map(get, entries)) for get in _ENTRY_COLUMNS)
-        prefixes = list(map(bytes.translate, map(str.encode, words), repeat(_UNBITS)))
-        # marshal keeps every type apart, where 1, True and 1.0 compare and
-        # hash equal, so its bytes are an exact key for a parsed tree.
-        # Version 2 writes no back-references: the bytes follow the value.
-        keys = list(map(marshal.dumps, tree_objs, repeat(2)))
-    except (TypeError, KeyError, ValueError):  # a bad entry, or a tree nested too deeply
-        return _dec_entries_checked(entries, path)
-    if set(map(type, nts + ns)) - {int} or b"".join(prefixes).translate(None, b"\x00\x01"):
-        return _dec_entries_checked(entries, path)
-    # Each family's entries as one run; a family split over two runs, or a
-    # repeated prefix, goes to the entry-by-entry reader.
-    runs: dict[tuple[int, int], slice] = {}
-    start = 0
-    for family, run in groupby(zip(nts, ns)):
-        end = start + len(list(run))
-        if family in runs or len(set(prefixes[start:end])) < end - start:
-            return _dec_entries_checked(entries, path)
-        runs[family] = slice(start, end)
-        start = end
-    # Each distinct tree object is read once, at the first entry holding it.
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    distinct = {
-        key: _TREE.read(tree_objs[i], f"{path}[{i}].tree")
-        for key, i in sorted(first.items(), key=itemgetter(1))
-    }
-    trees = list(map(distinct.__getitem__, keys))
-    return {family: zip(prefixes[run], trees[run]) for family, run in runs.items()}
-
-
-def _dec_entries_checked(entries: list, path: str) -> dict:
+def _dec_entries_checked(obj: Any, path: str) -> dict:
     # Every entry through _ENTRY's reader, so that the first failure in
     # document order is the one reported.
     tables: dict[tuple[int, int], dict[Node, BranchTree]] = {}
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_as_list(obj, path)):
         nt, n, prefix, tree = _ENTRY.read(entry, f"{path}[{i}]")
         table = tables.setdefault((nt, n), {})
         if prefix in table:
@@ -440,17 +430,61 @@ def _wrapper(scope: WrapperScope, tables: dict, isolated: tuple) -> ShrinkWrappe
 
 
 # F's writer returns parts, so a wrapper is written by _wrapper_parts, which
-# splices them, and never by _Record.write.
-_WRAPPER = _Record(
-    _wrapper,
-    (("scope", _SCOPE), ("F", _Field(_entries_parts, _dec_entries)), ("I", _list(_REALS))),
-    F="families",
-    I="isolated",
-)
+# splices them, and never by _Record.write.  F's reader is looked up when it
+# runs, so that a test can count its calls.
+_F = _Field(_entries_parts, lambda obj, path: _dec_entries_checked(obj, path))
+_WRAPPER = _Record(_wrapper, (("scope", _SCOPE), ("F", _F), ("I", _ISOLATED)), F="families", I="isolated")
+# A wrapper document's text before its scope, before F, before I and after I.
+_WRAPPER_DOCUMENT = (
+    _template(_DOCUMENT, 0) % ('"wrapper"', VERSION, _template(_WRAPPER.keys, 1)) + "\n"
+).split("%s")
 
 
 def _wrapper_parts(w: ShrinkWrapper, level: int) -> list[str]:
     return _parts(_template(_WRAPPER.keys, level), _WRAPPER.texts(w, level))
+
+
+def _dec_canonical(text: str) -> Optional[ShrinkWrapper]:
+    """The wrapper of a document in the layout encode writes, or None for
+    any other input, a faulty one included.
+
+    The text must be a wrapper document's fixed text around its scope, F
+    and I.  F is cut on the fixed text between entries, and each entry's
+    head must be what the writer writes.  json.loads must read the scope,
+    I and each distinct tree text as one value each, and parses each once.
+    So json.loads would parse the whole document to the values read here,
+    and the general path would read them to an equal wrapper.
+    """
+    opening, f_key, i_key, closing = _WRAPPER_DOCUMENT
+    first, sep, n_key, word_start, word_end, last = _entry_texts(2)
+    try:
+        start, end = text.find(f_key + first), text.rfind(last + i_key)
+        if not (text.startswith(opening) and text.endswith(closing) and len(opening) < start < end):
+            return None
+        scope = _SCOPE.read(json.loads(text[len(opening):start]), "$.payload.scope")
+        isolated = _ISOLATED.read(json.loads(text[end + len(last + i_key):-len(closing)]), "$.payload.I")
+        entries = text[start + len(f_key + first):end].split(sep)
+        heads, _, trees = zip(*map(str.partition, entries, repeat(word_end)))
+        del entries  # a copy of F
+        families, _, words = zip(*map(str.rpartition, heads, repeat(word_start)))
+        # "," and every byte but "0" and "1" become 2, so the words are all
+        # bits exactly when the split gives one prefix per word.
+        prefixes = ",".join(words).encode("ascii").translate(_UNBITS).split(b"\x02")
+        distinct = dict.fromkeys(trees)
+        for tree_text in distinct:
+            distinct[tree_text] = _TREE.read(json.loads(tree_text), "$.payload.F")
+        tables = {}
+        i = 0
+        for family, run in groupby(families):
+            nt, n = map(int, family.split(n_key))
+            j = i + len(list(run))
+            if f"{nt}{n_key}{n}" != family or (nt, n) in tables:
+                return None
+            tables[(nt, n)] = zip(prefixes[i:j], map(distinct.__getitem__, trees[i:j]))
+            i = j
+        return _wrapper(scope, tables, isolated) if i == len(prefixes) else None
+    except (ValueError, TypeError, RecursionError):  # the general path reports the fault
+        return None
 
 
 # ---------------------------------------------------------- other records
@@ -510,14 +544,17 @@ _VIOLATION = _Record(Violation, (
     ("s2", _optional(_WORD)),
     ("reason", _STR),
 ), pair_index="ntilde")
+# A report's rows repeat their values, so each of its list columns is
+# written once per distinct list.
+_ROW_INTS, _ROW_BOOLS = (field._replace(many=_flat_column) for field in (_INTS, _BOOLS))
 _ROW = _Record(DominationRow, (
     ("x", _REAL),
-    ("f_values", _INTS),
-    ("g_values", _INTS),
-    ("in_tree", _BOOLS),
-    ("failure_set", _INTS),
+    ("f_values", _ROW_INTS),
+    ("g_values", _ROW_INTS),
+    ("in_tree", _ROW_BOOLS),
+    ("failure_set", _ROW_INTS),
     ("violating_pairs", _list(_pair(_INT, _INT))),
-    ("pointwise_failures", _INTS),
+    ("pointwise_failures", _ROW_INTS),
 ))
 
 # Each report is written after its "report_type" key, which decode reads
@@ -629,6 +666,9 @@ def decode(data, expect: Optional[str] = None):
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
+        if isinstance(data, str) and expect in (None, "wrapper"):
+            if (wrapper := _dec_canonical(data)) is not None:
+                return wrapper
         document = json.loads(data)
     except json.JSONDecodeError as e:
         raise CodecError(f"$: invalid JSON at line {e.lineno} column {e.colno}") from None

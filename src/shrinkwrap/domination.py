@@ -25,12 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from shrinkwrap.core import (
-    BranchTree,
-    UPReal,
-    bt_separation_level,
-    up_first_diff,
-)
+from shrinkwrap.core import BranchTree, UPReal, up_first_diff
 from shrinkwrap.wrapper import ShrinkWrapper
 
 
@@ -146,20 +141,16 @@ def check_domination(
         wrapper.check_total()
         # One pass over the pair positions reads each family's distinct
         # trees once: their branch union joins both indices' cover lists,
-        # and each disjoint tree pair raises the larger index's bound.
+        # and their branch sets are kept for the separation bounds.
         unions = [[] for _ in range(n_reals)]
-        bounds = [0] * n_reals
+        positions = []
         in_scope = set()
         for nt, a, b in wrapper.scope.pairs():
-            trees_a = wrapper.family(nt, a).distinct_trees()
-            trees_b = wrapper.family(nt, b).distinct_trees()
-            unions[a].append(frozenset().union(*(t.branches for t in trees_a)))
-            unions[b].append(frozenset().union(*(t.branches for t in trees_b)))
-            for t1 in trees_a:
-                for t2 in trees_b:
-                    level = bt_separation_level(t1, t2)
-                    if level is not None:
-                        bounds[b] = max(bounds[b], level)
+            sets_a = [t.branches for t in wrapper.family(nt, a).distinct_trees()]
+            sets_b = [t.branches for t in wrapper.family(nt, b).distinct_trees()]
+            unions[a].append(frozenset().union(*sets_a))
+            unions[b].append(frozenset().union(*sets_b))
+            positions.append((b, sets_a, sets_b))
             in_scope.add((a, b))
         cover_sets = []
         for n, sets in enumerate(unions):
@@ -169,30 +160,43 @@ def check_domination(
             if not common:
                 raise ValueError(f"covering branch sets at index {n} have empty intersection")
             cover_sets.append(common)
+        packed = [union for sets in unions for union in sets]
         enforce_pointwise = wrapper.scope.covers_all_pairs()
     else:
         if len(trees) != n_reals:
             raise ValueError("need exactly one tree per point")
-        cover_sets = [tree.branches for tree in trees]
-        bounds = [0] * n_reals
+        cover_sets = packed = [tree.branches for tree in trees]
+        positions = ()
         in_scope = {
             (a, b) for a in range(n_reals) for b in range(a + 1, n_reals)
         }
         enforce_pointwise = True
 
     battery = tuple(battery)
-    keys, total, symbol = _pack(set(xs).union(battery, *cover_sets))
+    keys, total, symbol = _pack(set(xs).union(battery, *packed))
+    # First differences, exit levels and separation bounds from XORs of
+    # packed windows: the highest set bit of kx ^ ky lies in the first
+    # position where x and y differ, so the least XOR over many pairs marks
+    # their longest agreement.  A zero XOR means the windows agree, which
+    # the cap allows for distinct sequences; those take the exact scan.
+    bounds = [0] * n_reals
+    for b, sets_a, sets_b in positions:
+        # Each disjoint tree pair raises the larger index's bound past the
+        # last first difference between their branches.
+        for c1 in sets_a:
+            keys1 = [keys[x] for x in c1]
+            for c2 in sets_b:
+                if c1.isdisjoint(c2):
+                    d = min(min(map(keys[y].__xor__, keys1)) for y in c2)
+                    level = (total - d.bit_length()) // symbol if d else max(
+                        up_first_diff(x, y) for x in c1 for y in c2 if keys[x] == keys[y]
+                    )
+                    bounds[b] = max(bounds[b], 1 + level)
     point_keys = [keys[y] for y in xs]
     cover_keys = [[keys[b] for b in branches] for branches in cover_sets]
     floors = [max(bound, n) for n, bound in enumerate(bounds)]
     rows = []
     for x in battery:
-        # First differences and exit levels from XORs of packed windows:
-        # the highest set bit of kx ^ ky lies in the first position where x
-        # and y differ, and the least XOR over a cover's branches marks the
-        # branch x follows longest.  A zero XOR means the windows agree,
-        # which the cap allows for distinct sequences; those take the exact
-        # scan.
         kx = keys[x]
         f_values = tuple(
             (total - d.bit_length()) // symbol if d else 0 if x == y else up_first_diff(x, y)
