@@ -251,6 +251,22 @@ class TestEncoderOracle:
         report = dataclasses.replace(report, rows=(dataclasses.replace(row, **{field: values}),))
         assert_matches_oracle(report, "report")
 
+    @pytest.mark.parametrize(
+        "field,first,second",
+        [
+            ("g_values", (1, 2, 3, 4), (True, 2, 3, 4)),
+            ("in_tree", (True, False, True, False), (1, 0, 1, 0)),
+            ("failure_set", (1,), [1]),
+            ("f_values", (0, 1), (0, 1.0)),
+        ],
+    )
+    def test_equal_rows_of_other_types(self, field, first, second):
+        # Rows that compare equal are still written each as its types say.
+        report = violating_report()
+        row = report.rows[0]
+        rows = tuple(dataclasses.replace(row, **{field: v}) for v in (first, second, first))
+        assert_matches_oracle(dataclasses.replace(report, rows=rows), "report")
+
     @pytest.mark.parametrize("odd", [1, 0, 1.0, None])
     def test_odd_value_in_the_bool_field_of_a_row(self, odd):
         report = violating_report()
@@ -717,6 +733,155 @@ class TestWrapperDecodeOracle:
         monkeypatch.setattr(BranchTree, "__post_init__", counting)
         decode(data)
         assert len(built) == len(distinct) < len(entries)
+
+
+# One entry of a canonical wrapper document: its pair index, index, word and tree.
+ENTRY_TEXT = re.compile(
+    r'\{\n {8}"pair_index": (\d+),\n {8}"n": (\d+),\n {8}"s": "([01]*)",\n {8}"tree": (\{.*?\n {8}\})\n {6}\}',
+    re.S,
+)
+
+
+def text_outcome(data):
+    """What decode must give for these bytes or this text: the error that
+    reading them as JSON gives, or naive_decode's outcome on what they
+    parse to."""
+    try:
+        document = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except json.JSONDecodeError as e:
+        return CodecError, f"$: invalid JSON at line {e.lineno} column {e.colno}"
+    except ValueError as e:
+        return CodecError, f"$: invalid JSON: {e}"
+    return outcome(lambda: naive_decode(document))
+
+
+def canonical_mutants(text: str) -> dict[str, str]:
+    """Named edits of a canonical padded wrapper document."""
+    entries = list(ENTRY_TEXT.finditer(text))
+    assert "".join(e.group() for e in entries) in text.replace(",\n      {", "{")
+
+    def put(match, group, new):
+        return text[:match.start(group)] + new + text[match.end(group):]
+
+    def swap(a, b):
+        return text[:a.start()] + b.group() + text[a.end():b.start()] + a.group() + text[b.end():]
+
+    def flip(bit):
+        return "1" if bit == "0" else "0"
+
+    pairs = list(zip(entries, entries[1:]))
+    same = next((a, b) for a, b in pairs if a.group(1, 2) == b.group(1, 2))
+    across = next((a, b) for a, b in pairs if a.group(1, 2) != b.group(1, 2))
+    worded = next(e for e in entries if e.group(3))
+    entry, tree = entries[1], entries[2]
+    digit = re.search(r"\d", tree.group(4))
+    at = tree.start(4) + digit.start()
+    # The later of two entries holding one tree text, and a line of that
+    # tree that is a bit, so that 1.0, true, 0.0 or false equal it.
+    first_seen = {}
+    twin = next(e for e in entries if first_seen.setdefault(e.group(4), e) is not e)
+    bit = re.search(r"\n *([01]),?\n", twin.group(4))
+    bit_at = twin.start(4) + bit.start(1)
+    floats, bools = ("0.0", "false") if bit.group(1) == "0" else ("1.0", "true")
+    n_line = text.index('"n"', entry.start())
+    f_key = text.index(',\n    "F": [')
+    return {
+        "clean": text,
+        "head: pair index digit": put(entry, 1, flip(entry.group(1)[0]) + entry.group(1)[1:]),
+        "head: key letter": text[:n_line + 1] + "m" + text[n_line + 2:],
+        "head: tab for a space": text[:n_line + 4] + "\t" + text[n_line + 5:],
+        "head: leading zero": put(entry, 1, "0" + entry.group(1)),
+        "head: family repeated after another": text[:entries[2].start()] + entries[0].group()
+        + ",\n      " + text[entries[2].start():],
+        "word: bit flipped": put(worded, 3, flip(worded.group(3)[0]) + worded.group(3)[1:]),
+        "word: not a bit": put(worded, 3, "2" + worded.group(3)[1:]),
+        "word: a letter after the last word": put(entries[-1], 3, entries[-1].group(3) + "x"),
+        "tree: digit changed": text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:],
+        "tree: bracket broken": put(tree, 4, tree.group(4).replace("[", "(", 1)),
+        "whitespace: space after a word": text[:worded.end(3) + 1] + " " + text[worded.end(3) + 1:],
+        "whitespace: indent lost in a tree": put(tree, 4, tree.group(4).replace("\n  ", "\n", 1)),
+        "whitespace: CRLF line ends": text.replace("\n", "\r\n"),
+        "keys reordered in one entry": put(
+            entry, 0, entry.group().replace(
+                f'"pair_index": {entry.group(1)},\n        "n": {entry.group(2)}',
+                f'"n": {entry.group(2)},\n        "pair_index": {entry.group(1)}',
+            )
+        ),
+        "entries swapped in a family": swap(*same),
+        "entries swapped across families": swap(*across),
+        "tree repeated with a float": text[:bit_at] + floats + text[bit_at + 1:],
+        "tree repeated with a boolean": text[:bit_at] + bools + text[bit_at + 1:],
+        "word repeated in a family": put(same[1], 3, same[0].group(3)),
+        "second F key after I": text[:-len("\n  }\n}\n")] + ',\n    "F": []' + "\n  }\n}\n",
+        "second F key before F": text[:f_key] + ',\n    "F": []' + text[f_key:],
+        "kind changed": text.replace('"wrapper"', '"trees"', 1),
+        "kind renamed": text.replace('"wrapper"', '"wrappex"', 1),
+        "version changed": text.replace('"version": 1', '"version": 2', 1),
+        "scope in another layout": text.replace('{\n      "N"', '{"N"', 1),
+        "nested in another kind": '{\n  "kind": "reals",\n  "version": 1,\n  "payload": '
+        + text.rstrip("\n").replace("\n", "\n  ") + "\n}\n",
+        "trailing text": text + "x",
+        "cut inside F": text[:tree.start(4) + 40],
+    }
+
+
+class TestCanonicalReader:
+    """The canonical-layout wrapper reader against the oracles, on canonical
+    documents and on edits of their text."""
+
+    MUTANTS = tuple(canonical_mutants(padded_document(0).decode()))
+
+    def test_canonical_documents_skip_the_entry_reader(self, monkeypatch):
+        read = []
+        checked = codec._dec_entries_checked
+
+        def counting(entries, path):
+            read.append(path)
+            return checked(entries, path)
+
+        monkeypatch.setattr(codec, "_dec_entries_checked", counting)
+        documents = [padded_document(seed) for seed in range(6)]
+        documents += [encode(w) for w in seeded_wrappers()]
+        for data in documents:
+            want = naive_dec_wrapper(json.loads(data)["payload"], "$.payload")
+            assert decode(data) == decode(data.decode(), "wrapper") == want
+        assert read == []
+        # A document in another layout is read entry by entry.
+        assert decode(json.dumps(json.loads(documents[0]))) == decode(documents[0])
+        assert read == ["$.payload.F"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("name", MUTANTS)
+    def test_mutated_canonical_text(self, seed, name):
+        text = canonical_mutants(padded_document(seed).decode())[name]
+        want = text_outcome(text)
+        assert outcome(lambda: decode(text)) == want
+        assert outcome(lambda: decode(text.encode())) == want
+
+    def test_a_pinned_kind_is_checked_first(self):
+        with pytest.raises(CodecError) as e:
+            decode(padded_document(0), "reals")
+        assert str(e.value) == "$.kind: expected a 'reals' artifact, got 'wrapper'"
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 5),
+        st.integers(0, 2**32),
+        st.sampled_from(("delete", "insert", "replace")),
+        st.one_of(st.sampled_from(b'01 29\n\r\t",:{}[]-.ex\\'), st.integers(0, 255)),
+    )
+    def test_one_byte_edited_in_f(self, seed, where, how, byte):
+        data = padded_document(seed)
+        start, end = data.index(b'"F": [') + 5, data.index(b'"I": ')
+        at = start + where % (end - start)
+        data = data[:at] + (b"" if how == "delete" else bytes([byte])) + data[at + (how != "insert"):]
+        want = text_outcome(data)
+        assert outcome(lambda: decode(data)) == want
+        try:
+            text = data.decode()
+        except UnicodeDecodeError:
+            return
+        assert outcome(lambda: decode(text)) == want
 
 
 def every_artifact():

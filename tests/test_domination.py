@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from gen import mutate_at_level, naive_check_domination, rand_upreal
-from shrinkwrap import codec, domination
+from shrinkwrap import codec, core, domination
 from shrinkwrap.cli import run
 from shrinkwrap.core import ZERO, BranchTree, UPReal, up_first_diff
 from shrinkwrap.domination import _WINDOW_CAP, check_domination, check_hypotheses_simple
@@ -516,6 +516,48 @@ class TestCheckDominationOracle:
         assert report.rows[0].f_values[0] == level
         assert (near, x) in calls  # probe near against point 0
         assert (x, near) in calls  # probe x leaving the cover of index 1
+
+    def test_separation_bounds_come_from_the_windows(self, monkeypatch):
+        # Padded wrappers whose sequences all differ within the window: the
+        # bounds, like the rows, take no exact first-difference scan.
+        calls = []
+
+        def counting(x, y):
+            calls.append((x, y))
+            return up_first_diff(x, y)
+
+        rng = random.Random(54)
+        for seed in range(6):
+            xs = [rand_upreal(rng, alphabet=3) for _ in range(4 + seed % 3)]
+            decoys = [rand_upreal(rng, alphabet=3) for _ in range(2 + 2 * seed)]
+            w = build_padded_wrapper(xs, decoys=decoys, seed=seed)
+            battery = battery_for(w, xs, rng)
+            with monkeypatch.context() as patch:
+                patch.setattr(domination, "up_first_diff", counting)
+                patch.setattr(core, "up_first_diff", counting)
+                report = check_domination(xs, battery, wrapper=w)
+            assert calls == []
+            assert report == naive_check_domination(xs, battery, wrapper=w)
+
+    def test_separation_bound_past_the_cap_takes_the_exact_scan(self, monkeypatch):
+        calls = []
+
+        def counting(x, y):
+            calls.append((x, y))
+            return up_first_diff(x, y)
+
+        monkeypatch.setattr(domination, "up_first_diff", counting)
+        x = R([], tuple(range(100)))
+        rng = random.Random(55)
+        level = past_cap(rng)
+        y = mutate_at_level(rng, x, level)
+        w = build_wrapper([x, y])  # disjoint singleton trees at pair position 0
+        check_domination([x, y], [], wrapper=w)
+        assert calls == [(x, y)]
+        # y lies in its own tree, so only the bound lifts its value at index 1.
+        (row,) = assert_matches_oracle([x, y], [y], wrapper=w).rows
+        assert row.in_tree == (False, True)
+        assert row.g_values[1] == level + 1
 
     def test_long_period_probe_stays_bounded(self):
         # One probe with a 200,000-long period holding a 4,001-bit value,
