@@ -444,6 +444,15 @@ def _wrapper_parts(w: ShrinkWrapper, level: int) -> list[str]:
     return _parts(_template(_WRAPPER.keys, level), _WRAPPER.texts(w, level))
 
 
+def _cut(texts: list[str], sep: str, cut: Callable) -> tuple[list[str], list[str]]:
+    """The parts of each text before and after sep, by str.partition or
+    str.rpartition.  Each triple is dropped as soon as it is read, so that
+    none lives long enough for the collector to move it to an older
+    generation."""
+    parts = list(chain.from_iterable(map(cut, texts, repeat(sep))))
+    return parts[0::3], parts[2::3]
+
+
 def _dec_canonical(text: str) -> Optional[ShrinkWrapper]:
     """The wrapper of a document in the layout encode writes, or None for
     any other input, a faulty one included.
@@ -463,13 +472,13 @@ def _dec_canonical(text: str) -> Optional[ShrinkWrapper]:
             return None
         scope = _SCOPE.read(json.loads(text[len(opening):start]), "$.payload.scope")
         isolated = _ISOLATED.read(json.loads(text[end + len(last + i_key):-len(closing)]), "$.payload.I")
-        entries = text[start + len(f_key + first):end].split(sep)
-        heads, _, trees = zip(*map(str.partition, entries, repeat(word_end)))
-        del entries  # a copy of F
-        families, _, words = zip(*map(str.rpartition, heads, repeat(word_start)))
+        heads, trees = _cut(text[start + len(f_key + first):end].split(sep), word_end, str.partition)
+        families, words = _cut(heads, word_start, str.rpartition)
         # "," and every byte but "0" and "1" become 2, so the words are all
         # bits exactly when the split gives one prefix per word.
         prefixes = ",".join(words).encode("ascii").translate(_UNBITS).split(b"\x02")
+        if len(prefixes) != len(words):
+            return None
         distinct = dict.fromkeys(trees)
         for tree_text in distinct:
             distinct[tree_text] = _TREE.read(json.loads(tree_text), "$.payload.F")
@@ -482,7 +491,7 @@ def _dec_canonical(text: str) -> Optional[ShrinkWrapper]:
                 return None
             tables[(nt, n)] = zip(prefixes[i:j], map(distinct.__getitem__, trees[i:j]))
             i = j
-        return _wrapper(scope, tables, isolated) if i == len(prefixes) else None
+        return _wrapper(scope, tables, isolated)
     except (ValueError, TypeError, RecursionError):  # the general path reports the fault
         return None
 
