@@ -16,7 +16,7 @@ from operator import attrgetter
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NamedTuple, Optional
 
-from shrinkwrap.core import BIT_DIGITS, BranchTree, Node, UPReal, up_sort_key
+from shrinkwrap.core import BIT_DIGITS, BranchTree, Node, UPReal, up_sorted
 from shrinkwrap.domination import DominationReport, DominationRow
 from shrinkwrap.sacks import FusionReport, HorizonPerfectTree, RMap
 from shrinkwrap.silver import (
@@ -304,10 +304,10 @@ def _list(field: _Field) -> _Field:
     )
 
 
-def _sorted_set(field: _Field, key=None) -> _Field:
+def _sorted_set(field: _Field, order: Callable[[Any], list] = sorted) -> _Field:
     write, read, _ = _list(field)
     return _Field(
-        lambda values, level: write(sorted(values, key=key), level),
+        lambda values, level: write(order(values), level),
         lambda obj, path: frozenset(read(obj, path)),
     )
 
@@ -352,11 +352,10 @@ _BOOLS = _Field(_flat, _list(_BOOL).read)
 _WORD = _Field(lambda s, level: encode_basestring_ascii(_enc_word(s)), _dec_word)
 
 _REAL = _Record(UPReal, (("prefix", _INTS), ("period", _nonempty(_INTS, "period must be nonempty"))))
-_REALS = _sorted_set(_REAL, up_sort_key)
+_REALS = _sorted_set(_REAL, up_sorted)
 _TREE = _Record(BranchTree, (("branches", _nonempty(_REALS, "a tree needs at least one branch")),))
-_HPT = _Record(
-    HorizonPerfectTree, (("horizon", _INT), ("nodes", _sorted_set(_WORD, lambda t: (len(t), t))))
-)
+_NODES = _sorted_set(_WORD, functools.partial(sorted, key=lambda t: (len(t), t)))
+_HPT = _Record(HorizonPerfectTree, (("horizon", _INT), ("nodes", _NODES)))
 
 # --------------------------------------------------------------- wrappers
 #
@@ -702,8 +701,9 @@ def decode(data, expect: Optional[str] = None):
 
 
 def save(path: str, value, kind: Optional[str] = None) -> None:
+    data = encode(value, kind)  # before the file is opened, so a failure leaves it be
     with open(path, "wb") as fh:
-        fh.write(encode(value, kind))
+        fh.write(data)
 
 
 def load(path: str, expect: Optional[str] = None):

@@ -161,6 +161,21 @@ def up_compare(x: UPReal, y: UPReal) -> int:
 up_sort_key = cmp_to_key(up_compare)
 
 
+def up_sorted(values: Iterable[UPReal]) -> list[UPReal]:
+    """``sorted(values, key=up_sort_key)``, by keys that Python compares in C.
+
+    Two distinct values first differ below their :func:`up_scan_bound`,
+    which is below the largest prefix plus twice the largest period.  So
+    initial segments of that length order the values as :func:`up_compare`
+    does, and equal values get equal keys.
+    """
+    values = list(values)
+    if len(values) < 2:
+        return values
+    length = max(len(x.prefix) for x in values) + 2 * max(len(x.period) for x in values)
+    return sorted(values, key=lambda x: x.initial_segment(length))
+
+
 def up_extends(x: UPReal, t: Node) -> bool:
     """Does the sequence pass through the node ``t``?"""
     return x.initial_segment(len(t)) == tuple(t)
@@ -251,7 +266,7 @@ class BranchTree:
         return cls(frozenset(branches))
 
     def sorted_branches(self) -> list[UPReal]:
-        return sorted(self.branches, key=up_sort_key)
+        return up_sorted(self.branches)
 
     def member(self, t: Node) -> bool:
         """Is ``t`` a node of the tree?"""

@@ -30,7 +30,7 @@ from shrinkwrap.core import (
     UPReal,
     pair_index,
     up_eval,
-    up_sort_key,
+    up_sorted,
 )
 from shrinkwrap.wrapper import ShrinkWrapper
 
@@ -275,7 +275,7 @@ class GroundUniverse:
         return x in self.reals
 
     def __iter__(self):
-        return iter(sorted(self.reals, key=up_sort_key))
+        return iter(up_sorted(self.reals))
 
     def __len__(self) -> int:
         return len(self.reals)
@@ -503,7 +503,7 @@ def brute_obstruction(
     if max_branches < 0:
         raise ValueError(f"max_branches must be nonnegative, got {max_branches}")
     ctx = _stage_obstruction(universe, silver_p)
-    pool = sorted(universe.reals, key=up_sort_key)
+    pool = up_sorted(universe.reals)
     sizes = range(1, min(max_branches, len(pool)) + 1)
     n_trees = sum(comb(len(pool), size) for size in sizes)
     uniform = ctx.ntilde == 0 or s_uniform

@@ -44,7 +44,7 @@ from shrinkwrap.core import (
     bt_separation_level,
     pair_of,
     up_first_diff,
-    up_sort_key,
+    up_sorted,
 )
 
 
@@ -131,23 +131,25 @@ class TreeFamily:
         cls, width: int, default: BranchTree, overrides: Mapping[Node, BranchTree] = ()
     ) -> "TreeFamily":
         """Family equal to ``default`` except at the overridden full words."""
-        # The table is split over bytes, so the constructor checks it in one
-        # pass; a later spelling of the same word overrides an earlier one.
-        table: dict[bytes, BranchTree] = {b"": default}
-        for word, tree in dict(overrides).items():
-            if type(word) is not bytes:
-                word = tuple(word)
-            if len(word) != width:
-                raise ValueError("overrides must be full-length words")
-            bits = _bit_bytes(word)
-            if bits is None:
-                raise ValueError(f"override {tuple(word)!r} is not a binary word")
-            # The class holding the word gives up one sibling per level below it.
-            holder = next(p for p in table if bits.startswith(p))
-            held = table.pop(holder)
-            table.update({bits[:k] + _FLIP[bits[k]]: held for k in range(len(holder), width)})
-            table[bits] = tree
-        return cls(width, table.items())
+        overrides = dict(overrides)
+        if len(overrides) != 1:
+            return cls(width, _split_table(width, default, overrides).items())
+        ((word, tree),) = overrides.items()
+        bits = _override_bits(word, width)
+        if tree == default:
+            return cls.constant(width, default)
+        # The word and one sibling class per level, holding the default: the
+        # siblings of its 1 letters come before it, shortest first, and those
+        # of its 0 letters after it, longest first.  Only the word holds
+        # ``tree``, so no two classes overlap, leave a gap or merge.
+        family = object.__new__(cls)
+        object.__setattr__(family, "width", width)
+        object.__setattr__(family, "leaves", (
+            *[(bits[:k] + b"\x00", default) for k in range(width) if bits[k]],
+            (bits, tree),
+            *[(bits[:k] + b"\x01", default) for k in reversed(range(width)) if not bits[k]],
+        ))
+        return family
 
     def tree_at(self, s: Node) -> BranchTree:
         s = tuple(s)
@@ -160,28 +162,67 @@ class TreeFamily:
     def distinct_trees(self) -> Mapping[BranchTree, int]:
         """Each assigned tree with the number of words mapped to it: a
         read-only view of one walk over the leaves, made on first use."""
-        return MappingProxyType(self._tree_counts)
+        return MappingProxyType(self._walk[0])
 
     @cached_property
-    def _tree_counts(self) -> dict[BranchTree, int]:
-        out: dict[BranchTree, int] = {}
+    def _walk(self) -> tuple[dict[BranchTree, int], dict[BranchTree, bytes]]:
+        # Each tree's word count and the prefix of its first class.  Over
+        # prefix-free classes in lexicographic order, that class has the
+        # least all-zero completion of the tree's words.
+        counts: dict[BranchTree, int] = {}
+        first: dict[BranchTree, bytes] = {}
         for prefix, tree in self.leaves:
-            out[tree] = out.get(tree, 0) + (1 << (self.width - len(prefix)))
-        return out
+            count = counts.get(tree)
+            if count is None:
+                first[tree] = prefix
+                count = 0
+            counts[tree] = count + (1 << (self.width - len(prefix)))
+        return counts, first
 
     def representative(self, tree: BranchTree) -> Node:
         """Lexicographically least full word assigned the given tree."""
-        # Over prefix-free classes in lexicographic order, the first class
-        # holding the tree has the least all-zero completion.
-        for prefix, leaf_tree in self.leaves:
-            if leaf_tree == tree:
-                return tuple(prefix) + (0,) * (self.width - len(prefix))
-        raise ValueError("tree is not assigned by this family")
+        prefix = self._walk[1].get(tree)
+        if prefix is None:
+            raise ValueError("tree is not assigned by this family")
+        return tuple(prefix) + (0,) * (self.width - len(prefix))
 
 
 def _binary(word: bytes) -> int:
     """The value of a word of bytes 0 and 1 read as a binary numeral."""
     return int(b"0" + word.translate(BIT_DIGITS), 2)
+
+
+def _tail_index(nt: int, prefix: bytes, n: int) -> int:
+    """The growth index of index ``n`` at the all-zero word of length ``nt``
+    that extends ``prefix``, read off the prefix's binary value."""
+    return (1 << nt) - 1 + (_binary(prefix) << (nt - len(prefix))) + n
+
+
+def _split_table(width: int, default: BranchTree, overrides: Mapping) -> dict[bytes, BranchTree]:
+    """The classes of the overrides over ``default``, unreduced.  The table
+    is split over bytes, so the constructor checks it in one pass; a later
+    spelling of the same word overrides an earlier one."""
+    table: dict[bytes, BranchTree] = {b"": default}
+    for word, tree in overrides.items():
+        bits = _override_bits(word, width)
+        # The class holding the word gives up one sibling per level below it.
+        holder = next(p for p in table if bits.startswith(p))
+        held = table.pop(holder)
+        table.update({bits[:k] + _FLIP[bits[k]]: held for k in range(len(holder), width)})
+        table[bits] = tree
+    return table
+
+
+def _override_bits(word: Node | bytes, width: int) -> bytes:
+    """An override's word as bytes: its length is checked first, then its letters."""
+    if type(word) is not bytes:
+        word = tuple(word)
+    if len(word) != width:
+        raise ValueError("overrides must be full-length words")
+    bits = _bit_bytes(word)
+    if bits is None:
+        raise ValueError(f"override {tuple(word)!r} is not a binary word")
+    return bits
 
 
 def _bit_bytes(word: tuple | bytes) -> Optional[bytes]:
@@ -414,28 +455,32 @@ def _pair_laws(
     """The law 1-3 violations at pair position ``nt`` of indices ``a`` and
     ``b``, from their families, isolated sets and points.
 
-    Law 1 is checked once per trie leaf, at the all-zero tail of its class:
-    over the words of one length that word has the least shape code, and a
-    tree that obeys an index obeys every larger one.  That code is read off
-    the prefix's binary value, and the word is spelled out only for a
-    violation.  Law 3 is checked once per pair of distinct assigned trees;
-    the verdict for a word pair depends only on the trees the words select,
-    so this is exhaustive.  Reported words are the least of their classes.
+    Law 1 holds for a class when it holds at the all-zero tail of the
+    class: over the words of one length that word has the least shape code,
+    and a tree that obeys an index obeys every larger one.  The first class
+    of a tree has the least such tail, so law 1 is checked once per
+    distinct tree, there; only a tree that fails there is checked at each
+    of its classes.  Law 3 is checked once per pair of distinct assigned
+    trees; the verdict for a word pair depends only on the trees the words
+    select, so this is exhaustive.  Reported words are the least of their
+    classes.
     """
     trees_a, trees_b = fam_a.distinct_trees(), fam_b.distinct_trees()
     for n, fam, trees, x in ((a, fam_a, trees_a, x_a), (b, fam_b, trees_b, x_b)):
-        for prefix, tree in fam.leaves:
-            tail = nt - len(prefix)
-            index = (1 << nt) - 1 + (_binary(prefix) << tail) + n
-            if not tree.obeys(index):
-                yield Violation(
-                    "1",
-                    nt,
-                    n,
-                    tuple(prefix) + (0,) * tail,
-                    None,
-                    f"tree exceeds the growth allowance at index {index}",
-                )
+        for tree, first in fam._walk[1].items():
+            if tree.obeys(_tail_index(nt, first, n)):
+                continue
+            for prefix, leaf_tree in fam.leaves:
+                index = _tail_index(nt, prefix, n)
+                if leaf_tree == tree and not tree.obeys(index):
+                    yield Violation(
+                        "1",
+                        nt,
+                        n,
+                        tuple(prefix) + (0,) * (nt - len(prefix)),
+                        None,
+                        f"tree exceeds the growth allowance at index {index}",
+                    )
         if not any(x in tree.branches for tree in trees):
             yield Violation(
                 "2", nt, n, None, None, "no word's tree passes through the sequence point"
@@ -570,7 +615,7 @@ def build_padded_wrapper(
     """
     xs = tuple(reals)
     scope = scope or full_scope(len(xs))
-    pool = sorted(set(decoys) - set(xs), key=up_sort_key)
+    pool = up_sorted(set(decoys) - set(xs))
     if not pool:
         return build_wrapper(xs, scope)
     rng = random.Random(seed)
@@ -592,8 +637,8 @@ def build_padded_wrapper(
         words = _draw_bits(getrandbits, 2 * nt)
         word_a, word_b = words[:nt], words[nt:]
         # growth(shape_code(word, n), 0) for a word of bytes
-        budget_a = (1 << nt) + _binary(word_a) + a
-        budget_b = (1 << nt) + _binary(word_b) + b
+        budget_a = _tail_index(nt, word_a, a) + 1
+        budget_b = _tail_index(nt, word_b, b) + 1
         extra = list(pool)
         _shuffle(getrandbits, extra)
         if xs[a] == xs[b]:
