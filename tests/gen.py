@@ -1015,7 +1015,7 @@ def _naive_enc_real(r: UPReal) -> dict:
 
 
 def _naive_enc_tree(t: BranchTree) -> dict:
-    return {"branches": [_naive_enc_real(b) for b in t.sorted_branches()]}
+    return {"branches": [_naive_enc_real(b) for b in sorted(t.branches, key=up_sort_key)]}
 
 
 def _naive_enc_hpt(p: HorizonPerfectTree) -> dict:

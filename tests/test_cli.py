@@ -103,6 +103,16 @@ class TestEncoding:
             encode(ZERO, "bogus")
         assert str(e.value) == "$: unknown kind 'bogus'"
 
+    def test_failed_save_keeps_the_file(self, tmp_path):
+        kept, fresh = tmp_path / "xs.json", tmp_path / "fresh.json"
+        codec.save(str(kept), XS)
+        before = kept.read_bytes()
+        for path in (kept, fresh):
+            with pytest.raises(CodecError):
+                codec.save(str(path), object())
+        assert kept.read_bytes() == before
+        assert not fresh.exists()
+
 
 # Strings mixing ASCII, escapes, quotes and non-ASCII: a lone surrogate and
 # an astral character, which encodes as a surrogate pair.

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from gen import (
     naive_canonical,
+    naive_encode,
     naive_equal,
     naive_first_diff,
     rand_branch_tree,
@@ -33,10 +36,13 @@ from shrinkwrap.core import (
     up_extends,
     up_first_diff,
     up_scan_bound,
+    up_sort_key,
+    up_sorted,
     word_code,
 )
+from shrinkwrap.codec import encode
 from shrinkwrap.silver import GroundUniverse
-from shrinkwrap.wrapper import ShrinkWrapper, WrapperScope
+from shrinkwrap.wrapper import ShrinkWrapper, WrapperScope, build_padded_wrapper
 
 
 def R(prefix, period):
@@ -477,3 +483,75 @@ class TestBranchTree:
                 for x in t1.branches
                 for y in t2.branches
             )
+
+
+def fine_wilf_pairs(rng: random.Random) -> list[tuple[UPReal, UPReal]]:
+    """Distinct reals over {0, 1} with periods of 1-5 letters, alone and
+    behind a shared random prefix, that agree on exactly
+    ``up_scan_bound - 1`` positions: the most the Fine-Wilf bound allows."""
+    periods = [w for k in range(1, 6) for w in itertools.product((0, 1), repeat=k)]
+    out = []
+    for p, q in itertools.combinations(periods, 2):
+        stem = tuple(rng.randrange(3) for _ in range(rng.randrange(4)))
+        for prefix in ((), stem):
+            x, y = UPReal(prefix, p), UPReal(prefix, q)
+            if x != y and naive_first_diff(x, y) == up_scan_bound(x, y) - 1:
+                out.append((x, y))
+    return out
+
+
+def scaled(x: UPReal) -> UPReal:
+    """The same real with every letter times 300: the order is kept, and
+    letters of 256 and above appear."""
+    return UPReal(tuple(300 * v for v in x.prefix), tuple(300 * v for v in x.period))
+
+
+class TestKeyedSort:
+    """``up_sorted`` sorts by initial segments; ``up_sort_key``, a
+    comparison through ``up_compare``, is its oracle."""
+
+    def test_matches_the_comparison_sort(self):
+        rng = random.Random(2403)
+        pairs = fine_wilf_pairs(rng)
+        assert len(pairs) > 100
+        assert {up_scan_bound(x, y) for x, y in pairs} >= set(range(1, 10))
+        for trial in range(400):
+            pool = [rand_upreal(rng, alphabet=rng.choice((2, 4))) for _ in range(rng.randrange(25))]
+            if trial % 2:
+                pool += [v for pair in rng.sample(pairs, rng.randint(1, 6)) for v in pair]
+            if trial % 3 == 0:
+                pool = [scaled(x) for x in pool] + pool[: rng.randrange(3)]
+            rng.shuffle(pool)
+            assert up_sorted(pool) == sorted(pool, key=up_sort_key)
+            assert up_sorted(frozenset(pool)) == sorted(frozenset(pool), key=up_sort_key)
+
+    def test_every_extremal_pair_in_both_orders(self):
+        for x, y in fine_wilf_pairs(random.Random(2404)):
+            want = sorted((x, y), key=up_sort_key)
+            assert up_sorted((x, y)) == up_sorted((y, x)) == want
+            assert up_sorted((scaled(y), scaled(x))) == [scaled(v) for v in want]
+
+    def test_none_and_one_value(self):
+        assert up_sorted(()) == up_sorted(frozenset()) == []
+        assert up_sorted(iter([R([1], [2])])) == [R([1], [2])]
+        assert type(up_sorted((ZERO,))) is list
+
+    def test_build_and_encode_make_no_comparison(self):
+        rng = random.Random(2405)
+        xs = [rand_upreal(rng) for _ in range(10)]
+        decoys = [rand_upreal(rng) for _ in range(20)]
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is up_compare.__code__:
+                calls.append(frame)
+
+        sys.setprofile(profile)
+        try:
+            data = encode(build_padded_wrapper(xs, decoys=decoys, seed=24))
+            none = len(calls)
+            sorted(xs, key=up_sort_key)  # the counter sees a comparison sort
+        finally:
+            sys.setprofile(None)
+        assert none == 0 and len(calls) > 0
+        assert data == naive_encode(build_padded_wrapper(xs, decoys=decoys, seed=24), "wrapper")

@@ -67,6 +67,14 @@ def pair_wrapper(t1, t2, iso0=frozenset(), iso1=frozenset()):
     )
 
 
+def word_counts(leaves, width: int) -> list:
+    """(tree, number of words) in order of each tree's first class."""
+    counts = {}
+    for prefix, tree in leaves:
+        counts[tree] = counts.get(tree, 0) + 2 ** (width - len(prefix))
+    return list(counts.items())
+
+
 class TestTreeFamily:
     def test_constant_family(self):
         fam = TreeFamily.constant(3, T(ZERO))
@@ -251,6 +259,42 @@ class TestTreeFamily:
         with pytest.raises(ValueError) as raised:
             naive_from_assignments(2, T(ZERO), {(1, 1): T(R([1])), word: T(R([2]))})
         assert str(raised.value) == message
+        # Alone, the word takes the closed form's path, with the same checks.
+        for build in (TreeFamily.from_assignments, naive_from_assignments):
+            with pytest.raises(ValueError) as raised:
+                build(2, T(ZERO), {word: T(R([2]))})
+            assert str(raised.value) == message
+
+    def test_single_override_matches_the_table_path(self):
+        """One override is built in closed form: the same leaves and
+        distinct trees as the generic table path and the tuple oracle."""
+        rng = random.Random(2401)
+        trees = [T(R([k])) for k in range(3)]
+        spellings = {
+            "bytes": bytes, "tuple": tuple,
+            "True": lambda bits: tuple(map(bool, bits)),
+            "1.0": lambda bits: tuple(map(float, bits)),
+        }
+        seen = Counter()
+        for _ in range(1200):
+            width = rng.randrange(13)
+            default, tree = rng.choice(trees), rng.choice(trees)
+            bits = [rng.randrange(2) for _ in range(width)]
+            spelling = rng.choice(sorted(spellings))
+            overrides = {spellings[spelling](bits): tree}
+            got = TreeFamily.from_assignments(width, default, overrides)
+            table = TreeFamily(width, wrapper._split_table(width, default, overrides).items())
+            naive = as_bytes(naive_from_assignments(width, default, overrides))
+            assert got.leaves == table.leaves == naive
+            assert got == table
+            assert list(got.distinct_trees().items()) == word_counts(naive, width)
+            assert list(table.distinct_trees().items()) == word_counts(naive, width)
+            for t in got.distinct_trees():
+                assert got.representative(t) == table.representative(t)
+            seen[spelling] += 1
+            seen["equal to default"] += tree == default
+            seen[f"width {width}"] += 1
+        assert len(seen) == 4 + 1 + 13 and min(seen.values()) > 40, seen
 
     def test_from_assignments_checks_the_width(self):
         with pytest.raises(ValueError) as raised:
@@ -438,6 +482,47 @@ class TestVerifyWrapper:
         verify_wrapper(w, xs)
         assert len(scanned) == len(w.families)
 
+    def test_law1_checks_each_distinct_tree_once(self, monkeypatch):
+        rng = random.Random(2406)
+        cases = []
+        for seed in range(8):
+            xs = [rand_upreal(rng) for _ in range(rng.randint(3, 7))]
+            decoys = [rand_upreal(rng) for _ in range(rng.randrange(1, 13))]
+            cases.append((build_padded_wrapper(xs, decoys=decoys, seed=seed), xs))
+        checked = []
+        obeys = BranchTree.obeys
+
+        def counting(self, i):
+            checked.append(self)
+            return obeys(self, i)
+
+        monkeypatch.setattr(BranchTree, "obeys", counting)
+        for w, xs in cases:
+            checked.clear()
+            assert verify_wrapper(w, xs).passed
+            families = w.families.values()
+            assert len(checked) == sum(len(fam.distinct_trees()) for fam in families)
+            assert len(checked) < sum(len(fam.leaves) for fam in families)
+
+    def test_a_tree_breaking_law1_at_several_classes_reports_each(self):
+        # Pair position 3 joins indices 0 and 3 at width 3.  The fat tree
+        # has 12 values at level 0, so it obeys index i from i = 11 on:
+        # words 000 and 010 (indices 7 and 9) break law 1, 100 (11) does not.
+        xs = [ZERO, R([1]), R([2]), R([3])]
+        w = build_wrapper(xs)
+        fat = T(*(R([k]) for k in range(4, 16)))
+        fam = TreeFamily(3, (
+            ((0, 0, 0), fat), ((0, 0, 1), T(ZERO)), ((0, 1, 0), fat), ((0, 1, 1), T(ZERO)),
+            ((1,), fat),
+        ))
+        bad = ShrinkWrapper(w.scope, {**w.families, (3, 0): fam}, w.isolated)
+        report = verify_wrapper(bad, xs)
+        assert report == naive_verify_wrapper(bad, xs)
+        assert report == WrapperReport(False, (
+            Violation("1", 3, 0, (0, 0, 0), None, "tree exceeds the growth allowance at index 7"),
+            Violation("1", 3, 0, (0, 1, 0), None, "tree exceeds the growth allowance at index 9"),
+        ))
+
     def test_verifiers_compute_no_separation_level(self, monkeypatch):
         # Distinct points: every padded tree is disjoint from the other
         # index's trees, so law 3 tags those pairs 3c; only classify_pair
@@ -583,6 +668,53 @@ class TestLaw1Oracle:
             broken += len(want)
             obeying += classes - len(want)
         assert broken >= 50 and obeying >= 50
+
+
+def rand_shared_tree_wrapper(rng: random.Random) -> tuple[ShrinkWrapper, list[UPReal]]:
+    """A total wrapper like :func:`rand_law1_wrapper` whose families draw
+    their trees from three.  One has 2**width + r + a values at level 0, for
+    the smaller index a and some 0 < r < 2**width, so it breaks law 1 at
+    the words below r and obeys it from r on; it often spans several
+    classes."""
+    n_reals = rng.randint(2, 4)
+    scope = WrapperScope(n_reals, rng.randint(1, min(5, n_reals * (n_reals - 1) // 2)))
+    families = {}
+    for nt, a, b in scope.pairs():
+        wide = (1 << nt) + rng.randint(1, max(1, (1 << nt) - 1)) + a
+        trees = [rand_branch_tree(rng, 1, 2), rand_branch_tree(rng, 3, 4), T(*(R([k]) for k in range(wide)))]
+        for n in (a, b):
+            classes = [()]
+            for _ in range(rng.randrange(1 << nt)):
+                p = rng.choice([p for p in classes if len(p) < nt])
+                classes.remove(p)
+                classes += [p + (0,), p + (1,)]
+            picks = rng.choices(trees, (1, 1, 3), k=len(classes))
+            families[(nt, n)] = TreeFamily(nt, tuple(zip(classes, picks)))
+    xs = [rand_upreal(rng) for _ in range(n_reals)]
+    return ShrinkWrapper(scope, families, tuple(frozenset() for _ in xs)), xs
+
+
+class TestLaw1PerTree:
+    def test_reports_match_the_word_by_word_oracle(self):
+        rng = random.Random(2407)
+        seen = Counter()
+        for _ in range(200):
+            w, xs = rand_shared_tree_wrapper(rng)
+            report = verify_wrapper(w, xs)
+            assert report == naive_verify_wrapper(w, xs)
+            rows = Counter((v.ntilde, v.n) for v in report.violations if v.condition == "1")
+            for (nt, n), fam in w.families.items():
+                for tree in fam.distinct_trees():
+                    # The growth index of each class's all-zero tail.
+                    tails = [
+                        (1 << nt) - 1 + int("".join(map(str, p)) or "0", 2) * 2 ** (nt - len(p)) + n
+                        for p, t in fam.leaves if t == tree
+                    ]
+                    broken = sum(not tree.obeys(i) for i in tails)
+                    seen["broken at several classes"] += broken >= 2
+                    seen["broken at some classes only"] += 0 < broken < len(tails)
+            seen["law-1 rows"] += sum(rows.values())
+        assert min(seen.values()) >= 20, seen
 
 
 class TestViolationWords:
