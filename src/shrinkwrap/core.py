@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd, isqrt
-from typing import Iterable, Optional, Union
+from typing import Collection, Iterable, Optional, Union
 
 # A node is a finite word over the naturals.
 Node = tuple[int, ...]
@@ -161,18 +161,23 @@ def up_compare(x: UPReal, y: UPReal) -> int:
 up_sort_key = cmp_to_key(up_compare)
 
 
-def up_sorted(values: Iterable[UPReal]) -> list[UPReal]:
-    """``sorted(values, key=up_sort_key)``, by keys that Python compares in C.
+def up_window(values: Collection[UPReal]) -> int:
+    """The largest prefix plus twice the largest period, 0 for no values:
+    any two of the values have their :func:`up_scan_bound` below it, so
+    distinct values differ within their initial segments of this length."""
+    return max((len(x.prefix) for x in values), default=0) + 2 * max(
+        (len(x.period) for x in values), default=0
+    )
 
-    Two distinct values first differ below their :func:`up_scan_bound`,
-    which is below the largest prefix plus twice the largest period.  So
-    initial segments of that length order the values as :func:`up_compare`
-    does, and equal values get equal keys.
-    """
+
+def up_sorted(values: Iterable[UPReal]) -> list[UPReal]:
+    """``sorted(values, key=up_sort_key)``, by keys that Python compares in C:
+    initial segments of :func:`up_window` length order the values as
+    :func:`up_compare` does, and equal values get equal keys."""
     values = list(values)
     if len(values) < 2:
         return values
-    length = max(len(x.prefix) for x in values) + 2 * max(len(x.period) for x in values)
+    length = up_window(values)
     return sorted(values, key=lambda x: x.initial_segment(length))
 
 

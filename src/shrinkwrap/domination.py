@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from shrinkwrap.core import BranchTree, UPReal, up_first_diff
+from shrinkwrap.core import BranchTree, UPReal, up_first_diff, up_window
 from shrinkwrap.wrapper import ShrinkWrapper
 
 
@@ -40,24 +40,14 @@ def _pack(seqs: set[UPReal]) -> tuple[dict[UPReal, int], int, int]:
     """Each sequence as one int: its first L positions at one symbol width,
     position 0 in the highest symbol.
 
-    L is the longest prefix plus twice the longest period, which passes the
-    Fine-Wilf bound of every pair, capped at ``_WINDOW_CAP``.  Values that
-    all fit a byte are packed as they are; otherwise each distinct value is
-    replaced by its index in a table, so a huge value costs one symbol.
-    Returns the ints, their width in bits and the symbol width in bits.
+    L is :func:`up_window`, which passes the Fine-Wilf bound of every pair,
+    capped at ``_WINDOW_CAP``.  Values that all fit a byte are packed as they
+    are; otherwise each distinct value is replaced by its index in a table,
+    so a huge value costs one symbol.  Returns the ints, their width in bits
+    and the symbol width in bits.
     """
-    length = min(
-        _WINDOW_CAP,
-        max((len(x.prefix) for x in seqs), default=0)
-        + 2 * max((len(x.period) for x in seqs), default=0),
-    )
-    windows = {}
-    for x in seqs:
-        head = x.prefix[:length]
-        need = length - len(head)
-        if need:
-            head += (x.period * -(-need // len(x.period)))[:need]
-        windows[x] = head
+    length = min(_WINDOW_CAP, up_window(seqs))
+    windows = {x: x.initial_segment(length) for x in seqs}
     if max(map(max, windows.values()), default=0) < 256:
         width, pack = 1, bytes
     else:

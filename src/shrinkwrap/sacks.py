@@ -246,6 +246,9 @@ class RMap:
         }
         if set(trees) != expected:
             raise ValueError("need exactly one tree per word up to the depth")
+        # Keys equal to int words, such as (True,) or (0.0,), are stored as
+        # those words, which the codec writes as "0"/"1" strings.
+        trees = {w: trees[w] for w in expected}
         horizons = {p.horizon for p in trees.values()}
         if len(horizons) != 1:
             raise ValueError("all trees must share one horizon")

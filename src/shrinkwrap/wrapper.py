@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -103,24 +104,30 @@ class TreeFamily:
         if self.width < 0:
             raise ValueError("width must be nonnegative")
         bits, trees = _class_bits(self.leaves, self.width)
-        # One sort, then one pass over lexicographic neighbours.  Every
-        # extension of a prefix follows it directly, so the first
-        # overlapping neighbours are the first overlapping pair overall, a
-        # repeated prefix overlaps itself, and sibling classes are adjacent.
-        leaves = sorted(zip(bits, trees), key=itemgetter(0))
-        merges = False
-        for (p, s), (q, t) in zip(leaves, leaves[1:]):
-            if q.startswith(p):
+        # One sort, then one walk in lexicographic order.  Every extension of
+        # a prefix follows it directly, so the first overlapping neighbours
+        # are the first overlapping pair overall, and a repeated prefix
+        # overlaps itself.  A class whose sibling tops the reduced classes
+        # with an equal tree merges into their parent, which may merge again.
+        reduced: list[tuple[bytes, BranchTree]] = []
+        p = r = s = None  # the previous class given; the top reduced class
+        for leaf in sorted(zip(bits, trees), key=itemgetter(0)):
+            q, t = leaf
+            if p is not None and q.startswith(p):
                 _check_repeats(bits)
                 raise ValueError(f"overlapping class prefixes {tuple(p)!r} and {tuple(q)!r}")
-            if len(p) == len(q) and p[:-1] == q[:-1] and s == t:
-                merges = True
+            p = q
+            while r is not None and len(r) == len(q) and r[:-1] == q[:-1] and s == t:
+                reduced.pop()
+                q = q[:-1]
+                leaf = q, t
+                r, s = reduced[-1] if reduced else (None, None)
+            reduced.append(leaf)
+            r, s = leaf
         # A class of length l holds 2**(width - l) words.
         if sum(map((1 << self.width).__rshift__, map(len, bits))) != 1 << self.width:
             raise ValueError("class prefixes do not cover every word")
-        if merges:
-            leaves = sorted(_reduce(dict(leaves)).items())
-        object.__setattr__(self, "leaves", tuple(leaves))
+        object.__setattr__(self, "leaves", tuple(reduced))
 
     @classmethod
     def constant(cls, width: int, tree: BranchTree) -> "TreeFamily":
@@ -132,24 +139,24 @@ class TreeFamily:
     ) -> "TreeFamily":
         """Family equal to ``default`` except at the overridden full words."""
         overrides = dict(overrides)
-        if len(overrides) != 1:
-            return cls(width, _split_table(width, default, overrides).items())
-        ((word, tree),) = overrides.items()
-        bits = _override_bits(word, width)
-        if tree == default:
-            return cls.constant(width, default)
-        # The word and one sibling class per level, holding the default: the
-        # siblings of its 1 letters come before it, shortest first, and those
-        # of its 0 letters after it, longest first.  Only the word holds
-        # ``tree``, so no two classes overlap, leave a gap or merge.
-        family = object.__new__(cls)
-        object.__setattr__(family, "width", width)
-        object.__setattr__(family, "leaves", (
-            *[(bits[:k] + b"\x00", default) for k in range(width) if bits[k]],
-            (bits, tree),
-            *[(bits[:k] + b"\x01", default) for k in reversed(range(width)) if not bits[k]],
-        ))
-        return family
+        if len(overrides) == 1:
+            ((word, tree),) = overrides.items()
+            bits = _override_bits(word, width)
+            if tree == default:
+                return cls.constant(width, default)
+            # Only the word holds ``tree``: no classes overlap, gap or merge.
+            family = object.__new__(cls)
+            object.__setattr__(family, "width", width)
+            object.__setattr__(family, "leaves", tuple(_split(bits, 0, tree, default)))
+            return family
+        # Each word splits its class, the last one not after it; a later
+        # spelling of the same word finds the word's own class.
+        leaves = [(b"", default)]
+        for word, tree in overrides.items():
+            bits = _override_bits(word, width)
+            i = bisect_right(leaves, bits, key=itemgetter(0)) - 1
+            leaves[i:i + 1] = _split(bits, len(leaves[i][0]), tree, leaves[i][1])
+        return cls(width, leaves)
 
     def tree_at(self, s: Node) -> BranchTree:
         s = tuple(s)
@@ -198,19 +205,17 @@ def _tail_index(nt: int, prefix: bytes, n: int) -> int:
     return (1 << nt) - 1 + (_binary(prefix) << (nt - len(prefix))) + n
 
 
-def _split_table(width: int, default: BranchTree, overrides: Mapping) -> dict[bytes, BranchTree]:
-    """The classes of the overrides over ``default``, unreduced.  The table
-    is split over bytes, so the constructor checks it in one pass; a later
-    spelling of the same word overrides an earlier one."""
-    table: dict[bytes, BranchTree] = {b"": default}
-    for word, tree in overrides.items():
-        bits = _override_bits(word, width)
-        # The class holding the word gives up one sibling per level below it.
-        holder = next(p for p in table if bits.startswith(p))
-        held = table.pop(holder)
-        table.update({bits[:k] + _FLIP[bits[k]]: held for k in range(len(holder), width)})
-        table[bits] = tree
-    return table
+def _split(bits: bytes, k: int, tree: BranchTree, held: BranchTree) -> list[tuple[bytes, BranchTree]]:
+    """The classes, in lexicographic order, that replace the class
+    ``bits[:k]`` holding ``held`` when the word ``bits`` gets ``tree``: the
+    siblings from level ``k`` on of its 1 letters, shortest first, then the
+    word, then the siblings of its 0 letters, longest first."""
+    width = len(bits)
+    return [
+        *[(bits[:j] + b"\x00", held) for j in range(k, width) if bits[j]],
+        (bits, tree),
+        *[(bits[:j] + b"\x01", held) for j in reversed(range(k, width)) if not bits[j]],
+    ]
 
 
 def _override_bits(word: Node | bytes, width: int) -> bytes:
@@ -236,9 +241,6 @@ def _bit_bytes(word: tuple | bytes) -> Optional[bytes]:
             return None
         return bytes(map(int, word))
     return None if bits.translate(None, b"\x00\x01") else bits
-
-
-_FLIP = (b"\x01", b"\x00")
 
 
 def _class_bits(leaves: Iterable, width: int) -> tuple[tuple[bytes, ...], tuple[BranchTree, ...]]:
@@ -273,23 +275,6 @@ def _check_repeats(bits: Sequence[bytes]) -> None:
         if word in seen:
             raise ValueError(f"duplicate class prefix {tuple(word)!r}")
         seen.add(word)
-
-
-def _reduce(table: Mapping[bytes, BranchTree]) -> dict[bytes, BranchTree]:
-    out = dict(table)
-    merged = True
-    while merged:
-        merged = False
-        for prefix in sorted(out, key=len, reverse=True):
-            if not prefix or prefix not in out:
-                continue
-            sibling = prefix[:-1] + _FLIP[prefix[-1]]
-            if sibling in out and out[sibling] == out[prefix]:
-                tree = out.pop(prefix)
-                out.pop(sibling)
-                out[prefix[:-1]] = tree
-                merged = True
-    return out
 
 
 @dataclass(frozen=True)

@@ -267,7 +267,8 @@ class TestTreeFamily:
 
     def test_single_override_matches_the_table_path(self):
         """One override is built in closed form: the same leaves and
-        distinct trees as the generic table path and the tuple oracle."""
+        distinct trees as the checking constructor over those leaves given
+        in reverse, and as the tuple oracle."""
         rng = random.Random(2401)
         trees = [T(R([k])) for k in range(3)]
         spellings = {
@@ -283,7 +284,7 @@ class TestTreeFamily:
             spelling = rng.choice(sorted(spellings))
             overrides = {spellings[spelling](bits): tree}
             got = TreeFamily.from_assignments(width, default, overrides)
-            table = TreeFamily(width, wrapper._split_table(width, default, overrides).items())
+            table = TreeFamily(width, got.leaves[::-1])
             naive = as_bytes(naive_from_assignments(width, default, overrides))
             assert got.leaves == table.leaves == naive
             assert got == table
