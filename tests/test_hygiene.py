@@ -2,8 +2,9 @@
 checks with explicit raises rather than ``assert``, which ``python -O``
 strips, raises ``AssertionError`` only where a ROADMAP item owns the check,
 and leaves canonical form to the ``UPReal`` constructor; the
-package's ``__all__`` lists exactly the names ``__init__.py`` imports; and
-every entry point that the benchmark's tracer names still exists.
+package's ``__all__`` lists exactly the names ``__init__.py`` imports;
+every entry point that the benchmark's tracer names still exists; and the
+naive oracles in ``tests/gen.py`` use no private name of the library.
 
 Parsed with ``ast`` so the check needs nothing beyond the standard library.
 ``__init__.py`` is skipped by the import and ``up_canonical`` checks
@@ -224,6 +225,59 @@ def test_detector_sees_imports_calls_and_attributes():
         "up_canonical_note = 'up_canonical'\n"
     )
     assert sorted(names_of(source, "up_canonical")) == [1, 4, 4]
+
+
+def private_library_names(source: str) -> list[str]:
+    """Private names the source takes from the library: imported from a
+    ``shrinkwrap`` module, or read as an attribute of a name that a
+    ``shrinkwrap`` import binds."""
+    tree = ast.parse(source)
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "shrinkwrap":
+            for alias in node.names:
+                bound.add(alias.asname or alias.name)
+                if alias.name.startswith("_"):
+                    found.append(f"{node.module}.{alias.name} (line {node.lineno})")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "shrinkwrap":
+                    bound.add(alias.asname or "shrinkwrap")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_oracles_use_no_private_library_name():
+    # The naive oracles stay independent of the library they check: a
+    # private helper shared with the library would agree with it by
+    # construction.
+    assert private_library_names((Path(__file__).resolve().parent / "gen.py").read_text()) == []
+
+
+def test_detector_sees_private_imports_and_attributes():
+    source = (
+        "import shrinkwrap.core\n"
+        "import shrinkwrap.codec as cc\n"
+        "from shrinkwrap import wrapper\n"
+        "from shrinkwrap.wrapper import TreeFamily, _split\n"
+        "from other import _private, module\n"
+        "def f(x):\n"
+        "    x._own, module._theirs, wrapper.__name__\n"
+        "    return shrinkwrap.core._reduce, cc._dumps(x), TreeFamily._walk, wrapper._split\n"
+    )
+    assert private_library_names(source) == [
+        "TreeFamily._walk (line 8)",
+        "cc._dumps (line 8)",
+        "shrinkwrap.core._reduce (line 8)",
+        "shrinkwrap.wrapper._split (line 4)",
+        "wrapper._split (line 8)",
+    ]
 
 
 def load_tracer():

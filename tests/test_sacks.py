@@ -17,6 +17,7 @@ from gen import (
     rand_hpt,
     rand_rmap,
 )
+from shrinkwrap.codec import decode, encode
 from shrinkwrap.sacks import (
     MAX_HORIZON,
     FusionReport,
@@ -401,6 +402,15 @@ class TestRMap:
         with pytest.raises(ValueError) as e:
             RMap(1, {(): full, (0,): full, (2,): full})
         assert str(e.value) == "need exactly one tree per word up to the depth"
+
+    @pytest.mark.parametrize("zero, one", [(False, True), (0.0, 1.0)])
+    def test_words_equal_to_int_words_are_stored_as_them(self, zero, one):
+        p = HorizonPerfectTree.full(2)
+        ints = RMap(1, {(): p, (0,): p.below((0,)), (1,): p.below((1,))})
+        other = RMap(1, {(): p, (zero,): p.below((0,)), (one,): p.below((1,))})
+        assert {type(b) for word in other.trees for b in word} == {int}
+        assert encode(other) == encode(ints)
+        assert decode(encode(other), "rmap") == ints == other
 
     def test_needs_one_horizon(self):
         with pytest.raises(ValueError):

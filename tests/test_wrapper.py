@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
@@ -104,6 +105,36 @@ class TestTreeFamily:
         a = TreeFamily(1, (((0,), T(ZERO)), ((1,), special)))
         b = TreeFamily.from_assignments(1, T(ZERO), {(1,): special})
         assert a == b
+
+    def test_merges_cascade_to_the_constant_family(self):
+        # The 8 classes of width 3, all holding one tree, merge into the 4
+        # of width 2, the 2 of width 1, then the root.
+        leaves = [(word, T(ZERO)) for word in itertools.product((0, 1), repeat=3)]
+        fam = TreeFamily(3, leaves[::-1])
+        assert fam.leaves == ((b"", T(ZERO)),) == as_bytes(naive_tree_family(3, leaves))
+        assert fam == TreeFamily.constant(3, T(ZERO))
+
+    def test_merges_cascade_until_a_differing_sibling(self):
+        a, b = T(ZERO), T(R([1]))
+        leaves = [((0,), b), ((1, 0), a), ((1, 1, 0), a), ((1, 1, 1, 0), a), ((1, 1, 1, 1), a)]
+        # The last class merges with 1110, then with 110 and 10 below the
+        # classes already walked, and stops at 0, which holds another tree.
+        want = ((b"\x00", b), (b"\x01", a))
+        assert TreeFamily(4, leaves).leaves == want == as_bytes(naive_tree_family(4, leaves))
+
+    def test_an_override_merges_back_into_a_split_sibling(self):
+        # The first override splits off the sibling class 01, the second
+        # lands in it, and the two words of 0 then hold one tree again.
+        a, default = T(R([1])), T(ZERO)
+        overrides = {(0, 0): a, (0, 1): a}
+        fam = TreeFamily.from_assignments(2, default, overrides)
+        want = ((b"\x00", a), (b"\x01", default))
+        assert fam.leaves == want == as_bytes(naive_from_assignments(2, default, overrides))
+        # Each word landing in a different earlier class, none merging.
+        overrides = {(1, 1, 0): a, (0, 1, 1): T(R([2])), (1, 0, 0): T(R([3])), (0, 0, 0): a}
+        fam = TreeFamily.from_assignments(3, default, overrides)
+        assert fam.leaves == as_bytes(naive_from_assignments(3, default, overrides))
+        assert len(fam.leaves) == 8
 
     def test_partition_validated(self):
         with pytest.raises(ValueError):
