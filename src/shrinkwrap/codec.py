@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 from itertools import chain, groupby, repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -304,8 +304,9 @@ def _list(field: _Field) -> _Field:
     )
 
 
-def _sorted_set(field: _Field, order: Callable[[Any], list] = sorted) -> _Field:
-    write, read, _ = _list(field)
+def _sorted_set(items: _Field, order: Callable[[Any], list] = sorted) -> _Field:
+    """A set written as the list field ``items`` in ``order``."""
+    write, read, _ = items
     return _Field(
         lambda values, level: write(order(values), level),
         lambda obj, path: frozenset(read(obj, path)),
@@ -352,9 +353,38 @@ _BOOLS = _Field(_flat, _list(_BOOL).read)
 _WORD = _Field(lambda s, level: encode_basestring_ascii(_enc_word(s)), _dec_word)
 
 _REAL = _Record(UPReal, (("prefix", _INTS), ("period", _nonempty(_INTS, "period must be nonempty"))))
-_REALS = _sorted_set(_REAL, up_sorted)
+_REAL_EACH = _list(_REAL)
+_PREFIX, _PERIOD = map(itemgetter, _REAL.keys)
+
+
+def _read_reals(obj: Any, path: str) -> tuple[UPReal, ...]:
+    """A list of reals, read at the cost of its distinct entries when each
+    entry is an object whose prefix and period are lists of exact ints and
+    each real is valid: a battery repeats its points and branches.  Any
+    other list is read entry by entry, which reports the first fault at
+    its path."""
+    items = _as_list(obj, path)
+    try:
+        words = [*map(_PREFIX, items), *map(_PERIOD, items)]
+    except (KeyError, TypeError):  # an entry that is not an object, or lacks a key
+        return _REAL_EACH.read(obj, path)
+    if set(map(type, words)) <= {list} and set(map(type, chain.from_iterable(words))) <= {int}:
+        count = len(items)
+        keys = list(zip(map(tuple, words[:count]), map(tuple, words[count:])))
+        made = dict.fromkeys(keys)
+        try:
+            for key in made:
+                made[key] = UPReal(*key)
+        except ValueError:
+            return _REAL_EACH.read(obj, path)
+        return tuple(map(made.__getitem__, keys))
+    return _REAL_EACH.read(obj, path)
+
+
+_REAL_LIST = _REAL_EACH._replace(read=_read_reals)
+_REALS = _sorted_set(_REAL_LIST, up_sorted)
 _TREE = _Record(BranchTree, (("branches", _nonempty(_REALS, "a tree needs at least one branch")),))
-_NODES = _sorted_set(_WORD, functools.partial(sorted, key=lambda t: (len(t), t)))
+_NODES = _sorted_set(_list(_WORD), functools.partial(sorted, key=lambda t: (len(t), t)))
 _HPT = _Record(HorizonPerfectTree, (("horizon", _INT), ("nodes", _NODES)))
 
 # --------------------------------------------------------------- wrappers
@@ -481,18 +511,43 @@ def _dec_canonical(text: str) -> Optional[ShrinkWrapper]:
         distinct = dict.fromkeys(trees)
         for tree_text in distinct:
             distinct[tree_text] = _TREE.read(json.loads(tree_text), "$.payload.F")
-        tables = {}
+        built = {}
         i = 0
         for family, run in groupby(families):
             nt, n = map(int, family.split(n_key))
             j = i + len(list(run))
-            if f"{nt}{n_key}{n}" != family or (nt, n) in tables:
+            if f"{nt}{n_key}{n}" != family or (nt, n) in built:
                 return None
-            tables[(nt, n)] = zip(prefixes[i:j], map(distinct.__getitem__, trees[i:j]))
+            built[(nt, n)] = _family(nt, prefixes[i:j], trees[i:j], distinct)
             i = j
-        return _wrapper(scope, tables, isolated)
+        wrapper = ShrinkWrapper(scope, built, isolated)
+        wrapper.check_total()
+        return wrapper
     except (ValueError, TypeError, RecursionError):  # the general path reports the fault
         return None
+
+
+def _family(nt: int, prefixes: list[bytes], texts: list[str], trees: dict[str, BranchTree]) -> TreeFamily:
+    """The family of one run of entries, from their prefixes, their tree
+    texts and the tree of each text.
+
+    A run in the closed form of one override word is built from that word
+    by ``from_assignments``, without the checking constructor: one text at
+    the word, the first entry's text at each of its siblings, and the
+    closed form's prefixes, in the writer's (length, word) order, exactly
+    the run's.  The word is one of the last two entries, which hold the
+    full-length words; a width-1 family reads as word 1 overriding word 0.
+    Texts of two equal trees give the constant family, whose one prefix
+    is not the run's.  Any other run goes through the checking constructor.
+    """
+    if nt and len(texts) == nt + 1:
+        default = texts[0]
+        p = nt - 1 if texts[nt - 1] != default else nt
+        if texts.count(default) == nt and texts[p] != default:
+            family = TreeFamily.from_assignments(nt, trees[default], {prefixes[p]: trees[texts[p]]})
+            if sorted(map(itemgetter(0), family.leaves), key=len) == prefixes:
+                return family
+    return TreeFamily(nt, zip(prefixes, map(trees.__getitem__, texts)))
 
 
 # ---------------------------------------------------------- other records
@@ -513,7 +568,7 @@ def _dec_fixed(obj: Any, path: str) -> dict[int, int]:
 
 _FIXED = _Field(lambda fixed, level: _dumps({str(l): b for l, b in sorted(fixed)}, level), _dec_fixed)
 _SILVER = _Record(SilverTree, (
-    ("horizon", _INT), ("split_levels", _sorted_set(_INT)), ("fixed", _FIXED),
+    ("horizon", _INT), ("split_levels", _sorted_set(_list(_INT))), ("fixed", _FIXED),
 ))
 _Leaf = NamedTuple("_Leaf", [("s", Node), ("tree", HorizonPerfectTree)])
 _LEAF = _Record(_Leaf, (("s", _WORD), ("tree", _HPT)))
@@ -565,6 +620,15 @@ _ROW = _Record(DominationRow, (
     ("pointwise_failures", _ROW_INTS),
 ))
 
+
+def _write_rows(rows: list, level: int) -> list[str]:
+    """_ROW's texts of many rows, each row object written once: a battery's
+    repeated probes share one row."""
+    distinct = {id(row): row for row in rows}
+    texts = dict(zip(distinct, _ROW.write_many(distinct.values(), level)))
+    return list(map(texts.__getitem__, map(id, rows)))
+
+
 # Each report is written after its "report_type" key, which decode reads
 # first to pick the table.
 _REPORTS = {
@@ -573,7 +637,7 @@ _REPORTS = {
         ("passed", _BOOL),
         ("n_reals", _INT),
         ("pointwise_enforced", _BOOL),
-        ("rows", _list(_ROW)),
+        ("rows", _list(_Field(_ROW.write, _ROW.read, _write_rows))),
     )),
     "fusion": _Record(FusionReport, (
         ("passed", _BOOL), ("failures", _list(_STR)), ("chain", _list(_HPT)),
@@ -627,7 +691,7 @@ def _read_report(obj: Any, path: str):
 # ------------------------------------------------------------------- kinds
 
 _KINDS = {
-    "reals": _list(_REAL),
+    "reals": _REAL_LIST,
     "trees": _list(_TREE),
     "wrapper": _Field(_wrapper_parts, _WRAPPER.read),
     "silver-tree": _SILVER,

@@ -17,7 +17,6 @@ read shape codes off binary values; tests pin that they match :func:`shape_code`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import gcd, isqrt
 from typing import Collection, Iterable, Optional, Union
 
@@ -150,17 +149,6 @@ def up_canonical(x: UPReal) -> UPReal:
     return x
 
 
-def up_compare(x: UPReal, y: UPReal) -> int:
-    """Order two sequences pointwise-lexicographically. 0 means equal."""
-    d = up_first_diff(x, y)
-    if d is None:
-        return 0
-    return -1 if up_eval(x, d) < up_eval(y, d) else 1
-
-
-up_sort_key = cmp_to_key(up_compare)
-
-
 def up_window(values: Collection[UPReal]) -> int:
     """The largest prefix plus twice the largest period, 0 for no values:
     any two of the values have their :func:`up_scan_bound` below it, so
@@ -171,9 +159,10 @@ def up_window(values: Collection[UPReal]) -> int:
 
 
 def up_sorted(values: Iterable[UPReal]) -> list[UPReal]:
-    """``sorted(values, key=up_sort_key)``, by keys that Python compares in C:
-    initial segments of :func:`up_window` length order the values as
-    :func:`up_compare` does, and equal values get equal keys."""
+    """The values in pointwise-lexicographic order, by keys that Python
+    compares in C: initial segments of :func:`up_window` length, which
+    differ exactly where the values do and order them by the first
+    difference."""
     values = list(values)
     if len(values) < 2:
         return values

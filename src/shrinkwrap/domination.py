@@ -23,7 +23,9 @@ the sequence exits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import compress, repeat
+from operator import gt
+from typing import Iterable, Iterator, Optional, Sequence
 
 from shrinkwrap.core import BranchTree, UPReal, up_first_diff, up_window
 from shrinkwrap.wrapper import ShrinkWrapper
@@ -36,7 +38,7 @@ from shrinkwrap.wrapper import ShrinkWrapper
 _WINDOW_CAP = 64
 
 
-def _pack(seqs: set[UPReal]) -> tuple[dict[UPReal, int], int, int]:
+def _pack(seqs: Iterable[UPReal]) -> tuple[dict[UPReal, int], int, int]:
     """Each sequence as one int: its first L positions at one symbol width,
     position 0 in the highest symbol.
 
@@ -46,20 +48,38 @@ def _pack(seqs: set[UPReal]) -> tuple[dict[UPReal, int], int, int]:
     so a huge value costs one symbol.  Returns the ints, their width in bits
     and the symbol width in bits.
     """
+    seqs = list(seqs)
     length = min(_WINDOW_CAP, up_window(seqs))
-    windows = {x: x.initial_segment(length) for x in seqs}
-    if max(map(max, windows.values()), default=0) < 256:
+    windows = [x.initial_segment(length) for x in seqs]
+    if max(map(max, windows), default=0) < 256:
         width, pack = 1, bytes
     else:
-        values = set().union(*windows.values())
+        values = set().union(*windows)
         width = max(1, ((len(values) - 1).bit_length() + 7) // 8)
         codes = {v: i.to_bytes(width, "big") for i, v in enumerate(values)}
 
         def pack(window):
             return b"".join(map(codes.__getitem__, window))
 
-    keys = {x: int.from_bytes(pack(w), "big") for x, w in windows.items()}
+    keys = dict(zip(seqs, map(int.from_bytes, map(pack, windows), repeat("big"))))
     return keys, 8 * width * length, 8 * width
+
+
+def _positions(values: list, value) -> Iterator[int]:
+    """The positions that hold ``value``, each found by a C scan."""
+    i = -1
+    while True:
+        try:
+            i = values.index(value, i + 1)
+        except ValueError:
+            return
+        yield i
+
+
+def _rows(columns: list[list], count: int) -> list[tuple]:
+    """The rows of ``count`` entries each column holds; empty rows for no
+    columns."""
+    return list(zip(*columns)) if columns else [()] * count
 
 
 def check_hypotheses_simple(
@@ -117,7 +137,9 @@ def check_domination(
     Exactly one provider is allowed: a wrapper (full rule) or a tree
     sequence (simple rule).  Violating pairs count against the verdict
     always; pointwise failures count when every pair of indices is in
-    scope, which is automatic for the tree provider.
+    scope, which is automatic for the tree provider.  The rows are
+    computed once per distinct probe, and a repeated probe's row is its
+    first occurrence's row object.
     """
     if (wrapper is None) == (trees is None):
         raise ValueError("provide exactly one of wrapper or trees")
@@ -163,12 +185,22 @@ def check_domination(
         enforce_pointwise = True
 
     battery = tuple(battery)
-    keys, total, symbol = _pack(set(xs).union(battery, *packed))
+    # One row per distinct probe, shared by its repeats: the battery
+    # position where each probe first appears, and the distinct probes in
+    # battery order.
+    firsts: dict[UPReal, int] = {}
+    first_at = list(map(firsts.setdefault, battery, range(len(battery))))
+    probes = list(map(battery.__getitem__, firsts.values()))
+    keys, total, symbol = _pack(set(xs).union(probes, *packed))
     # First differences, exit levels and separation bounds from XORs of
     # packed windows: the highest set bit of kx ^ ky lies in the first
     # position where x and y differ, so the least XOR over many pairs marks
     # their longest agreement.  A zero XOR means the windows agree, which
     # the cap allows for distinct sequences; those take the exact scan.
+    # Indexed by the bit length of a nonzero XOR: that first position, and
+    # one past it.
+    levels = [(total - length) // symbol for length in range(total + 1)]
+    exits = [level + 1 for level in levels]
     bounds = [0] * n_reals
     for b, sets_a, sets_b in positions:
         # Each disjoint tree pair raises the larger index's bound past the
@@ -178,51 +210,59 @@ def check_domination(
             for c2 in sets_b:
                 if c1.isdisjoint(c2):
                     d = min(min(map(keys[y].__xor__, keys1)) for y in c2)
-                    level = (total - d.bit_length()) // symbol if d else max(
+                    level = levels[d.bit_length()] if d else max(
                         up_first_diff(x, y) for x in c1 for y in c2 if keys[x] == keys[y]
                     )
                     bounds[b] = max(bounds[b], 1 + level)
-    point_keys = [keys[y] for y in xs]
-    cover_keys = [[keys[b] for b in branches] for branches in cover_sets]
-    floors = [max(bound, n) for n, bound in enumerate(bounds)]
-    rows = []
-    for x in battery:
-        kx = keys[x]
-        f_values = tuple(
-            (total - d.bit_length()) // symbol if d else 0 if x == y else up_first_diff(x, y)
-            for d, y in zip(map(kx.__xor__, point_keys), xs)
-        )
-        in_tree, g_values = [], []
-        for branches, branch_keys, g in zip(cover_sets, cover_keys, floors):
-            d = min(map(kx.__xor__, branch_keys))
-            inside = not d and x in branches
-            if not inside:
-                level = (total - d.bit_length()) // symbol if d else max(
-                    up_first_diff(x, b) for b in branches if keys[b] == kx
-                )
-                g = max(1 + level, g)
-            in_tree.append(inside)
-            g_values.append(g)
-        in_tree, g_values = tuple(in_tree), tuple(g_values)
-        failures = tuple(
-            n for n in range(n_reals) if f_values[n] > g_values[n]
-        )
-        violating = tuple(
+    # Each point's f column and each cover's g column over every distinct
+    # probe at once.  A zero XOR reads a placeholder level, which the exact
+    # scan then replaces.
+    probe_keys = list(map(keys.__getitem__, probes))
+    count = len(probes)
+    f_columns = []
+    for y in xs:
+        ky = keys[y]
+        f = list(map(levels.__getitem__, map(int.bit_length, map(ky.__xor__, probe_keys))))
+        for i in _positions(probe_keys, ky):
+            x = probes[i]
+            f[i] = 0 if x == y else up_first_diff(x, y)
+        f_columns.append(f)
+    g_columns, in_columns = [], []
+    for n, branches in enumerate(cover_sets):
+        floor = max(bounds[n], n)
+        first, *rest = [keys[b] for b in branches]
+        d = list(map(first.__xor__, probe_keys))
+        for kb in rest:
+            d = list(map(min, d, map(kb.__xor__, probe_keys)))
+        g = list(map(max, map(exits.__getitem__, map(int.bit_length, d)), repeat(floor)))
+        inside = [False] * count
+        for i in _positions(d, 0):
+            x = probes[i]
+            if x in branches:
+                inside[i], g[i] = True, floor
+            else:
+                kx = probe_keys[i]
+                g[i] = max(1 + max(up_first_diff(x, b) for b in branches if keys[b] == kx), floor)
+        g_columns.append(g)
+        in_columns.append(inside)
+    f_rows, g_rows, in_rows = (_rows(columns, count) for columns in (f_columns, g_columns, in_columns))
+    fails = _rows([list(map(gt, f, g)) for f, g in zip(f_columns, g_columns)], count)
+    failure_sets = list(map(tuple, map(compress, repeat(range(n_reals)), fails)))
+    # Only a probe that fails at some index has violating pairs or
+    # pointwise failures, and few do.
+    violating, pointwise = [()] * count, [()] * count
+    for i in compress(range(count), failure_sets):
+        failures, f_values, in_tree = failure_sets[i], f_rows[i], in_rows[i]
+        violating[i] = tuple(
             (n1, n2)
-            for i, n1 in enumerate(failures)
-            for n2 in failures[i + 1 :]
+            for j, n1 in enumerate(failures)
+            for n2 in failures[j + 1 :]
             if (n1, n2) in in_scope and f_values[n1] <= n2
         )
-        pointwise = tuple(n for n in failures if not in_tree[n])
-        rows.append(
-            DominationRow(
-                x, f_values, g_values, in_tree, failures, violating, pointwise
-            )
-        )
-
-    passed = all(
-        not row.violating_pairs
-        and (not enforce_pointwise or not row.pointwise_failures)
-        for row in rows
-    )
-    return DominationReport(passed, n_reals, enforce_pointwise, tuple(rows))
+        pointwise[i] = tuple(n for n in failures if not in_tree[n])
+    row_at = dict(zip(firsts.values(), map(
+        DominationRow, probes, f_rows, g_rows, in_rows, failure_sets, violating, pointwise
+    )))
+    rows = tuple(map(row_at.__getitem__, first_at))
+    passed = not any(violating) and not (enforce_pointwise and any(pointwise))
+    return DominationReport(passed, n_reals, enforce_pointwise, rows)

@@ -100,6 +100,10 @@ class TreeFamily:
     width: int
     leaves: tuple[tuple[bytes, BranchTree], ...]
 
+    # A family of one override word whose tree differs from the default,
+    # built in closed form, keeps (word, tree, default) here; None otherwise.
+    _shape = None
+
     def __post_init__(self):
         if self.width < 0:
             raise ValueError("width must be nonnegative")
@@ -142,12 +146,13 @@ class TreeFamily:
         if len(overrides) == 1:
             ((word, tree),) = overrides.items()
             bits = _override_bits(word, width)
-            if tree == default:
-                return cls.constant(width, default)
+            if tree == default or not bits:  # one tree for every word
+                return cls.constant(width, tree)
             # Only the word holds ``tree``: no classes overlap, gap or merge.
             family = object.__new__(cls)
             object.__setattr__(family, "width", width)
             object.__setattr__(family, "leaves", tuple(_split(bits, 0, tree, default)))
+            object.__setattr__(family, "_shape", (bits, tree, default))
             return family
         # Each word splits its class, the last one not after it; a later
         # spelling of the same word finds the word's own class.
@@ -176,15 +181,30 @@ class TreeFamily:
         # Each tree's word count and the prefix of its first class.  Over
         # prefix-free classes in lexicographic order, that class has the
         # least all-zero completion of the tree's words.
-        counts: dict[BranchTree, int] = {}
-        first: dict[BranchTree, bytes] = {}
+        if self._shape is not None:
+            # The default's first class is the sibling of the word's first 1
+            # letter, all 0s; an all-0 word comes first, then its last sibling.
+            bits, tree, default = self._shape
+            rest = (1 << self.width) - 1
+            if 1 in bits:
+                return {default: rest, tree: 1}, {default: bytes(bits.index(1) + 1), tree: bits}
+            return {tree: 1, default: rest}, {tree: bits, default: bits[:-1] + b"\x01"}
+        # Keyed by branch sets, which keep their hashes, and each distinct
+        # tree hashed once at the end.
+        counts: dict[frozenset[UPReal], int] = {}
+        first: dict[frozenset[UPReal], tuple[bytes, BranchTree]] = {}
+        width = self.width
         for prefix, tree in self.leaves:
-            count = counts.get(tree)
+            key = tree.branches
+            count = counts.get(key)
             if count is None:
-                first[tree] = prefix
+                first[key] = prefix, tree
                 count = 0
-            counts[tree] = count + (1 << (self.width - len(prefix)))
-        return counts, first
+            counts[key] = count + (1 << (width - len(prefix)))
+        return (
+            {tree: counts[key] for key, (_, tree) in first.items()},
+            {tree: prefix for prefix, tree in first.values()},
+        )
 
     def representative(self, tree: BranchTree) -> Node:
         """Lexicographically least full word assigned the given tree."""

@@ -14,12 +14,13 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from functools import cmp_to_key
 from math import lcm
 
 from shrinkwrap.codec import CodecError
-from shrinkwrap.core import BranchTree, UPReal, growth, pair_of, shape_code, up_sort_key
+from shrinkwrap.core import BranchTree, UPReal, growth, pair_of, shape_code
 from shrinkwrap.domination import DominationReport, DominationRow
-from shrinkwrap.sacks import MAX_HORIZON, FusionReport, HorizonPerfectTree, RMap, stem_or_path
+from shrinkwrap.sacks import MAX_HORIZON, FusionReport, HorizonPerfectTree, RMap
 from shrinkwrap.silver import BruteSummary, GroundUniverse, ObstructionReport, SilverTree
 from shrinkwrap.wrapper import ShrinkWrapper, TreeFamily, Violation, WrapperReport, WrapperScope
 
@@ -58,6 +59,19 @@ def naive_first_diff(x, y):
 
 def naive_equal(x, y) -> bool:
     return naive_first_diff(x, y) is None
+
+
+def naive_compare(x, y) -> int:
+    """Pointwise-lexicographic order of two sequences, read at their scanned
+    first difference; 0 means equal."""
+    d = naive_first_diff(x, y)
+    if d is None:
+        return 0
+    return -1 if unroll(x, d + 1)[d] < unroll(y, d + 1)[d] else 1
+
+
+#: Sort key of :func:`naive_compare`, one comparison at a time.
+naive_sort_key = cmp_to_key(naive_compare)
 
 
 def naive_canonical(prefix: tuple[int, ...], period: tuple[int, ...]):
@@ -202,7 +216,7 @@ def rand_rmap(rng: random.Random, depth: int, horizon: int) -> RMap:
     for level in range(depth):
         for s in itertools.product((0, 1), repeat=level):
             p = trees[s]
-            t = stem_or_path(p)
+            t = naive_stem(p)
             for bit in (0, 1):
                 trees[s + (bit,)] = p.below(t + (bit,))
     return RMap(depth, trees)
@@ -255,6 +269,17 @@ def naive_hpt_check(horizon: int, nodes) -> None:
 
 def naive_branching(nodes) -> frozenset:
     return frozenset(t for t in nodes if t + (0,) in nodes and t + (1,) in nodes)
+
+
+def naive_stem(p: HorizonPerfectTree) -> tuple:
+    """The shortest branching node, from the whole node set, or the one
+    node at the horizon of a tree that never branches.  Every branching
+    node extends the first one, so the shortest is unique."""
+    branching = naive_branching(p.nodes)
+    if branching:
+        return min(branching, key=len)
+    (path,) = [t for t in p.nodes if len(t) == p.horizon]
+    return path
 
 
 def naive_orders(p: HorizonPerfectTree) -> dict:
@@ -550,7 +575,7 @@ def naive_build_padded_wrapper(reals, decoys, seed: int) -> ShrinkWrapper:
     xs = tuple(reals)
     n_pairs = len(xs) * (len(xs) - 1) // 2
     scope = WrapperScope(len(xs), n_pairs)
-    pool = sorted(set(decoys) - set(xs), key=up_sort_key)
+    pool = sorted(set(decoys) - set(xs), key=naive_sort_key)
     if not pool:
         families = {
             (nt, n): TreeFamily.constant(nt, BranchTree.of(xs[n]))
@@ -1015,7 +1040,7 @@ def _naive_enc_real(r: UPReal) -> dict:
 
 
 def _naive_enc_tree(t: BranchTree) -> dict:
-    return {"branches": [_naive_enc_real(b) for b in sorted(t.branches, key=up_sort_key)]}
+    return {"branches": [_naive_enc_real(b) for b in sorted(t.branches, key=naive_sort_key)]}
 
 
 def _naive_enc_hpt(p: HorizonPerfectTree) -> dict:
@@ -1106,7 +1131,7 @@ def _naive_payload(value, kind: str):
     if kind in ("reals", "trees"):
         return [(_naive_enc_real if kind == "reals" else _naive_enc_tree)(x) for x in value]
     if kind == "ground-universe":
-        return [_naive_enc_real(x) for x in sorted(value.reals, key=up_sort_key)]
+        return [_naive_enc_real(x) for x in sorted(value.reals, key=naive_sort_key)]
     if kind == "wrapper":
         return {
             "scope": {"N": value.scope.n_reals, "Ntilde": value.scope.n_pairs},
@@ -1123,7 +1148,7 @@ def _naive_payload(value, kind: str):
                 )
             ],
             "I": [
-                [_naive_enc_real(x) for x in sorted(part, key=up_sort_key)]
+                [_naive_enc_real(x) for x in sorted(part, key=naive_sort_key)]
                 for part in value.isolated
             ],
         }

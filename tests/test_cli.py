@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ import shrinkwrap
 from shrinkwrap import cli, codec
 from shrinkwrap.cli import run
 from shrinkwrap.codec import CodecError, decode, encode, infer_kind
-from shrinkwrap.core import ZERO, BranchTree, UPReal
+from shrinkwrap.core import ZERO, BranchTree, UPReal, pair_of
 from shrinkwrap.domination import check_domination
 from shrinkwrap.sacks import HorizonPerfectTree, RMap, fusion_intersect, verify_fusion_helper
 from shrinkwrap.silver import (
@@ -894,6 +895,147 @@ class TestCanonicalReader:
         assert outcome(lambda: decode(text)) == want
 
 
+def closed_document(seed: int) -> str:
+    """A canonical padded wrapper document over five points, so that its
+    closed-form families reach width 9."""
+    rng = random.Random(2600 + seed)
+    xs = [rand_upreal(rng, alphabet=3, max_prefix=3, max_period=2) for _ in range(5)]
+    decoys = [rand_upreal(rng, alphabet=3, max_prefix=3, max_period=2) for _ in range(6)]
+    return encode(build_padded_wrapper(xs, decoys=decoys, seed=seed)).decode()
+
+
+def is_closed_form(fam: TreeFamily) -> bool:
+    """Two trees, one of them at a single class.  In a reduced family every
+    class off that class's path would merge with its sibling, so the class
+    is one full-length word and the others are the siblings of its letters."""
+    return fam.width > 0 and sorted(Counter(t for _, t in fam.leaves).values()) == [1, fam.width]
+
+
+def override_entry(run: list) -> "re.Match":
+    """The entry of a closed-form run whose tree text no other entry has."""
+    texts = [e.group(4) for e in run]
+    return next(e for e in run if texts.count(e.group(4)) == 1)
+
+
+def closed_form_mutants(text: str) -> dict[str, str]:
+    """Named edits of one closed-form family of width 4 or more, whose
+    override tree has two branches or more, and of the width-1 families,
+    in a canonical wrapper document."""
+    runs: dict = {}
+    for e in ENTRY_TEXT.finditer(text):
+        runs.setdefault((int(e.group(1)), int(e.group(2))), []).append(e)
+    nt, run = next(
+        (nt, run) for (nt, _), run in runs.items()
+        if nt >= 4 and len(run) == nt + 1
+        and len(json.loads(override_entry(run).group(4))["branches"]) > 1
+    )
+    word = override_entry(run)
+    last_sibling = run[2 * nt - 1 - run.index(word)]  # the other full-length word
+    separator = text[run[0].end():run[1].start()]
+
+    def edit(*changes):
+        # (start, end, new text) edits, applied from the end.
+        out = text
+        for start, end, new in sorted(changes, reverse=True):
+            out = out[:start] + new + out[end:]
+        return out
+
+    def flip(e, at):
+        # The word of entry e with its letter at position ``at`` flipped.
+        i = e.start(3) + at % len(e.group(3))
+        return i, i + 1, "1" if text[i] == "0" else "0"
+
+    def put_tree(e, tree):
+        return e.start(4), e.end(4), tree
+
+    def trade_trees(e, f):
+        return put_tree(e, f.group(4)), put_tree(f, e.group(4))
+
+    reordered = json.loads(word.group(4))
+    reordered["branches"].reverse()
+    swapped = json.dumps(reordered, indent=2).replace("\n", "\n        ")
+    assert swapped != word.group(4)
+    widths1 = [run1 for (n1, _), run1 in runs.items() if n1 == 1]
+    return {
+        "clean": text,
+        "sibling letter flipped": edit(flip(run[2], 0)),
+        "sibling last letter flipped": edit(flip(run[2], -1)),
+        "override text on the last sibling": edit(*trade_trees(word, last_sibling)),
+        "override text on the first sibling": edit(*trade_trees(word, run[0])),
+        "entry dropped": edit((run[0].end(), run[1].end(), "")),
+        "entry repeated": edit((run[1].end(), run[1].end(), separator + run[1].group())),
+        "equal trees with branches swapped": edit(*(put_tree(e, swapped) for e in run if e is not word)),
+        "width-1 families in the other reading": edit(*(c for r in widths1 for c in trade_trees(*r))),
+    }
+
+
+class TestClosedFormReader:
+    """The canonical reader builds a family in closed form without the
+    checking constructor only when its entries are exactly that form."""
+
+    MUTANTS = tuple(closed_form_mutants(closed_document(0)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", MUTANTS)
+    def test_mutated_family(self, seed, name):
+        text = closed_form_mutants(closed_document(seed))[name]
+        want = text_outcome(text)
+        assert outcome(lambda: decode(text)) == want
+        assert outcome(lambda: decode(text.encode())) == want
+        if want[0] == "ok":
+            for fam in decode(text).families.values():
+                checked = TreeFamily(fam.width, fam.leaves)
+                assert list(fam.distinct_trees().items()) == list(checked.distinct_trees().items())
+                assert [fam.representative(t) for t in fam.distinct_trees()] == [
+                    checked.representative(t) for t in checked.distinct_trees()
+                ]
+
+    def test_all_zero_and_all_one_words(self):
+        rng = random.Random(2604)
+        xs = [rand_upreal(rng, alphabet=3) for _ in range(5)]
+        w = build_padded_wrapper(xs, decoys=[rand_upreal(rng, alphabet=3) for _ in range(6)], seed=4)
+        families = dict(w.families)
+        for (nt, n), fam in w.families.items():
+            if nt:
+                default, tree = sorted(fam.distinct_trees(), key=fam.distinct_trees().get, reverse=True)
+                word = (n % 2,) * nt
+                families[(nt, n)] = TreeFamily.from_assignments(nt, default, {word: tree})
+        text = encode(dataclasses.replace(w, families=families)).decode()
+        assert outcome(lambda: decode(text)) == text_outcome(text)
+        assert decode(text).families == families
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_constructor_reads_only_other_families(self, seed, monkeypatch):
+        text = closed_document(seed)
+        mixed = decode(text)
+        # Constant families of width 2 and above, and one family of two
+        # overrides, besides the closed forms and the width-0 constants.
+        families = dict(mixed.families)
+        for (nt, n), fam in mixed.families.items():
+            if nt >= 2 and n == pair_of(nt)[0]:
+                tree = next(iter(fam.distinct_trees()))
+                two = {(0,) * nt: T(R([7])), (1,) * nt: T(R([8]))}
+                families[(nt, n)] = (
+                    TreeFamily.constant(nt, tree) if nt % 2 else TreeFamily.from_assignments(nt, tree, two)
+                )
+        for value in (mixed, dataclasses.replace(mixed, families=families)):
+            data = encode(value)
+            checked = []
+            post_init = TreeFamily.__post_init__
+
+            def counting(self):
+                checked.append(self)
+                post_init(self)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(TreeFamily, "__post_init__", counting)
+                got = decode(data)
+            assert got == value == naive_dec_wrapper(json.loads(data)["payload"], "$.payload")
+            assert sorted(f.width for f in checked) == sorted(
+                f.width for f in value.families.values() if not is_closed_form(f)
+            )
+
+
 def every_artifact():
     """(value, kind) for every kind and report type, small enough to corrupt
     one element at a time."""
@@ -927,6 +1069,62 @@ ARTIFACTS = [encode(value, kind) for value, kind in every_artifact()]
 def both_decoders(text: str):
     """decode's outcome and the oracle's, each a value or an error."""
     return outcome(lambda: decode(text)), outcome(lambda: naive_decode(json.loads(text)))
+
+
+class TestRealsReader:
+    """A list of reals is read at the cost of its distinct entries, and
+    any list the fast path does not take reports what the entry reader
+    reports."""
+
+    def battery(self) -> list:
+        rng = random.Random(2605)
+        xs = [rand_upreal(rng, alphabet=5) for _ in range(40)]
+        return xs + rng.choices(xs, k=60) + [UPReal((2**70,), (0, 300))]
+
+    def test_clean_lists_skip_the_entry_reader(self, monkeypatch):
+        battery = self.battery()
+        data = encode(battery, "reals")
+        read = []
+        real_read = codec._REAL.read
+
+        def counting(obj, path):
+            read.append(path)
+            return real_read(obj, path)
+
+        monkeypatch.setattr(codec._REAL, "read", counting)
+        got = decode(data)
+        assert got == tuple(battery) == naive_decode(json.loads(data))
+        assert read == []
+        made = {}
+        assert all(made.setdefault(x, x) is x for x in got)  # equal entries share one value
+        assert decode(encode([T(*battery[:5])], "trees")) == (T(*battery[:5]),)
+        assert read == []
+
+    EDITS = {
+        "a bool letter": lambda e: e["prefix"].append(True),
+        "a float letter": lambda e: e["period"].append(1.0),
+        "a negative letter": lambda e: e["prefix"].append(-1),
+        "an empty period": lambda e: e["period"].clear(),
+        "a missing key": lambda e: e.pop("period"),
+        "an extra key": lambda e: e.update(extra=[1]),
+        "a string prefix": lambda e: e.update(prefix="01"),
+        "a nested letter": lambda e: e["period"].append([1]),
+    }
+
+    @pytest.mark.parametrize("first", sorted(EDITS))
+    @pytest.mark.parametrize("second", [None, "a negative letter", "a missing key"])
+    def test_edited_entries(self, first, second):
+        rng = random.Random(f"{first} / {second}")
+        doc = json.loads(encode(self.battery(), "reals"))
+        entries = doc["payload"]
+        i = rng.randrange(len(entries) // 2)
+        self.EDITS[first](entries[i])
+        if second:
+            self.EDITS[second](entries[i + 1 + rng.randrange(len(entries) // 2)])
+        for payload in (entries, "not a list", entries[:i] + ["an entry"] + entries[i:]):
+            doc["payload"] = payload
+            text = json.dumps(doc)
+            assert outcome(lambda: decode(text)) == outcome(lambda: naive_decode(json.loads(text)))
 
 
 class TestDecodeOracle:

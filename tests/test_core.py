@@ -15,7 +15,9 @@ from gen import (
     naive_canonical,
     naive_encode,
     naive_equal,
+    naive_compare,
     naive_first_diff,
+    naive_sort_key,
     rand_branch_tree,
     rand_raw_upreal,
     rand_upreal,
@@ -31,12 +33,10 @@ from shrinkwrap.core import (
     pair_of,
     shape_code,
     up_canonical,
-    up_compare,
     up_eval,
     up_extends,
     up_first_diff,
     up_scan_bound,
-    up_sort_key,
     up_sorted,
     word_code,
 )
@@ -171,9 +171,11 @@ class TestUPReal:
                 assert not naive_equal(cand, c)
 
     def test_compare_orders_by_first_difference(self):
-        assert up_compare(ZERO, R([1], [0])) == -1
-        assert up_compare(R([0, 2], [0]), R([0, 1], [0])) == 1
-        assert up_compare(R([0], [0]), ZERO) == 0
+        assert naive_compare(ZERO, R([1], [0])) == -1
+        assert naive_compare(R([0, 2], [0]), R([0, 1], [0])) == 1
+        assert naive_compare(R([0], [0]), ZERO) == 0
+        assert up_sorted([R([1], [0]), ZERO]) == [ZERO, R([1], [0])]
+        assert up_sorted([R([0, 1], [0]), R([0, 2], [0])]) == [R([0, 1], [0]), R([0, 2], [0])]
 
 
 class TestSlicedSegments:
@@ -507,8 +509,8 @@ def scaled(x: UPReal) -> UPReal:
 
 
 class TestKeyedSort:
-    """``up_sorted`` sorts by initial segments; ``up_sort_key``, a
-    comparison through ``up_compare``, is its oracle."""
+    """``up_sorted`` sorts by initial segments; ``gen.naive_sort_key``, a
+    comparison at the scanned first difference, is its oracle."""
 
     def test_matches_the_comparison_sort(self):
         rng = random.Random(2403)
@@ -522,12 +524,12 @@ class TestKeyedSort:
             if trial % 3 == 0:
                 pool = [scaled(x) for x in pool] + pool[: rng.randrange(3)]
             rng.shuffle(pool)
-            assert up_sorted(pool) == sorted(pool, key=up_sort_key)
-            assert up_sorted(frozenset(pool)) == sorted(frozenset(pool), key=up_sort_key)
+            assert up_sorted(pool) == sorted(pool, key=naive_sort_key)
+            assert up_sorted(frozenset(pool)) == sorted(frozenset(pool), key=naive_sort_key)
 
     def test_every_extremal_pair_in_both_orders(self):
         for x, y in fine_wilf_pairs(random.Random(2404)):
-            want = sorted((x, y), key=up_sort_key)
+            want = sorted((x, y), key=naive_sort_key)
             assert up_sorted((x, y)) == up_sorted((y, x)) == want
             assert up_sorted((scaled(y), scaled(x))) == [scaled(v) for v in want]
 
@@ -536,22 +538,28 @@ class TestKeyedSort:
         assert up_sorted(iter([R([1], [2])])) == [R([1], [2])]
         assert type(up_sorted((ZERO,))) is list
 
-    def test_build_and_encode_make_no_comparison(self):
+    def test_the_sort_calls_back_once_per_value(self):
+        # A keyed sort runs each Python function at most once per value; a
+        # comparison sort calls back once per comparison.
         rng = random.Random(2405)
-        xs = [rand_upreal(rng) for _ in range(10)]
-        decoys = [rand_upreal(rng) for _ in range(20)]
-        calls = []
+        pool = list({rand_upreal(rng) for _ in range(300)})
+        calls: dict = {}
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code is up_compare.__code__:
-                calls.append(frame)
+            if event == "call":
+                calls[frame.f_code] = calls.get(frame.f_code, 0) + 1
 
-        sys.setprofile(profile)
-        try:
-            data = encode(build_padded_wrapper(xs, decoys=decoys, seed=24))
-            none = len(calls)
-            sorted(xs, key=up_sort_key)  # the counter sees a comparison sort
-        finally:
-            sys.setprofile(None)
-        assert none == 0 and len(calls) > 0
+        for sort in (up_sorted, lambda values: sorted(values, key=naive_sort_key)):
+            calls.clear()
+            sys.setprofile(profile)
+            try:
+                got = sort(pool)
+            finally:
+                sys.setprofile(None)
+            assert got == sorted(pool, key=naive_sort_key)
+            if sort is up_sorted:
+                assert max(calls.values()) <= len(pool) + 1
+        assert calls[naive_compare.__code__] > 2 * len(pool)  # the counter sees a comparison sort
+        xs, decoys = pool[:10], pool[10:30]
+        data = encode(build_padded_wrapper(xs, decoys=decoys, seed=24))
         assert data == naive_encode(build_padded_wrapper(xs, decoys=decoys, seed=24), "wrapper")

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from gen import mutate_at_level, naive_check_domination, rand_upreal
+from gen import mutate_at_level, naive_check_domination, naive_encode, rand_upreal
 from shrinkwrap import codec, core, domination
 from shrinkwrap.cli import run
 from shrinkwrap.core import ZERO, BranchTree, UPReal, up_first_diff
@@ -578,6 +578,97 @@ class TestCheckDominationOracle:
         assert row.g_values == want.g_values
         assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
+
+def twin(x: UPReal) -> UPReal:
+    """An equal sequence that is another object."""
+    return UPReal(x.prefix + x.period, x.period)
+
+
+def kernel_cases(kind: str, provider: str, seed: int):
+    """Points, a provider and the sequences a battery is drawn from: its
+    points, every branch of its trees, and near misses of both."""
+    rng = random.Random(seed)
+    values = "wide" if kind == "wide" else "long" if kind == "past the cap" else "small"
+    xs = oracle_points(rng, 5, values)
+    # On odd seeds index 0's trees miss its point, so probes near it fail.
+    away = mutate_at_level(rng, xs[0], 0)
+    if provider == "wrapper":
+        w = build_padded_wrapper(xs, decoys=oracle_points(rng, 4, values), seed=seed)
+        if seed % 2:
+            w = dataclasses.replace(w, families={
+                (nt, n): TreeFamily.constant(nt, T(away)) if n == 0 else fam
+                for (nt, n), fam in w.families.items()
+            })
+        given = {"wrapper": w}
+        branches = {b for fam in w.families.values() for t in fam.distinct_trees() for b in t.branches}
+    else:
+        pool = oracle_points(rng, 3, values)
+        trees = [T(x, *rng.sample(pool, rng.randrange(3))) for x in xs]
+        if seed % 2:
+            trees[0] = T(away)
+        given = {"trees": trees}
+        branches = set().union(*(t.branches for t in trees))
+    return rng, xs, given, sorted(branches, key=repr)
+
+
+class TestDistinctProbeKernel:
+    """The column kernel over distinct probes against the probe-by-probe
+    oracle, with one row object per distinct probe and report bytes equal
+    to the oracle encoder's."""
+
+    BATTERIES = ("every probe repeated", "points and branches", "past the cap", "wide", "empty")
+
+    def battery(self, kind, rng, xs, branches):
+        if kind == "empty":
+            return []
+        near = [mutate_at_level(rng, xs[0], rng.randrange(2, 8)) for _ in range(3)]
+        if kind == "points and branches":
+            return list(xs) + branches + [twin(rng.choice(branches)) for _ in range(4)] + near
+        if kind == "past the cap":
+            sources = xs + branches
+            return [mutate_at_level(rng, rng.choice(sources), past_cap(rng)) for _ in range(12)] + near
+        probes = list(xs) + branches + near
+        probes += [mutate_at_level(rng, rng.choice(xs), rng.randrange(8)) for _ in range(10)]
+        if kind == "every probe repeated":
+            probes += list(map(twin, probes)) + probes
+            rng.shuffle(probes)
+        return probes
+
+    @pytest.mark.parametrize("provider", ("wrapper", "trees"))
+    @pytest.mark.parametrize("kind", BATTERIES)
+    def test_matches_the_oracle(self, kind, provider):
+        failing = 0
+        for seed in range(4):
+            rng, xs, given, branches = kernel_cases(kind, provider, seed)
+            battery = self.battery(kind, rng, xs, branches)
+            report = assert_matches_oracle(xs, battery, **given)
+            assert report == naive_check_domination(xs, battery, **given)
+            assert codec.encode(report) == naive_encode(report, "report")
+            rows = {}
+            for x, row in zip(battery, report.rows):
+                assert rows.setdefault(x, row) is row
+            assert len(rows) == len(set(battery))
+            if kind == "wide":
+                assert max(v for x in battery for v in x.prefix + x.period) >= 256
+            failing += not report.passed
+        assert failing >= 2 or kind == "empty" and failing == 0
+
+
+    def test_report_writes_each_row_object_once(self, monkeypatch):
+        rng, xs, given, branches = kernel_cases("every probe repeated", "wrapper", 7)
+        battery = self.battery("every probe repeated", rng, xs, branches)
+        report = check_domination(xs, battery, **given)
+        written = []
+        write_many = codec._ROW.write_many
+
+        def counting(rows, level):
+            written.extend(rows)
+            return write_many(rows, level)
+
+        monkeypatch.setattr(codec._ROW, "write_many", counting)
+        data = codec.encode(report)
+        assert len(written) == len(set(battery)) < len(battery)
+        assert data == naive_encode(report, "report")
 
 class TestUnenforcedPointwise:
     """A failure at an index whose cover misses its point counts against

@@ -4,7 +4,9 @@ strips, raises ``AssertionError`` only where a ROADMAP item owns the check,
 and leaves canonical form to the ``UPReal`` constructor; the
 package's ``__all__`` lists exactly the names ``__init__.py`` imports;
 every entry point that the benchmark's tracer names still exists; and the
-naive oracles in ``tests/gen.py`` use no private name of the library.
+naive oracles in ``tests/gen.py`` use no private name of the library, and
+import from it only classes, exception types, constants and the pinned
+index coders.
 
 Parsed with ``ast`` so the check needs nothing beyond the standard library.
 ``__init__.py`` is skipped by the import and ``up_canonical`` checks
@@ -277,6 +279,62 @@ def test_detector_sees_private_imports_and_attributes():
         "shrinkwrap.core._reduce (line 8)",
         "shrinkwrap.wrapper._split (line 4)",
         "wrapper._split (line 8)",
+    ]
+
+
+#: The pinned index coders: the naive oracles share them with the library
+#: because they are the coding itself, not a way of computing it.
+PINNED_CODERS = frozenset({"growth", "pair_of", "shape_code"})
+
+
+def library_helpers(source: str) -> list[str]:
+    """What the source imports from the library besides classes, exception
+    types, upper-case constants and the pinned coders: a function or other
+    callable, or a whole ``shrinkwrap`` module, which gives every name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "shrinkwrap":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name)
+                if not (
+                    isinstance(value, type)
+                    or (alias.name.isupper() and not callable(value))
+                    or alias.name in PINNED_CODERS
+                ):
+                    found.append(f"{node.module}.{alias.name} (line {node.lineno})")
+        elif isinstance(node, ast.Import):
+            found += [
+                f"{alias.name} (line {node.lineno})"
+                for alias in node.names
+                if alias.name.split(".")[0] == "shrinkwrap"
+            ]
+    return sorted(found)
+
+
+def test_oracles_import_only_classes_constants_and_coders():
+    # A library function in an oracle would check the library against
+    # itself; the data classes, constants and pinned coders are shared.
+    assert library_helpers((Path(__file__).resolve().parent / "gen.py").read_text()) == []
+
+
+def test_detector_sees_functions_modules_and_lowercase_values():
+    source = (
+        "import shrinkwrap.codec as cc\n"
+        "from shrinkwrap import wrapper\n"
+        "from shrinkwrap.core import ZERO, BIT_DIGITS, UPReal, growth, up_sorted, shape_code\n"
+        "from shrinkwrap.codec import CodecError, KINDS, decode\n"
+        "from shrinkwrap.sacks import MAX_HORIZON, stem_or_path\n"
+        "from shrinkwrap.wrapper import TreeFamily, full_scope\n"
+        "from other import helper\n"
+    )
+    assert library_helpers(source) == [
+        "shrinkwrap.codec (line 1)",
+        "shrinkwrap.codec.decode (line 4)",
+        "shrinkwrap.core.up_sorted (line 3)",
+        "shrinkwrap.sacks.stem_or_path (line 5)",
+        "shrinkwrap.wrapper (line 2)",
+        "shrinkwrap.wrapper.full_scope (line 6)",
     ]
 
 

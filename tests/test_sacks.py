@@ -14,6 +14,7 @@ from gen import (
     naive_hpt_check,
     naive_leq_n,
     naive_orders,
+    naive_stem,
     rand_hpt,
     rand_rmap,
 )
@@ -142,6 +143,13 @@ class TestStem:
         p = single_path(3, (1, 0))
         assert stem_or_path(p) == (1, 0, 0)
         assert not p.is_branching((1, 0, 0))
+
+    def test_matches_the_node_set_oracle(self):
+        rng = random.Random(2601)
+        for trial in range(300):
+            horizon = rng.randrange(MAX_HORIZON // 2)
+            p = rand_hpt(rng, horizon, skip_chance=rng.choice((0.45, 0.8, 0.95)))
+            assert stem_or_path(p) == naive_stem(p)
 
 
 def cut(p, nodes):

@@ -28,7 +28,7 @@ from gen import (
     rand_upreal,
 )
 from shrinkwrap import core, wrapper
-from shrinkwrap.codec import encode
+from shrinkwrap.codec import decode, encode
 from shrinkwrap.core import ZERO, BranchTree, UPReal, pair_of, up_first_diff
 from shrinkwrap.wrapper import (
     ShrinkWrapper,
@@ -327,6 +327,68 @@ class TestTreeFamily:
             seen["equal to default"] += tree == default
             seen[f"width {width}"] += 1
         assert len(seen) == 4 + 1 + 13 and min(seen.values()) > 40, seen
+
+    def test_closed_form_walk_reads_the_shape(self, monkeypatch):
+        """A single-override family's distinct trees, in order, and its
+        representatives come from its word, tree and default: equal to the
+        checking constructor's walk over the same leaves and to the tuple
+        oracle, at widths up to 45, for a few tree hashes however wide."""
+        rng = random.Random(2602)
+        trees = [T(R([k])) for k in range(3)] + [T(R([1]), R([2, 1]))]
+        seen = Counter()
+        for trial in range(1200):
+            width = rng.randrange(46)
+            default, tree = rng.sample(trees, 2)
+            shape = rng.choice(("random", "zeros", "ones"))
+            bits = [rng.randrange(2) for _ in range(width)] if shape == "random" else [shape == "ones"] * width
+            got = TreeFamily.from_assignments(width, default, {bytes(bits): tree})
+            checked = TreeFamily(width, got.leaves)
+            naive = naive_tree_family(width, [(tuple(p), t) for p, t in got.leaves])
+            assert as_bytes(naive) == got.leaves
+            want = word_counts(naive, width)
+            assert list(got.distinct_trees().items()) == list(checked.distinct_trees().items()) == want
+            for t, _ in want:
+                least = min(p + (0,) * (width - len(p)) for p, held in naive if held == t)
+                assert got.representative(t) == checked.representative(t) == least
+            seen[shape] += 1
+            seen["wide"] += width > 30
+        assert min(seen.values()) > 100, seen
+        hashes = []
+        tree_hash = BranchTree.__hash__
+
+        def counting(self):
+            hashes.append(self)
+            return tree_hash(self)
+
+        wide = TreeFamily.from_assignments(45, trees[0], {bytes(45): trees[1]})
+        with monkeypatch.context() as patch:
+            patch.setattr(BranchTree, "__hash__", counting)
+            counts = wide.distinct_trees()
+            firsts = [wide.representative(t) for t in (trees[0], trees[1])]
+        assert len(hashes) == 6  # two trees in each of two maps, and two lookups
+        assert list(counts.items()) == [(trees[1], 1), (trees[0], 2**45 - 1)]
+        assert firsts == [(0,) * 44 + (1,), (0,) * 45]
+
+    def test_decoded_wrappers_verify_as_the_oracles_do(self):
+        rng = random.Random(2603)
+        failed = 0
+        for trial in range(12):
+            xs = [rand_upreal(rng, alphabet=3) for _ in range(rng.randint(2, 4))]
+            if trial % 3 == 1:
+                xs[-1] = xs[0]
+            decoys = [rand_upreal(rng, alphabet=3) for _ in range(rng.randrange(12))]
+            w = decode(encode(build_padded_wrapper(xs, decoys=decoys, seed=trial)))
+            # The points in another order, and no isolated points, break laws.
+            bare = ShrinkWrapper(w.scope, w.families, tuple(frozenset() for _ in xs))
+            for ws, points in ((w, xs), (w, xs[::-1]), (bare, xs)):
+                report = verify_wrapper(ws, points)
+                assert report == naive_verify_wrapper(ws, points)
+                failed += not report.passed
+            for ws in (w, bare):
+                report = verify_condition4(ws)
+                assert report == naive_condition4(ws)
+                failed += not report.passed
+        assert failed > 12
 
     def test_from_assignments_checks_the_width(self):
         with pytest.raises(ValueError) as raised:
