@@ -77,8 +77,8 @@ def _positions(values: list, value) -> Iterator[int]:
 
 
 def _rows(columns: list[list], count: int) -> list[tuple]:
-    """The rows of ``count`` entries each column holds; empty rows for no
-    columns."""
+    """The columns, each ``count`` long, as ``count`` rows; with no
+    columns, ``count`` empty rows."""
     return list(zip(*columns)) if columns else [()] * count
 
 
