@@ -969,6 +969,17 @@ def closed_form_mutants(text: str) -> dict[str, str]:
     }
 
 
+def assert_walks_match_the_constructor(wrapper: ShrinkWrapper) -> None:
+    """Each family's distinct trees, in order, and representatives equal
+    those of the checking constructor over the same leaves."""
+    for fam in wrapper.families.values():
+        checked = TreeFamily(fam.width, fam.leaves)
+        assert list(fam.distinct_trees().items()) == list(checked.distinct_trees().items())
+        assert [fam.representative(t) for t in fam.distinct_trees()] == [
+            checked.representative(t) for t in checked.distinct_trees()
+        ]
+
+
 class TestClosedFormReader:
     """The canonical reader builds a family in closed form without the
     checking constructor only when its entries are exactly that form."""
@@ -983,12 +994,7 @@ class TestClosedFormReader:
         assert outcome(lambda: decode(text)) == want
         assert outcome(lambda: decode(text.encode())) == want
         if want[0] == "ok":
-            for fam in decode(text).families.values():
-                checked = TreeFamily(fam.width, fam.leaves)
-                assert list(fam.distinct_trees().items()) == list(checked.distinct_trees().items())
-                assert [fam.representative(t) for t in fam.distinct_trees()] == [
-                    checked.representative(t) for t in checked.distinct_trees()
-                ]
+            assert_walks_match_the_constructor(decode(text))
 
     def test_all_zero_and_all_one_words(self):
         rng = random.Random(2604)
@@ -1003,13 +1009,14 @@ class TestClosedFormReader:
         text = encode(dataclasses.replace(w, families=families)).decode()
         assert outcome(lambda: decode(text)) == text_outcome(text)
         assert decode(text).families == families
+        assert_walks_match_the_constructor(decode(text))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_constructor_reads_only_other_families(self, seed, monkeypatch):
         text = closed_document(seed)
         mixed = decode(text)
-        # Constant families of width 2 and above, and one family of two
-        # overrides, besides the closed forms and the width-0 constants.
+        # At each width from 2, the smaller index's family becomes a
+        # constant (odd widths) or a family of two overrides (even widths).
         families = dict(mixed.families)
         for (nt, n), fam in mixed.families.items():
             if nt >= 2 and n == pair_of(nt)[0]:
