@@ -4,113 +4,3 @@ Everything in the package is finitely represented and decidable: points are
 ultimately periodic sequences, trees carry finitely many branches, and every
 verifier answers by exhaustive scan of a computable bound.
 """
-
-from shrinkwrap.core import (
-    ZERO,
-    BranchTree,
-    Node,
-    UPReal,
-    bt_separation_level,
-    growth,
-    pair_index,
-    pair_of,
-    shape_code,
-    up_canonical,
-    up_eval,
-    up_first_diff,
-)
-from shrinkwrap.domination import (
-    DominationReport,
-    DominationRow,
-    check_domination,
-    check_hypotheses_simple,
-)
-from shrinkwrap.sacks import (
-    FusionReport,
-    HorizonPerfectTree,
-    RMap,
-    fusion_intersect,
-    fusion_union,
-    hpt_leq_n,
-    stem_or_path,
-    verify_fusion_helper,
-)
-from shrinkwrap.silver import (
-    BruteSummary,
-    GroundUniverse,
-    ObstructionReport,
-    SilverTree,
-    adversarial_pair,
-    adversarial_sequence,
-    brute_obstruction,
-    flatten,
-    homogenize,
-    obstruct,
-    replace_below,
-    sv_leftmost,
-    sv_validate,
-)
-from shrinkwrap.wrapper import (
-    ShrinkWrapper,
-    TreeFamily,
-    Violation,
-    WrapperReport,
-    WrapperScope,
-    build_padded_wrapper,
-    build_wrapper,
-    classify_pair,
-    full_scope,
-    verify_condition4,
-    verify_wrapper,
-)
-
-__all__ = [
-    "ZERO",
-    "BranchTree",
-    "BruteSummary",
-    "DominationReport",
-    "DominationRow",
-    "FusionReport",
-    "GroundUniverse",
-    "HorizonPerfectTree",
-    "Node",
-    "ObstructionReport",
-    "RMap",
-    "ShrinkWrapper",
-    "SilverTree",
-    "TreeFamily",
-    "UPReal",
-    "Violation",
-    "WrapperReport",
-    "WrapperScope",
-    "adversarial_pair",
-    "adversarial_sequence",
-    "brute_obstruction",
-    "bt_separation_level",
-    "build_padded_wrapper",
-    "build_wrapper",
-    "check_domination",
-    "check_hypotheses_simple",
-    "classify_pair",
-    "flatten",
-    "full_scope",
-    "fusion_intersect",
-    "fusion_union",
-    "growth",
-    "homogenize",
-    "hpt_leq_n",
-    "obstruct",
-    "pair_index",
-    "pair_of",
-    "replace_below",
-    "shape_code",
-    "stem_or_path",
-    "sv_leftmost",
-    "sv_validate",
-    "up_canonical",
-    "up_eval",
-    "up_first_diff",
-    "verify_condition4",
-    "verify_fusion_helper",
-    "verify_wrapper",
-]

@@ -69,11 +69,7 @@ def _as_int(obj: Any, path: str) -> int:
 
 
 def _as_ints(obj: Any, path: str) -> tuple[int, ...]:
-    items = _as_list(obj, path)
-    if not all(type(v) is int for v in items):
-        for i, v in enumerate(items):
-            _as_int(v, f"{path}[{i}]")
-    return tuple(items)
+    return tuple(_as_int(v, f"{path}[{i}]") for i, v in enumerate(_as_list(obj, path)))
 
 
 def _as_bool(obj: Any, path: str) -> bool:
@@ -710,11 +706,10 @@ def infer_kind(value) -> str:
     for cls, kind in _KIND_OF.items():
         if isinstance(value, cls):
             return kind
-    if isinstance(value, (list, tuple, frozenset, set)):
-        items = list(value)
-        if all(isinstance(x, UPReal) for x in items):
+    if isinstance(value, (list, tuple)):
+        if all(isinstance(x, UPReal) for x in value):
             return "reals"
-        if items and all(isinstance(x, BranchTree) for x in items):
+        if value and all(isinstance(x, BranchTree) for x in value):
             return "trees"
     raise CodecError(f"$: cannot infer an artifact kind for {type(value).__name__}")
 
@@ -725,6 +720,9 @@ def encode(value, kind: Optional[str] = None) -> bytes:
         kind = infer_kind(value)
     if kind not in _KINDS:
         raise CodecError(f"$: unknown kind {kind!r}")
+    if kind in ("reals", "trees") and isinstance(value, (set, frozenset)):
+        # A set has no order of its own to write, so equal sets could differ.
+        raise CodecError(f"$: a {kind!r} artifact is a sequence, not a {type(value).__name__}")
     payload = _KINDS[kind].write(value, 1)
     parts = _parts(_template(_DOCUMENT, 0) + "\n", (_dumps(kind), _dumps(VERSION), payload))
     return "".join(parts).encode("utf-8")

@@ -265,17 +265,9 @@ def _bit_bytes(word: tuple | bytes) -> Optional[bytes]:
 
 def _class_bits(leaves: Iterable, width: int) -> tuple[tuple[bytes, ...], tuple[BranchTree, ...]]:
     # Each class prefix as bytes, checked, and its tree, in the order given.
-    # Prefixes that are all bytes already, as the codec and from_assignments
-    # give them, are checked in one pass over their concatenation.
     # A leaf that is not a pair fails to unzip (ValueError or TypeError).
     leaves = tuple(leaves)
     given, trees = zip(*leaves, strict=True) if leaves else ((), ())
-    if (
-        set(map(type, given)) == {bytes}
-        and not b"".join(given).translate(None, b"\x00\x01")
-        and max(map(len, given)) <= width
-    ):
-        return given, trees
     bits: list[bytes] = []
     for prefix in given:
         if type(prefix) is not bytes:

@@ -703,7 +703,9 @@ def rand_family_leaves(rng: random.Random, width: int) -> list:
     draws each tree from three placeholders, so equal siblings call for a
     merge.  Prefixes come as tuples, lists or bytes, with bits given as
     ``True`` or ``1.0``; now and then a leaf is repeated, a prefix runs past
-    the width or a letter is not a bit.
+    the width or a letter is not a bit.  About a quarter of the families
+    give every prefix as bytes, as the codec does, and there a letter that
+    is not a bit is the byte 2 or 255.
     """
     leaves = [(prefix, rng.randrange(3)) for prefix in rand_prefix_table(rng, width)]
     if leaves and rng.random() < 0.15:
@@ -711,6 +713,14 @@ def rand_family_leaves(rng: random.Random, width: int) -> list:
     if rng.random() < 0.1:
         leaves.append((tuple(rng.randrange(2) for _ in range(width + 1)), 0))
     rng.shuffle(leaves)
+    if rng.random() < 0.25:
+        out = []
+        for prefix, tree in leaves:
+            letters = bytearray(prefix)
+            if letters and rng.random() < 0.1:
+                letters[rng.randrange(len(letters))] = rng.choice((2, 255))
+            out.append((bytes(letters), tree))
+        return out
     out = []
     for prefix, tree in leaves:
         form = rng.randrange(12)

@@ -1,30 +1,31 @@
 """Source hygiene: every module imports only names it uses, states its
 checks with explicit raises rather than ``assert``, which ``python -O``
 strips, raises ``AssertionError`` only where a ROADMAP item owns the check,
-and leaves canonical form to the ``UPReal`` constructor; the
-package's ``__all__`` lists exactly the names ``__init__.py`` imports;
+and leaves canonical form to the ``UPReal`` constructor; ``__init__.py``
+holds only the package docstring, so each name is imported from its own
+module and importing one module loads only what that module imports;
 every entry point that the benchmark's tracer names still exists; and the
 naive oracles in ``tests/gen.py`` use no private name of the library, and
 import from it only classes, exception types, constants and the pinned
 index coders.
 
-Parsed with ``ast`` so the check needs nothing beyond the standard library.
-``__init__.py`` is skipped by the import and ``up_canonical`` checks
-because its imports are the package's exports.
+Parsed with ``ast`` so the check needs nothing beyond the standard library;
+only the import check runs a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib.util
-from collections import Counter
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "shrinkwrap"
 SOURCES = sorted(SRC.glob("*.py"))
-MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -70,7 +71,7 @@ def unused_imports(source: str) -> list[str]:
     )
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -87,39 +88,54 @@ def test_detector_sees_unused_and_string_annotation_uses():
     assert unused_imports(source) == ["Sequence (line 3)", "itertools (line 2)"]
 
 
-def export_mismatches(source: str) -> list[str]:
-    """Where ``__all__`` and the imported names disagree: names imported
-    but not listed, listed but not imported, and listed more than once."""
+def beyond_docstring(source: str) -> list[str]:
+    """Each statement of a module besides its leading docstring."""
     tree = ast.parse(source)
-    (listed,) = (
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-    )
-    imported = set(imported_names(tree))
-    counts = Counter(listed)
-    return sorted(
-        [f"{name} not listed" for name in imported - counts.keys()]
-        + [f"{name} not imported" for name in counts.keys() - imported]
-        + [f"{name} listed {n} times" for name, n in counts.items() if n > 1]
-    )
+    body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+    return [f"{type(node).__name__} (line {node.lineno})" for node in body]
 
 
-def test_all_lists_exactly_the_imports():
-    assert export_mismatches((SRC / "__init__.py").read_text()) == []
+def test_package_module_holds_only_its_docstring():
+    # Each name is imported from its own module; the package re-exports
+    # nothing, so importing one module does not load the others.
+    source = (SRC / "__init__.py").read_text()
+    assert ast.get_docstring(ast.parse(source))
+    assert beyond_docstring(source) == []
 
 
-def test_detector_sees_unlisted_unimported_and_repeated_exports():
+def test_detector_sees_imports_exports_and_later_strings():
     source = (
-        "from __future__ import annotations\n"
-        "from pkg.a import kept, unlisted\n"
-        "import pkg.b as b\n"
-        "__all__ = ['kept', 'b', 'gone', 'kept']\n"
+        '"""The package."""\n'
+        "from pkg.a import kept\n"
+        "__all__ = ['kept']\n"
+        '"""Not the docstring."""\n'
     )
-    assert export_mismatches(source) == [
-        "gone not imported", "kept listed 2 times", "unlisted not listed"
+    assert beyond_docstring(source) == [
+        "ImportFrom (line 2)", "Assign (line 3)", "Expr (line 4)"
     ]
+    assert beyond_docstring("import os\n") == ["Import (line 1)"]
+    assert beyond_docstring('"""Only a docstring."""\n') == []
+
+
+def shrinkwrap_modules(*imports: str) -> list[list[str]]:
+    """The ``shrinkwrap`` modules loaded after each import in turn, in one
+    fresh interpreter."""
+    code = "import sys\n" + "".join(
+        f"import {name}\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'shrinkwrap'))\n"
+        for name in imports
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    return [line.split() for line in done.stdout.splitlines()]
+
+
+def test_each_module_imports_on_its_own():
+    core, then_wrapper = shrinkwrap_modules("shrinkwrap.core", "shrinkwrap.wrapper")
+    assert core == ["shrinkwrap", "shrinkwrap.core"]
+    assert sorted(set(then_wrapper) - set(core)) == ["shrinkwrap.wrapper"]
 
 
 def assert_statements(source: str) -> list[int]:
@@ -210,7 +226,7 @@ def names_of(source: str, target: str) -> list[int]:
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name
+    "path", [p for p in SOURCES if p.name != "core.py"], ids=lambda p: p.name
 )
 def test_no_module_recanonicalises(path):
     # Every UPReal is canonical from construction on; up_canonical is the

@@ -184,10 +184,18 @@ class TestTreeFamily:
         with pytest.raises((TypeError, ValueError)):
             TreeFamily(1 if len(leaves) > 1 else 0, leaves)
 
-    @pytest.mark.parametrize("letter", [2, -1, 256, 0.5, 2.0, "1", None])
+    @pytest.mark.parametrize("letter", [
+        2, -1, 256, 0.5, 2.0, "1", None,
+        # Every prefix given as bytes: a byte 2, a byte 255, and a prefix
+        # longer than the width.
+        pytest.param(b"\x02", id="bytes-2"),
+        pytest.param(b"\xff", id="bytes-255"),
+        pytest.param(b"\x01\x00", id="bytes-too-long"),
+    ])
     def test_prefix_letters_must_be_bits(self, letter):
+        first, second = (b"\x00", letter) if type(letter) is bytes else ((0,), (letter,))
         with pytest.raises(ValueError, match="bad class prefix"):
-            TreeFamily(1, (((0,), T(ZERO)), ((letter,), T(R([1])))))
+            TreeFamily(1, ((first, T(ZERO)), (second, T(R([1])))))
 
     def test_partition_check_matches_pairwise_oracle(self):
         rng = random.Random(505)
@@ -216,9 +224,10 @@ class TestTreeFamily:
     def test_one_pass_build_matches_oracle(self):
         """The one sort and one neighbour pass against the letter-by-letter,
         pairwise, merge-to-a-fixed-point oracle: the same leaves, each prefix
-        stored as bytes, or the same error."""
+        stored as bytes, or the same error.  Families whose prefixes are all
+        bytes, as the codec gives them, reach every outcome too."""
         rng = random.Random(1111)
-        outcomes = Counter()
+        outcomes, byte_outcomes = Counter(), Counter()
 
         def outcome(build):
             try:
@@ -235,9 +244,13 @@ class TestTreeFamily:
             if kind == "ok" and len(naive_tree_family(width, leaves)) < len(leaves):
                 kind = "merged"
             outcomes[kind] += 1
+            if leaves and all(type(prefix) is bytes for prefix, _ in leaves):
+                byte_outcomes[kind] += 1
         # ok, merged, and errors: bad, duplicate, overlapping, class (a gap)
         assert set(outcomes) == {"ok", "merged", "bad", "duplicate", "overlapping", "class"}
         assert min(outcomes.values()) > 100, outcomes
+        assert set(byte_outcomes) == set(outcomes), byte_outcomes
+        assert min(byte_outcomes.values()) > 20, byte_outcomes
 
     def test_from_assignments_matches_oracle(self):
         """Overrides split over bytes against the tuple split of the oracle:
