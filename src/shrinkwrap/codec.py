@@ -89,8 +89,9 @@ def _as_str(obj: Any, path: str) -> str:
 # The bytes are exactly json.dumps(document, indent=2) plus a newline.  Each
 # record shape is a field table, and its keys make one template per indent
 # level; each distinct tree of a wrapper is rendered once, and each list of
-# ints is one join.  The generic writer _dumps renders scalars and whatever
-# else is not a record, and one join of the parts makes the whole text.
+# ints is one join.  The generic writer _dumps renders scalars and hands
+# whatever else is not a record to json.dumps, and one join of the parts
+# makes the whole text.
 
 _DOCUMENT = ("kind", "version", "payload")
 
@@ -158,49 +159,34 @@ def _parts(template: str, values: tuple) -> list[str]:
 def _dumps(value, level: int = 0) -> str:
     """Exactly ``json.dumps(value, indent=2)`` for dicts with string keys,
     lists, strings, ints, booleans and None, indented as if the value sat
-    at ``level`` in a larger document.
-
-    The stdlib runs its C encoder only without ``indent``; this writer is
-    one recursive function appending to a list.
-    """
-    out: list[str] = []
-    _write(value, level, out)
-    return "".join(out)
-
-
-def _write(value, level: int, out: list[str]) -> None:
+    at ``level`` in a larger document.  Scalars, the record fields, are
+    written here.  A container is checked, as json.dumps would write a tuple
+    or a float; its text holds no raw newline inside a string, so shifting
+    each newline by ``level`` indents it."""
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, (list, dict)):
-        if not value:
-            out.append("[]" if isinstance(value, list) else "{}")
-            return
-        inner = "\n" + "  " * (level + 1)
-        if isinstance(value, list):
-            out.append("[")
-            for item in value:
-                out.append(inner)
-                _write(item, level + 1, out)
-                out.append(",")
-            out[-1] = "\n" + "  " * level + "]"
-        else:
-            out.append("{")
-            for k, item in value.items():
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-                out.append(inner + encode_basestring_ascii(k) + ": ")
-                _write(item, level + 1, out)
-                out.append(",")
-            out[-1] = "\n" + "  " * level + "}"
-    else:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return _LITERALS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    _check(value)
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _check(value) -> None:
+    """Raise json.dumps's TypeError at the first key that is not a string,
+    or leaf that is not a str, int, bool or None."""
+    if isinstance(value, list):
+        for item in value:
+            _check(item)
+    elif isinstance(value, dict):
+        for k, item in value.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            _check(item)
+    elif not isinstance(value, (str, int, type(None))):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

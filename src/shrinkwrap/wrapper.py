@@ -657,7 +657,7 @@ def build_padded_wrapper(
         free = pool_set.difference(tree_a.branches, tree_b.branches)
         if free:
             candidates = sorted(map(rank.__getitem__, map(id, free)))
-            filler = pool[candidates[_below(getrandbits, len(candidates))]]
+            filler = pool[rng.choice(candidates)]
         else:
             filler = UPReal((), (fresh_value,))
             fresh_value += 1
@@ -702,15 +702,6 @@ def _draw_bits(getrandbits, count: int) -> bytes:
         tops = getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
         word += tops.translate(_LETTER, _REDRAWN)
     return word
-
-
-def _below(getrandbits, n: int) -> int:
-    """``rng._randbelow(n)``, as ``rng.choice`` draws an index below ``n``."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
 
 
 def _shuffle(getrandbits, x: list) -> None:

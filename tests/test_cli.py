@@ -164,6 +164,32 @@ class TestWriter:
         for value in (True, False, None, 0, "", [], {}):
             assert codec._dumps(value) == json.dumps(value, indent=2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(JSON, st.integers(min_value=1, max_value=4))
+    def test_matches_stdlib_below_the_top_level(self, doc, level):
+        """At level L, the text json.dumps writes for the value inside L
+        one-item lists, the way records write a nested value."""
+        wrapped = doc
+        for _ in range(level):
+            wrapped = [wrapped]
+        openers = "".join("[\n" + "  " * (i + 1) for i in range(level))
+        closers = "".join("\n" + "  " * i + "]" for i in reversed(range(level)))
+        assert json.dumps(wrapped, indent=2) == openers + codec._dumps(doc, level) + closers
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ([0, {"a": [1, 1.5]}], "Object of type float is not JSON serializable"),
+            ({"a": [True, (1,)]}, "Object of type tuple is not JSON serializable"),
+            ([{"a": 0}, {"b": {1: 0}}], "keys must be str, not int"),
+        ],
+    )
+    def test_nested_rejection_messages(self, bad, message):
+        for level in (0, 2):
+            with pytest.raises(TypeError) as e:
+                codec._dumps(bad, level)
+            assert str(e.value) == message
+
     @pytest.mark.parametrize("bad", [{1, 2}, b"x", object(), 1.5, (1,), [1, {"a": frozenset()}]])
     def test_rejects_values_outside_the_artifact_types(self, bad):
         with pytest.raises(TypeError):
@@ -1489,6 +1515,28 @@ class TestCli:
             fresh.append((done.returncode, done.stdout))
         assert [code for code, _ in in_process] == [1, 0, 2, 0, 0, 1]
         assert in_process == fresh
+
+    def test_module_entry_point(self, paths):
+        """``python -m shrinkwrap.cli`` runs the command line: it prints the
+        usage, and a build writes the bytes ``run`` writes."""
+        tmp, save = paths
+        reals = save("xs.json", XS)
+        decoys = save("decoys.json", (R([2]), R([0, 2], (1,)), R([1, 1])))
+        env = {**os.environ, "PYTHONPATH": str(Path(shrinkwrap.__file__).parents[1])}
+
+        def module(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "shrinkwrap.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+
+        done = module("--help")
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: shrinkwrap")
+        build = ["build", "--reals", reals, "--decoys", decoys, "--out"]
+        assert module(*build, str(tmp / "fresh.json")).returncode == 0
+        assert run([*build, str(tmp / "here.json")]) == 0
+        assert (tmp / "fresh.json").read_bytes() == (tmp / "here.json").read_bytes()
 
     def test_unknown_flags(self, capsys):
         assert run(["verify", "--bogus"]) == 2

@@ -11,7 +11,6 @@ import pytest
 from gen import (
     naive_build_padded_wrapper,
     naive_check_partition,
-    naive_choice,
     naive_condition4,
     naive_draw_word,
     naive_equal,
@@ -973,9 +972,9 @@ class TestBuilders:
         )
 
     def test_draws_follow_the_random_stream(self):
-        """Each word, pool permutation and filler index the builder draws
-        equals what randrange(2), shuffle and choice draw from the same
-        generator, and leaves it in the same state."""
+        """Each word and pool permutation the builder draws equals what
+        randrange(2) and shuffle draw from the same generator, and leaves it
+        in the same state."""
         control = random.Random(1901)
         for seed in range(300):
             old, new = random.Random(seed), random.Random(seed)
@@ -988,15 +987,13 @@ class TestBuilders:
                 mine = list(pool)
                 wrapper._shuffle(new.getrandbits, mine)
                 assert mine == naive_shuffle(old, pool)
-                if size:
-                    assert mine[wrapper._below(new.getrandbits, size)] == naive_choice(old, pool)
                 assert new.getstate() == old.getstate()
 
     def test_padded_build_matches_first_version(self):
         """The builder against its first version, which scans the pool by
         membership and draws through randrange, shuffle and choice: the
-        same artifact bytes, over repeated points and pools small enough
-        to leave no filler candidate."""
+        same artifact bytes, over repeated points, pools small enough to
+        leave no filler candidate and pools that leave choice two or more."""
         rng = random.Random(1902)
         seen = Counter()
         for trial in range(60):
@@ -1015,6 +1012,15 @@ class TestBuilders:
             fillers = {y for part in got.isolated for y in part} - set(xs)
             seen["fresh filler"] += any(max(y.period) > values for y in fillers)
             seen["pool filler"] += any(y in decoys for y in fillers)
+            # The filler is one candidate; a pool value free of every tree of
+            # a pair position, the filler's included, makes a second.
+            pool = set(decoys) - set(xs)
+            seen["filler choice"] += any(
+                pool.difference(*(
+                    t.branches for n in pair_of(nt) for t in got.families[(nt, n)].distinct_trees()
+                ))
+                for nt in range(1, got.scope.n_pairs)
+            )
         assert min(seen.values()) >= 10, seen
 
     def test_long_prefix_decoy_grows_separation_level(self):
