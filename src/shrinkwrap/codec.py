@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-from itertools import chain, groupby, repeat
+from itertools import chain
 from operator import attrgetter, itemgetter
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NamedTuple, Optional
@@ -371,11 +371,13 @@ _HPT = _Record(HorizonPerfectTree, (("horizon", _INT), ("nodes", _NODES)))
 
 # --------------------------------------------------------------- wrappers
 #
-# A wrapper's F entries hold almost all of its bytes.  They are written as
-# parts: each distinct tree is rendered once and is one shared part.  A
-# document in exactly that layout is read back at the cost of its distinct
-# trees (_dec_canonical); any other document is parsed whole and read entry
-# by entry.
+# A wrapper's F entries hold almost all of its bytes.  Each distinct real is
+# rendered once per indent level, and each tree and isolated set is one join
+# of those texts.  A family in closed form is one run of entries that
+# _closed_run renders from its word and its two trees' texts; any other
+# family is written entry by entry.  A document in exactly that layout is
+# read back a run at a time (_dec_canonical); any other document is parsed
+# whole and read entry by entry.
 
 _SCOPE = _Record(WrapperScope, (("N", _INT), ("Ntilde", _INT)), N="n_reals", Ntilde="n_pairs")
 _ENTRY = _Record(
@@ -386,38 +388,55 @@ _ISOLATED = _list(_REALS)
 
 @functools.cache
 def _entry_texts(level: int) -> tuple[str, ...]:
-    """The fixed text of a list of entries at this level: before the first
-    pair_index, between a tree and the next pair_index, before n, before a
-    word, after a word, and after the last tree."""
+    """The fixed text of an entry of a list at this level: before its pair
+    index, before n, before its word, after its word, and after its tree.
+    The list's entries are joined by ","."""
     seg = _template(_ENTRY.keys, level + 1).split("%s")
-    inner = "\n" + "  " * (level + 1)
-    last = seg[4] + "\n" + "  " * level + "]"
-    return "[" + inner + seg[0], seg[4] + "," + inner + seg[0], seg[1], seg[2] + '"', '"' + seg[3], last
+    return "\n" + "  " * (level + 1) + seg[0], seg[1], seg[2] + '"', '"' + seg[3], seg[4]
 
 
-def _entries_parts(families: dict, level: int) -> list[str]:
-    # An entry's tree is its last field, and one shared part: a padded
-    # family's filler tree fills almost every leaf.  Each family's head is
-    # formatted once, up to its words.
-    first, sep, n_key, word_start, word_end, last = _entry_texts(level)
-    trees: dict[frozenset[UPReal], str] = {}
-    entries: list[str] = []
-    for (nt, n) in sorted(families):
-        head = f"{sep}{_dumps(nt)}{n_key}{_dumps(n)}{word_start}"
+_FLIP = str.maketrans("01", "10")
+
+
+def _closed_run(head: str, word: str, default: str, override: str) -> str:
+    """The entries of a family in closed form, in the writer's (length,
+    word) order, each ``head``, a prefix and the text after the prefix: the
+    siblings of the word's letters, shortest first, hold ``default``, and
+    the word, before or after its last sibling, holds ``override``."""
+    flipped = word.translate(_FLIP)
+    prefixes = [word[:j] + flipped[j] for j in range(len(word))]
+    last = "" if word[-1] == "1" else f",{head}{prefixes.pop()}{default}"
+    return head + (default + "," + head).join([*prefixes, word]) + override + last
+
+
+def _entries_parts(families: dict, level: int, write_set: Callable) -> list[str]:
+    # A family in closed form is one part, and any other entry two: its
+    # head and word, then its tree, one shared part per distinct tree.
+    open_, n_key, word_start, word_end, close = _entry_texts(level)
+    tree_template = _template(_TREE.keys, level + 2)
+    tails: dict[frozenset[UPReal], str] = {}
+
+    def tail(tree: BranchTree) -> str:
+        # Keyed by the branch set, a frozenset, which keeps its hash.
+        if tree.branches not in tails:
+            tails[tree.branches] = word_end + tree_template % write_set(tree.branches, level + 3) + close
+        return tails[tree.branches]
+
+    parts = ["["]
+    for nt, n in sorted(families):
+        family = families[(nt, n)]
+        head = f"{open_}{_dumps(nt)}{n_key}{_dumps(n)}{word_start}"
+        if family._shape is not None:
+            bits, tree, default = family._shape
+            parts += (_closed_run(head, bits.translate(BIT_DIGITS).decode(), tail(default), tail(tree)), ",")
+            continue
         # TreeFamily stores its leaves in lexicographic order, so a stable
         # sort by length gives the (length, word) order, and its prefixes
         # are bytes 0 and 1, so one translate writes a word.
-        for prefix, tree in sorted(families[(nt, n)].leaves, key=lambda leaf: len(leaf[0])):
-            # Keyed by the branch set, a frozenset, which keeps its hash.
-            text = trees.get(tree.branches)
-            if text is None:
-                text = trees[tree.branches] = _TREE.write(tree, level + 2)
-            entries += (head + prefix.translate(BIT_DIGITS).decode() + word_end, text)
-    if not entries:
-        return ["[]"]
-    entries[0] = first + entries[0][len(sep):]
-    entries.append(last)
-    return entries
+        for prefix, tree in sorted(family.leaves, key=lambda leaf: len(leaf[0])):
+            parts += (head + prefix.translate(BIT_DIGITS).decode(), tail(tree), ",")
+    parts[-1] = "\n" + "  " * level + "]"  # in place of the last ",", or of "[" when F is empty
+    return parts if len(parts) > 1 else ["[]"]
 
 
 def _dec_entries_checked(obj: Any, path: str) -> dict:
@@ -440,10 +459,10 @@ def _wrapper(scope: WrapperScope, tables: dict, isolated: tuple) -> ShrinkWrappe
     return wrapper
 
 
-# F's writer returns parts, so a wrapper is written by _wrapper_parts, which
-# splices them, and never by _Record.write.  F's reader is looked up when it
-# runs, so that a test can count its calls.
-_F = _Field(_entries_parts, lambda obj, path: _dec_entries_checked(obj, path))
+# A wrapper is written by _wrapper_parts, which renders F and I from one
+# table of real texts, and never by _Record.write, so F has no writer.  F's
+# reader is looked up when it runs, so that a test can count its calls.
+_F = _Field(None, lambda obj, path: _dec_entries_checked(obj, path))
 _WRAPPER = _Record(_wrapper, (("scope", _SCOPE), ("F", _F), ("I", _ISOLATED)), F="families", I="isolated")
 # A wrapper document's text before its scope, before F, before I and after I.
 _WRAPPER_DOCUMENT = (
@@ -452,16 +471,22 @@ _WRAPPER_DOCUMENT = (
 
 
 def _wrapper_parts(w: ShrinkWrapper, level: int) -> list[str]:
-    return _parts(_template(_WRAPPER.keys, level), _WRAPPER.texts(w, level))
+    # Each distinct real is rendered once per indent level, and a set of
+    # reals is one join of those texts in the reals' up_sorted order, which
+    # orders every subset as the subset's own sort does.
+    trees = [f._shape[1:] if f._shape else map(itemgetter(1), f.leaves) for f in w.families.values()]
+    order = up_sorted(set().union(*w.isolated, *(t.branches for ts in trees for t in ts)))
+    rank = {x: i for i, x in enumerate(order)}
+    texts: dict[int, list[str]] = {}
 
+    def write_set(values: frozenset[UPReal], level: int) -> str:
+        if level not in texts:
+            texts[level] = _REAL.write_many(order, level + 1)
+        return _items(map(texts[level].__getitem__, sorted(map(rank.__getitem__, values))), level)
 
-def _cut(texts: list[str], sep: str, cut: Callable) -> tuple[list[str], list[str]]:
-    """The parts of each text before and after sep, by str.partition or
-    str.rpartition.  Each triple is dropped as soon as it is read, so that
-    none lives long enough for the collector to move it to an older
-    generation."""
-    parts = list(chain.from_iterable(map(cut, texts, repeat(sep))))
-    return parts[0::3], parts[2::3]
+    isolated = _items([write_set(part, level + 2) for part in w.isolated], level + 1)
+    entries = _entries_parts(w.families, level + 1, write_set)
+    return _parts(_template(_WRAPPER.keys, level), (_SCOPE.write(w.scope, level + 1), entries, isolated))
 
 
 def _dec_canonical(text: str) -> Optional[ShrinkWrapper]:
@@ -469,67 +494,91 @@ def _dec_canonical(text: str) -> Optional[ShrinkWrapper]:
     any other input, a faulty one included.
 
     The text must be a wrapper document's fixed text around its scope, F
-    and I.  F is cut on the fixed text between entries, and each entry's
-    head must be what the writer writes.  json.loads must read the scope,
-    I and each distinct tree text as one value each, and parses each once.
-    So json.loads would parse the whole document to the values read here,
-    and the general path would read them to an equal wrapper.
+    and I.  F is read one run of entries, one family, at a time, and each
+    entry's head must be what the writer writes.  A run whose text is what
+    _closed_run renders from its first entry's text, and the word and text
+    of its two full-length entries, which that text puts at a known
+    distance, is built by from_assignments; two texts of equal trees give
+    the constant family.  Any other run is read entry by entry and goes to
+    the checking constructor.  json.loads must read the scope, I and each
+    distinct tree text as one value each, and parses each once.  So
+    json.loads would parse the whole document to the values read here, and
+    the general path would read them to an equal wrapper.  A failed closed
+    form is charged its rendered length, and the reader gives up past the
+    document's length, so that its cost stays linear.
     """
     opening, f_key, i_key, closing = _WRAPPER_DOCUMENT
-    first, sep, n_key, word_start, word_end, last = _entry_texts(2)
+    open_, n_key, word_start, word_end, close = _entry_texts(2)
+    between, after = close + "," + open_, close + "\n    ]" + i_key
     try:
-        start, end = text.find(f_key + first), text.rfind(last + i_key)
+        start, end = text.find(f_key + "[" + open_), text.rfind(after)
         if not (text.startswith(opening) and text.endswith(closing) and len(opening) < start < end):
             return None
         scope = _SCOPE.read(json.loads(text[len(opening):start]), "$.payload.scope")
-        isolated = _ISOLATED.read(json.loads(text[end + len(last + i_key):-len(closing)]), "$.payload.I")
-        heads, trees = _cut(text[start + len(f_key + first):end].split(sep), word_end, str.partition)
-        families, words = _cut(heads, word_start, str.rpartition)
-        # "," and every byte but "0" and "1" become 2, so the words are all
-        # bits exactly when the split gives one prefix per word.
-        prefixes = ",".join(words).encode("ascii").translate(_UNBITS).split(b"\x02")
-        if len(prefixes) != len(words):
-            return None
-        distinct = dict.fromkeys(trees)
-        for tree_text in distinct:
-            distinct[tree_text] = _TREE.read(json.loads(tree_text), "$.payload.F")
+        isolated = _ISOLATED.read(json.loads(text[end + len(after):-len(closing)]), "$.payload.I")
+        stop, budget = end + len(close), len(text)
+        trees: dict[str, BranchTree] = {}
+
+        def tail(at: int) -> str:  # the text from ``at`` to the end of its entry
+            k = text.find(between, at, end)
+            return text[at:(end if k < 0 else k) + len(close)]
+
+        def tree(rest: str) -> BranchTree:  # read once per distinct text after a word
+            if rest not in trees:
+                if not rest.startswith(word_end):
+                    raise ValueError("not the text after a word")
+                trees[rest] = _TREE.read(json.loads(rest[len(word_end):-len(close)]), "$.payload.F")
+            return trees[rest]
+
         built = {}
-        i = 0
-        for family, run in groupby(families):
-            nt, n = map(int, family.split(n_key))
-            j = i + len(list(run))
-            if f"{nt}{n_key}{n}" != family or (nt, n) in built:
+        pos = start + len(f_key) + 1
+        while True:
+            j = text.index(n_key, pos, stop)
+            k = text.index(word_start, j, stop)
+            nt, n = int(text[pos + len(open_):j]), int(text[j + len(n_key):k])
+            head = f"{open_}{nt}{n_key}{n}{word_start}"
+            h = len(head)
+            if not text.startswith(head, pos) or (nt, n) in built:
                 return None
-            built[(nt, n)] = _family(nt, prefixes[i:j], trees[i:j], distinct)
-            i = j
+            family = None
+            if nt and text.startswith(word_end, pos + h + 1):
+                default = tail(pos + h + 1)
+                # The first full-length entry follows nt - 1 entries of the
+                # default; it holds the default too when the word ends in 1.
+                at = pos + (nt - 1) * (h + len(default) + 1) + nt * (nt - 1) // 2
+                if text.startswith(default, at + h + nt):
+                    at += h + nt + len(default) + 1
+                if at + h + nt <= end:
+                    word, override = text[at + h:at + h + nt], tail(at + h + nt)
+                    run = _closed_run(head, word, default, override)
+                    if text.startswith(run, pos):
+                        bits = word.encode("ascii").translate(_UNBITS)
+                        family = TreeFamily.from_assignments(nt, tree(default), {bits: tree(override)})
+                        pos += len(run)
+                    elif (budget := budget - len(run)) < 0:
+                        return None
+            if family is None:
+                leaves = []
+                while True:
+                    k = text.index('"', pos + h, stop)  # the end of the word
+                    rest = tail(k)
+                    leaves.append((text[pos + h:k].encode("ascii").translate(_UNBITS), tree(rest)))
+                    pos = k + len(rest)
+                    if not text.startswith("," + head, pos):
+                        break
+                    pos += 1
+                family = TreeFamily(nt, leaves)
+            built[(nt, n)] = family
+            if pos == stop:
+                break
+            if not text.startswith(",", pos):
+                return None
+            pos += 1
         wrapper = ShrinkWrapper(scope, built, isolated)
         wrapper.check_total()
         return wrapper
     except (ValueError, TypeError, RecursionError):  # the general path reports the fault
         return None
-
-
-def _family(nt: int, prefixes: list[bytes], texts: list[str], trees: dict[str, BranchTree]) -> TreeFamily:
-    """The family of one run of entries, from their prefixes, their tree
-    texts and the tree of each text.
-
-    A run in the closed form of one override word is built from that word
-    by ``from_assignments``, without the checking constructor: one text at
-    the word, the first entry's text at each of its siblings, and the
-    closed form's prefixes, in the writer's (length, word) order, exactly
-    the run's.  The word is one of the last two entries, which hold the
-    full-length words; a width-1 family reads as word 1 overriding word 0.
-    Texts of two equal trees give the constant family, whose one prefix
-    is not the run's.  Any other run goes through the checking constructor.
-    """
-    if nt and len(texts) == nt + 1:
-        default = texts[0]
-        p = nt - 1 if texts[nt - 1] != default else nt
-        if texts.count(default) == nt and texts[p] != default:
-            family = TreeFamily.from_assignments(nt, trees[default], {prefixes[p]: trees[texts[p]]})
-            if sorted(map(itemgetter(0), family.leaves), key=len) == prefixes:
-                return family
-    return TreeFamily(nt, zip(prefixes, map(trees.__getitem__, texts)))
 
 
 # ---------------------------------------------------------- other records

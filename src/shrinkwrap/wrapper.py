@@ -102,7 +102,16 @@ class TreeFamily:
 
     # A family of one override word whose tree differs from the default,
     # built in closed form, keeps (word, tree, default) here; None otherwise.
+    # Such a family works its leaves out from the shape on first read.
     _shape = None
+
+    def __getattr__(self, name: str):
+        if name != "leaves" or self._shape is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        bits, tree, default = self._shape
+        leaves = tuple(_split(bits, 0, tree, default))
+        object.__setattr__(self, "leaves", leaves)
+        return leaves
 
     def __post_init__(self):
         if self.width < 0:
@@ -151,7 +160,6 @@ class TreeFamily:
             # Only the word holds ``tree``: no classes overlap, gap or merge.
             family = object.__new__(cls)
             object.__setattr__(family, "width", width)
-            object.__setattr__(family, "leaves", tuple(_split(bits, 0, tree, default)))
             object.__setattr__(family, "_shape", (bits, tree, default))
             return family
         # Each word splits its class, the last one not after it; a later

@@ -24,6 +24,7 @@ from gen import (
     naive_dec_wrapper,
     naive_decode,
     naive_encode,
+    naive_from_assignments,
     rand_branch_tree,
     rand_rmap,
     rand_upreal,
@@ -275,6 +276,31 @@ class TestEncoderOracle:
     @pytest.mark.parametrize("w", seeded_wrappers(), ids=lambda w: f"{len(w.families)}fam")
     def test_wrappers(self, w):
         assert encode(w) == naive_encode(w, "wrapper")
+
+    @pytest.mark.parametrize(
+        "shape", ["width 1", "all-0 words", "all-1 words", "override equal to default", "two overrides"]
+    )
+    def test_families_by_shape(self, shape):
+        """Families written as one run and, for two overrides, entry by
+        entry; the oracle writes every leaf."""
+        w = seeded_wrappers()[-1]
+        families = dict(w.families)
+        for (nt, n), fam in w.families.items():
+            if nt == 0 or (shape == "width 1") != (nt == 1):
+                continue
+            default, tree = sorted(fam.distinct_trees(), key=fam.distinct_trees().get, reverse=True)
+            overrides = {
+                "width 1": {(n % 2,): tree},
+                "all-0 words": {(0,) * nt: tree},
+                "all-1 words": {(1,) * nt: tree},
+                "override equal to default": {(1,) * nt: default},
+                "two overrides": {(0,) * nt: tree, (1,) * nt: T(R([7]))},
+            }[shape]
+            families[(nt, n)] = TreeFamily.from_assignments(nt, default, overrides)
+        changed = dataclasses.replace(w, families=families)
+        assert sum(f is not w.families[key] for key, f in families.items()) >= 2
+        assert encode(changed) == naive_encode(changed, "wrapper")
+        assert decode(encode(changed)) == changed
 
     def test_domination_reports(self):
         reports = seeded_domination_reports()
@@ -997,6 +1023,21 @@ def closed_form_mutants(text: str) -> dict[str, str]:
     swapped = json.dumps(reordered, indent=2).replace("\n", "\n        ")
     assert swapped != word.group(4)
     widths1 = [run1 for (n1, _), run1 in runs.items() if n1 == 1]
+    # The default's tree spelled with every period twice over, which the
+    # reals reduce away: another text of an equal tree.
+    doubled = json.loads(run[0].group(4))
+    for branch in doubled["branches"]:
+        branch["period"] *= 2
+    respelled = json.dumps(doubled, indent=2).replace("\n", "\n        ")
+    assert respelled != run[0].group(4)
+
+    def run_words(w: str) -> list[str]:
+        # The words of a closed-form run of word w, in the run's order.
+        flips = [w[:j] + {"0": "1", "1": "0"}.get(w[j], w[j]) for j in range(len(w))]
+        return flips[:-1] + sorted([flips[-1], w])
+
+    assert run_words(word.group(3)) == [e.group(3) for e in run]
+    lettered = word.group(3)[:1] + "2" + word.group(3)[2:]
     return {
         "clean": text,
         "sibling letter flipped": edit(flip(run[2], 0)),
@@ -1007,6 +1048,14 @@ def closed_form_mutants(text: str) -> dict[str, str]:
         "entry repeated": edit((run[1].end(), run[1].end(), separator + run[1].group())),
         "equal trees with branches swapped": edit(*(put_tree(e, swapped) for e in run if e is not word)),
         "width-1 families in the other reading": edit(*(c for r in widths1 for c in trade_trees(*r))),
+        # Hostile runs.
+        "width sends the jump past the end of F": edit(*((e.start(1), e.end(1), "1000000") for e in run)),
+        "pair index of 5,000 digits": edit(*((e.start(1), e.end(1), "7" * 5000) for e in run)),
+        "both full-length entries hold the default text": edit(put_tree(word, last_sibling.group(4))),
+        "override word with the letter 2": edit(
+            *((e.start(3), e.end(3), w) for e, w in zip(run, run_words(lettered)))
+        ),
+        "two tree texts of equal trees": edit(put_tree(word, respelled)),
     }
 
 
@@ -1026,16 +1075,42 @@ class TestClosedFormReader:
     checking constructor only when its entries are exactly that form."""
 
     MUTANTS = tuple(closed_form_mutants(closed_document(0)))
+    SECONDS = 1.0  # per case, for both decodes
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("name", MUTANTS)
     def test_mutated_family(self, seed, name):
         text = closed_form_mutants(closed_document(seed))[name]
         want = text_outcome(text)
+        started = time.perf_counter()
         assert outcome(lambda: decode(text)) == want
         assert outcome(lambda: decode(text.encode())) == want
+        assert time.perf_counter() - started < self.SECONDS
         if want[0] == "ok":
             assert_walks_match_the_constructor(decode(text))
+
+    @pytest.mark.parametrize("top, general", [(3, False), (45, True)])
+    def test_failed_closed_forms_are_charged(self, top, general, monkeypatch):
+        """A family of the two classes 0 and 1 looks closed at its first
+        entry, and its failed closed form renders about one entry per
+        letter.  Below width 3 the charges stay small; at every width up to
+        44 they pass the document's length, and the reader hands the
+        document to the general path."""
+        rng = random.Random(2911)
+        w = build_wrapper([rand_upreal(rng, alphabet=3) for _ in range(10)])
+        other = T(R([], (7,)))
+        families = dict(w.families)
+        for (nt, n), fam in w.families.items():
+            if 1 <= nt < top:
+                families[(nt, n)] = TreeFamily(nt, ((b"\x00", fam.leaves[0][1]), (b"\x01", other)))
+        data = encode(dataclasses.replace(w, families=families))
+        read = []
+        checked = codec._dec_entries_checked
+        monkeypatch.setattr(
+            codec, "_dec_entries_checked", lambda obj, path: read.append(path) or checked(obj, path)
+        )
+        assert decode(data) == naive_dec_wrapper(json.loads(data)["payload"], "$.payload")
+        assert read == (["$.payload.F"] if general else [])
 
     def test_all_zero_and_all_one_words(self):
         rng = random.Random(2604)
@@ -1082,6 +1157,61 @@ class TestClosedFormReader:
             assert sorted(f.width for f in checked) == sorted(
                 f.width for f in value.families.values() if not is_closed_form(f)
             )
+
+
+class TestLazyLeaves:
+    """A padded family is kept as its shape, so no step from build to
+    domination works out its leaves."""
+
+    def test_no_step_splits_a_padded_family(self, paths, monkeypatch, capsys):
+        tmp, save = paths
+        split = shrinkwrap.wrapper._split
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return split(*args)
+
+        monkeypatch.setattr(shrinkwrap.wrapper, "_split", counting)
+        loaded = []
+        for seed in range(4):
+            rng = random.Random(2900 + seed)
+            xs = tuple(rand_upreal(rng, alphabet=3) for _ in range(5))
+            decoys = tuple(rand_upreal(rng, alphabet=3) for _ in range(3 + 2 * seed))
+            reals, pool = save("xs.json", xs), save("decoys.json", decoys)
+            out, report = str(tmp / "w.json"), str(tmp / "r.json")
+            monkeypatch.setenv("SHRINKWRAP_SEED", str(seed))
+            assert run(["build", "--reals", reals, "--decoys", pool, "--out", out]) == 0
+            built = build_padded_wrapper(xs, decoys=decoys, seed=seed)
+            assert encode(built) == Path(out).read_bytes()
+            assert run(["verify", "--wrapper", out, "--reals", reals, "--cond4"]) == 0
+            trees = {t for fam in built.families.values() for t in fam.distinct_trees()}
+            battery = save("battery.json", xs + tuple(sorted({b for t in trees for b in t.branches}, key=repr)))
+            argv = ["dominate", "--reals", reals, "--wrapper", out, "--battery", battery, "--out", report]
+            assert run(argv) == 0
+            loaded.append(codec.load(out))
+        assert calls == []
+        capsys.readouterr()
+        # Read as its shape, each family gives what the checking constructor
+        # and the tuple oracle give over its leaves.
+        closed = 0
+        for w in loaded:
+            for fam in w.families.values():
+                counts = fam.distinct_trees()
+                if fam.width == 0 or sorted(counts.values()) != [1, 2**fam.width - 1]:
+                    continue
+                closed += 1
+                tree, default = sorted(counts, key=counts.get)
+                word = fam.representative(tree)
+                naive = naive_from_assignments(fam.width, default, {word: tree})
+                checked = TreeFamily(fam.width, naive)
+                assert hash(fam) == hash(checked)
+                assert fam == checked and repr(fam) == repr(checked)
+                assert fam.leaves == checked.leaves == tuple((bytes(p), t) for p, t in naive)
+                for s in (word, (0,) * fam.width, (1,) * fam.width):
+                    assert fam.tree_at(s) == checked.tree_at(s)
+                assert list(map(fam.representative, counts)) == list(map(checked.representative, counts))
+        assert closed == 4 * 2 * 9 and calls  # every family of width 1 to 9
 
 
 def every_artifact():

@@ -381,6 +381,39 @@ class TestTreeFamily:
         assert list(counts.items()) == [(trees[1], 1), (trees[0], 2**45 - 1)]
         assert firsts == [(0,) * 44 + (1,), (0,) * 45]
 
+    def test_a_family_kept_as_its_shape_reads_as_its_leaves(self):
+        """A single-override family works its leaves out on first read.
+        Whichever is read first, leaves, ==, hash, repr, tree_at and
+        representative equal the checking constructor's over the tuple
+        oracle's leaves; distinct_trees and representative read the shape."""
+        rng = random.Random(2912)
+        trees = [T(R([k])) for k in range(3)] + [T(R([1]), R([2, 1]))]
+        for trial in range(300):
+            width = rng.randrange(1, 14)
+            default, tree = rng.sample(trees, 2)
+            word = tuple(rng.randrange(2) for _ in range(width))
+            words = [word, *(tuple(rng.randrange(2) for _ in range(width)) for _ in range(3))]
+            naive = as_bytes(naive_from_assignments(width, default, {word: tree}))
+            checked = TreeFamily(width, naive)
+            checks = {
+                "leaves": lambda f: f.leaves,
+                "==": lambda f: f == checked and checked == f,
+                "hash": hash,
+                "repr": repr,
+                "tree_at": lambda f: [f.tree_at(s) for s in words],
+                "representative": lambda f: [f.representative(t) for t in (default, tree)],
+            }
+            want = {name: check(checked) for name, check in checks.items()}
+            assert want["leaves"] == naive
+            for name in checks:
+                fam = TreeFamily.from_assignments(width, default, {word: tree})
+                assert "leaves" not in vars(fam)
+                assert {n: checks[n](fam) for n in [name, *checks]} == want
+            fam = TreeFamily.from_assignments(width, default, {word: tree})
+            assert dict(fam.distinct_trees()) == {tree: 1, default: 2**width - 1}
+            assert checks["representative"](fam) == want["representative"]
+            assert "leaves" not in vars(fam)
+
     def test_decoded_wrappers_verify_as_the_oracles_do(self):
         rng = random.Random(2603)
         failed = 0
