@@ -541,7 +541,7 @@ def _dec_canonical(text: str) -> Optional[ShrinkWrapper]:
             if not text.startswith(head, pos) or (nt, n) in built:
                 return None
             family = None
-            if nt and text.startswith(word_end, pos + h + 1):
+            if nt > 0 and text.startswith(word_end, pos + h + 1):
                 default = tail(pos + h + 1)
                 # The first full-length entry follows nt - 1 entries of the
                 # default; it holds the default too when the word ends in 1.
